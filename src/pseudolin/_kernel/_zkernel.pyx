@@ -169,7 +169,7 @@ def zp_modp_coprime(a, b, p=_MODP):
     cdef object lb, inv, top
     while len(B) > 1 or (B and B[0]):
         lb = B[len(B) - 1]
-        inv = pow(lb, p - 2, p)
+        inv = pow(lb, -1, p)
         db = len(B) - 1
         while len(A) - 1 >= db:
             top = A[len(A) - 1] * inv % p

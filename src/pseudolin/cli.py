@@ -39,6 +39,18 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and dimensions, which must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pseudolin",
@@ -74,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds-table",
                        help="observed degrees vs predicted bounds, all four "
                             "instances")
-    b.add_argument("--trials", type=int, default=5)
+    b.add_argument("--trials", type=_positive_int, default=5)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--dx", type=int, default=2)
     b.add_argument("--dy", type=int, default=2)
@@ -93,9 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prop", required=True,
                    choices=["krylov-denominator", "det-den-laws",
                             "lemma2-delta", "bounds"])
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=2, help="matrix dimension")
+    p.add_argument("--n", type=_positive_int, default=2,
+                   help="matrix dimension")
     p.add_argument("--delta", type=int, default=3,
                    help="target degree of det M for the trivial realisation")
     p.add_argument("--sr", type=int, default=3,

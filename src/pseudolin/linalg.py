@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from pseudolin import _kernel as zk
 from pseudolin.poly import Poly, poly_lcm
@@ -256,17 +257,12 @@ def det_fraction_free(m: PolyMatrix) -> Poly:
             zrow.append((z, den))
         den_row = 1
         for _, d in zrow:
-            den_row = den_row * d // _gcd_int(den_row, d)
+            den_row = lcm(den_row, d)
         scale /= den_row
         zrow = [zk.zp_scale(z, den_row // d) for z, d in zrow]
         zrows.append(zrow)
     det = _bareiss_z(zrows)
     return Poly.from_z(det) * scale
-
-
-def _gcd_int(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 def _zp_eval(z, pt: int) -> int:
@@ -401,7 +397,7 @@ class GaussTracker:
         """
         g = 0
         for z in vec:
-            g = _gcd_int(g, zk.zp_content(z))
+            g = gcd(g, zk.zp_content(z))
             if g == 1:
                 break
         if g == 0:
@@ -425,7 +421,7 @@ class GaussTracker:
                     evals = [_zp_eval(z, self._PT) for z in vec]
         g = 0
         for e in evals:
-            g = _gcd_int(g, e)
+            g = gcd(g, e)
             if g == 1:
                 return vec
         live = [z for z in vec if z]
@@ -472,7 +468,7 @@ def rank(A: RatMatrix) -> int:
         for e in col:
             z, den = e.clear_denominators()
             cleared.append((z, den))
-            dd = dd * den // _gcd_int(dd, den)
+            dd = lcm(dd, den)
         for z, den in cleared:
             zcol.append(zk.zp_scale(z, dd // den))
         tracker.offer(zcol)

@@ -8,9 +8,11 @@ work uniformly.
 
 Scalars throughout the package are ``fractions.Fraction``: it already is an
 arbitrary-precision reduced rational with positive denominator, so no extra
-wrapper type is needed.  Heavy operations (products, gcds) are routed
-through the integer kernels in ``pseudolin._kernel`` after clearing
-denominators.
+wrapper type is needed.  Heavy operations (products, gcds, exact
+division, lcm and divisibility) clear denominators once, run in Z[x] on
+the integer kernels in ``pseudolin._kernel`` and rescale once.
+``divmod``/``//``/``%`` stay a general division with remainder over the
+Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -191,11 +193,20 @@ class Poly:
         return divmod(self, other)[1]
 
     def exact_div(self, other) -> Poly:
-        """Quotient self/other, raising ValueError when not exact."""
-        q, r = divmod(self, _coerce(other))
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
+        """Quotient self/other, raising ValueError when not exact.
+
+        Runs in Z[x]: with self = za/da and other = zb/db cleared, the
+        quotient is (db/da) * (za/zb), and za/zb is an exact division of
+        primitive parts (Gauss's lemma).
+        """
+        other = _coerce(other)
+        if other is NotImplemented:
+            raise TypeError("exact_div needs a Poly, int or Fraction")
+        za, da = self.clear_denominators()
+        zb, db = other.clear_denominators()
+        q, num, den = zk._divexact_q(za, zb)
+        num *= db
+        return Poly.from_z([c * num for c in q], den * da)
 
     # -- calculus and evaluation ----------------------------------------
 
@@ -230,10 +241,9 @@ class Poly:
 
     def clear_denominators(self):
         """Return (zpoly, den) with den > 0 and self == zpoly/den."""
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        return [int(c * den) for c in self.coeffs], den
+        cs = self.coeffs
+        den = lcm(*[c.denominator for c in cs])
+        return [c.numerator * (den // c.denominator) for c in cs], den
 
     def primitive_z(self):
         """Return (primitive integer Poly with positive lc, scale) so that
@@ -307,19 +317,25 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return Poly()
     za, _ = a.clear_denominators()
     zb, _ = b.clear_denominators()
-    return Poly(zk.zp_gcd(za, zb)).monic()
+    g = zk.zp_gcd(za, zb)
+    return Poly.from_z(g, g[-1])
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     """Monic lcm over Q; lcm with 0 is 0."""
     if a.is_zero() or b.is_zero():
         return Poly()
-    g = poly_gcd(a, b)
-    return (a * b).exact_div(g).monic()
+    za, _ = a.clear_denominators()
+    zb, _ = b.clear_denominators()
+    # the primitive gcd divides za exactly in Z[x] (Gauss's lemma)
+    m = zk.zp_mul(zk.zp_divexact(za, zk.zp_gcd(za, zb)), zb)
+    return Poly.from_z(m, m[-1])
 
 
 def poly_divides(a: Poly, b: Poly) -> bool:
     """True when a divides b over Q[x]."""
     if a.is_zero():
         return b.is_zero()
-    return (b % a).is_zero()
+    za, _ = a.clear_denominators()
+    zb, _ = b.clear_denominators()
+    return zk.zp_divides(za, zb)

@@ -2,14 +2,21 @@
 
 A :class:`RatFun` keeps ``num/den`` with ``gcd(num, den) = 1`` and a monic
 denominator; zero is ``0/1``.  Construction always normalizes, so every
-value in circulation is reduced.
+value in circulation is reduced.  Normalisation takes ``poly_gcd`` (itself
+computed in Z[x]); when the gcd is nontrivial or ``den`` is not monic, it
+clears the denominators of ``num`` and ``den`` once, cancels the gcd with
+exact Z[x] divisions and rebuilds both sides once, with the scale that
+makes ``den`` monic folded in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from pseudolin import _kernel as zk
 from pseudolin.poly import NEG_INF, Poly, format_poly, poly_gcd, poly_lcm
+
+_ONE = Poly.one()
 
 
 def _as_poly(value) -> Poly:
@@ -33,14 +40,23 @@ class RatFun:
         if num.is_zero():
             num, den = Poly(), Poly.one()
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.lc
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den * (1 / lead)
+            # num/den = (za/dn)/(zb/dd) = (za*dd)/(zb*dn): cancel the gcd
+            # in Z[x], then divide both sides by lc(zb)*dn to make den
+            # monic; a reduced pair with monic den is kept as it is
+            g = (poly_gcd(num, den) if num.degree > 0 and den.degree > 0
+                 else _ONE)
+            if g.degree > 0 or den.lc != 1:
+                za, dn = num.clear_denominators()
+                zb, dd = den.clear_denominators()
+                if g.degree > 0:
+                    # clearing a monic polynomial leaves it primitive, so
+                    # it divides za and zb exactly in Z[x] (Gauss's lemma)
+                    zg, _ = g.clear_denominators()
+                    za = zk.zp_divexact(za, zg)
+                    zb = zk.zp_divexact(zb, zg)
+                lead = zb[-1]
+                num = Poly.from_z([c * dd for c in za], lead * dn)
+                den = Poly.from_z(zb, lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

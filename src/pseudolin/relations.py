@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix,
@@ -190,11 +190,6 @@ def bound_direct(rho: int, d_a: int, d: int, D: int, i: int):
 # -- iterate clearing and elimination ---------------------------------------------
 
 
-def _gcd2(a, b):
-    from math import gcd
-    return gcd(a, b)
-
-
 def _clear_map(pmap: PseudoLinearMap):
     """Integer-cleared (den, N = den*T) pair driving the b_i recurrence."""
     den_q = common_denominator(pmap.T.entries)
@@ -287,7 +282,7 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
     g = 0
     for p in eta:
         for f in p.coeffs:
-            g = _gcd2(g, int(f * d))
+            g = gcd(g, int(f * d))
     scale = Fraction(d, g)
     if eta[-1].lc * scale < 0:
         scale = -scale

@@ -3,6 +3,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from pseudolin.cli import main
 from pseudolin.reports import CSV_HEADER, load_schema
@@ -67,6 +68,20 @@ def test_input_errors_exit_2(capsys):
     assert run_cli(capsys, "telescoper", "--f", "1/((")[0] == 2
     assert run_cli(capsys, "lclm", "--op", "y*Dx", "--op", "Dx")[0] == 2
     assert run_cli(capsys, "telescoper", "--f", "1/(y-1)^2")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-props", "--prop", "krylov-denominator", "--n", "0"],
+    ["check-props", "--prop", "det-den-laws", "--trials", "0"],
+    ["bounds-table", "--trials", "-1"],
+])
+def test_nonpositive_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be at least 1" in captured.err
+    assert captured.out == ""
 
 
 def test_json_report_validates(tmp_path, capsys):

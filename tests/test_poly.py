@@ -21,6 +21,24 @@ def rand_poly(rng, max_deg=6, bound=9):
     return Poly(coeffs)
 
 
+def rand_q_poly(rng, max_deg=5, bound=9):
+    """Like rand_poly, but the leading coefficient may also be negative
+    or non-integral; degree -1 (zero) and 0 (constants) both occur."""
+    p = rand_poly(rng, max_deg, bound)
+    if p.is_zero():
+        return p
+    lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, bound),
+                    rng.randint(1, 4))
+    return Poly(p.coeffs[:-1] + (lead,))
+
+
+def euclid_gcd(a, b):
+    """Monic gcd by the Fraction remainder sequence of divmod."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
 def test_degree_sentinel():
     assert Poly().degree == NEG_INF
     assert NEG_INF < -10**9
@@ -74,6 +92,40 @@ def test_divmod_and_exact_division():
         assert q * b + r == a
         assert r.degree < b.degree
         assert (a * b).exact_div(b) == a
+
+
+def test_exact_paths_match_divmod_reference():
+    """exact_div, poly_divides and poly_lcm run in Z[x]; divmod over
+    Fraction coefficients is the reference."""
+    rng = random.Random(21)
+    outcomes = set()
+    for _ in range(300):
+        b = rand_q_poly(rng, 4)
+        if rng.random() < 0.5:
+            a = b * rand_q_poly(rng, 3)
+        else:
+            a = rand_q_poly(rng, 6)
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.exact_div(b)
+            assert poly_divides(b, a) == a.is_zero()
+            continue
+        q, r = divmod(a, b)
+        if r.is_zero():
+            assert a.exact_div(b) == q
+        else:
+            with pytest.raises(ValueError):
+                a.exact_div(b)
+        assert poly_divides(b, a) == r.is_zero()
+        outcomes.add((r.is_zero(), b.degree == 0, a.is_zero()))
+        if not a.is_zero():
+            m = poly_lcm(a, b)
+            assert m.lc == 1
+            assert (m % a).is_zero() and (m % b).is_zero()
+            assert m * euclid_gcd(a, b) == (a * b).monic()
+    # exact and inexact divisions, constant divisors and zero dividends
+    assert {(True, False, False), (False, False, False), (True, True, False),
+            (True, False, True)} <= outcomes
 
 
 def test_compose_shift_eval():

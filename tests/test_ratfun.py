@@ -1,12 +1,13 @@
 """Reduced rational-function arithmetic."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from pseudolin.poly import Poly, poly_gcd
 from pseudolin.ratfun import RatFun, common_denominator
-from test_poly import rand_poly
+from test_poly import euclid_gcd, rand_poly, rand_q_poly
 
 x = Poly.x()
 
@@ -30,6 +31,25 @@ def test_reduction_invariants():
         assert poly_gcd(f.num, f.den).degree <= 0
         if f.is_zero():
             assert f.den == Poly.one()
+
+
+def test_normalisation_matches_fraction_reference():
+    """RatFun cancels and scales in Z[x]; the gcd check uses the Fraction
+    remainder sequence of divmod instead."""
+    rng = random.Random(22)
+    for _ in range(300):
+        n, d, g = rand_q_poly(rng, 4), rand_q_poly(rng, 3), rand_q_poly(rng, 2)
+        if d.is_zero():
+            d = Poly.const(rng.choice([-3, Fraction(2, 5)]))
+        if not g.is_zero():
+            n, d = n * g, d * g
+        f = RatFun(n, d)
+        assert f.den.lc == 1
+        assert f.num * d == n * f.den
+        if n.is_zero():
+            assert f.num.is_zero() and f.den == Poly.one()
+        else:
+            assert euclid_gcd(f.num, f.den) == Poly.one()
 
 
 def test_field_identities():

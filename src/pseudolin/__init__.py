@@ -8,8 +8,8 @@ common left multiples, and symmetric products.  It ships executable
 degree-bound predictors for each instance and a property-test harness for
 the determinantal-denominator laws that drive the bounds.
 
-The hot integer-polynomial kernels have a compiled (Cython) core with a
-pure-Python fallback; ``pseudolin._kernel.BACKEND`` names the active one.
+The hot integer-polynomial kernels are one pure-Python core in
+``pseudolin._kernel``; ``BACKEND`` names it (``"python"``).
 """
 
 from pseudolin._kernel import BACKEND
@@ -26,7 +26,7 @@ from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, TruncSeries,
                            normalize_primitive, ore_apply, ore_mul,
                            right_divide, series_apply, series_mul,
                            series_solution, shift_operator, to_euler)
-from pseudolin.poly import NEG_INF, BigRational, Poly, poly_divides, poly_gcd, poly_lcm
+from pseudolin.poly import NEG_INF, Poly, poly_divides, poly_gcd, poly_lcm
 from pseudolin.ratfun import RatFun, common_denominator
 from pseudolin.relations import (BoundReport, PseudoLinearMap, Realisation,
                                  Relation, bound_direct, bound_realisation,
@@ -38,7 +38,7 @@ from pseudolin.relations import (BoundReport, PseudoLinearMap, Realisation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "BigRational", "BiPoly", "BoundReport", "GEN_DX", "GEN_EULER",
+    "BACKEND", "BiPoly", "BoundReport", "GEN_DX", "GEN_EULER",
     "NEG_INF", "OrePoly", "ParseError", "Poly", "PolyMatrix",
     "PseudoLinearMap", "RatFun", "RatMatrix", "Realisation", "Relation",
     "SemanticError", "TruncSeries", "YPoly", "bipoly_derivative",

@@ -1,36 +1,17 @@
-"""Backend selection for the integer-polynomial kernels.
+"""The integer-polynomial kernels (see ``_zkernel_py``).
 
-The compiled Cython module ``_zkernel`` is preferred when it was built;
-otherwise the pure-Python twin ``_zkernel_py`` is used.  Setting the
-environment variable ``PSEUDOLIN_PURE_PYTHON=1`` forces the fallback,
-which the benchmark and the parity tests use to compare both backends.
+One pure-Python core.  Long products use Kronecker substitution (Harvey,
+J. Symb. Comp. 2009) and gcds the heuristic GCDHEU (Char, Geddes and
+Gonnet, J. Symb. Comp. 7, 1989), so CPython's big-integer arithmetic does
+the inner loops.  ``BACKEND`` names the core for reports.
 """
 
-import os
+from pseudolin._kernel._zkernel_py import (zp_add, zp_content, zp_deriv,
+                                           zp_divexact, zp_gcd, zp_mul,
+                                           zp_neg, zp_primitive, zp_pseudorem,
+                                           zp_scale, zp_sub, zp_trim)
 
-if os.environ.get("PSEUDOLIN_PURE_PYTHON", "") not in ("", "0"):
-    from pseudolin._kernel import _zkernel_py as _impl
-else:
-    try:
-        from pseudolin._kernel import _zkernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from pseudolin._kernel import _zkernel_py as _impl
-
-BACKEND = _impl.BACKEND
-
-zp_trim = _impl.zp_trim
-zp_add = _impl.zp_add
-zp_sub = _impl.zp_sub
-zp_neg = _impl.zp_neg
-zp_scale = _impl.zp_scale
-zp_mul = _impl.zp_mul
-zp_addmul = _impl.zp_addmul
-zp_deriv = _impl.zp_deriv
-zp_divexact = _impl.zp_divexact
-zp_pseudorem = _impl.zp_pseudorem
-zp_content = _impl.zp_content
-zp_primitive = _impl.zp_primitive
-zp_gcd = _impl.zp_gcd
+BACKEND = "python"
 
 
 def zp_divides(b, a):

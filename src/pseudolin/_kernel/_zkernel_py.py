@@ -1,17 +1,22 @@
-"""Dense integer-polynomial kernels (pure Python backend).
+"""Dense integer-polynomial kernels.
 
 A "zpoly" is a list of Python ints, little-endian (index i holds the
 coefficient of x^i), with no trailing zeros; the zero polynomial is the
-empty list.  These functions are the hot inner loops of the package: the
-compiled backend in ``_zkernel.pyx`` mirrors this module function for
-function, and ``pseudolin._kernel`` picks one at import time.
+empty list.  These functions are the hot inner loops of the package;
+``pseudolin._kernel`` re-exports them.
+
+Long products and the heuristic gcd both go through Kronecker
+substitution: a zpoly is evaluated at a power of two by packing its
+coefficients into one big integer, CPython's big-integer arithmetic does
+the work, and balanced digits are unpacked again (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J. Symb.
+Comp. 2009; Char, Geddes and Gonnet, "GCDHEU: heuristic polynomial GCD
+algorithm based on integer GCD computation", J. Symb. Comp. 7, 1989).
 
 All functions treat their arguments as read-only and return fresh lists.
 """
 
 from math import gcd
-
-BACKEND = "python"
 
 
 def zp_trim(c):
@@ -51,30 +56,60 @@ def zp_scale(a, k):
     return [c * k for c in a]
 
 
+# both factors at least this long: multiply by Kronecker substitution
+_KRONECKER_MIN_LEN = 8
+
+
+def _pack(a, nb):
+    """a(2^(8*nb)) as one int; needs |a_i| < 2^(8*nb - 1)."""
+    bias = 1 << ((nb << 3) - 1)
+    raw = b"".join([(c + bias).to_bytes(nb, "little") for c in a])
+    top = (b"\x00" * (nb - 1) + b"\x80") * len(a)
+    return int.from_bytes(raw, "little") - int.from_bytes(top, "little")
+
+
+def _unpack(v, n, nb):
+    """The n balanced base-2^(8*nb) digits of v, each in [-2^(8*nb-1),
+    2^(8*nb-1)); v must have such an n-digit expansion."""
+    bias = 1 << ((nb << 3) - 1)
+    top = (b"\x00" * (nb - 1) + b"\x80") * n
+    raw = (v + int.from_bytes(top, "little")).to_bytes(n * nb, "little")
+    return [int.from_bytes(raw[i:i + nb], "little") - bias
+            for i in range(0, n * nb, nb)]
+
+
+def _maxabs(a):
+    return max(max(a), -min(a))
+
+
+def _eval_pow2(a, nb):
+    """a(2^(8*nb)) for coefficients of any size."""
+    if _maxabs(a).bit_length() < nb << 3:
+        return _pack(a, nb)
+    k, v = nb << 3, 0
+    for c in reversed(a):
+        v = (v << k) + c
+    return v
+
+
 def zp_mul(a, b):
+    """Product in Z[x]: schoolbook for short factors, else one big-int
+    product of the packed factors (Kronecker substitution)."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    la, lb = len(a), len(b)
+    if la >= _KRONECKER_MIN_LEN and lb >= _KRONECKER_MIN_LEN:
+        # every product coefficient is below min(la, lb)*|a|*|b| in size
+        bits = (_maxabs(a).bit_length() + _maxabs(b).bit_length()
+                + min(la, lb).bit_length() + 1)
+        nb = (bits + 7) >> 3
+        return _unpack(_pack(a, nb) * _pack(b, nb), la + lb - 1, nb)
+    out = [0] * (la + lb - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return out
-
-
-def zp_addmul(acc, a, b):
-    """Return acc + a*b without building the intermediate product list."""
-    if not a or not b:
-        return list(acc)
-    out = list(acc)
-    need = len(a) + len(b) - 1
-    if len(out) < need:
-        out.extend([0] * (need - len(out)))
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return zp_trim(out)
 
 
 def zp_deriv(a):
@@ -185,62 +220,48 @@ def zp_modp_coprime(a, b, p=_MODP):
     return len(A) == 1
 
 
-def _zp_eval_int(a, xi):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * xi + c
-    return acc
-
-
-def _heu_divisor(a, b):
-    """Heuristic common divisor: gcd of integer evaluations, reconstructed
-    in balanced base xi and verified by exact division.  Returns a
-    primitive nonconstant common divisor or None."""
-    xi = 2 * min(max(abs(c) for c in a), max(abs(c) for c in b)) + 4
-    for _ in range(4):
-        G = gcd(_zp_eval_int(a, xi), _zp_eval_int(b, xi))
-        digits = []
-        while G:
-            r = G % xi
-            if 2 * r > xi:
-                r -= xi
-            digits.append(r)
-            G = (G - r) // xi
-        g, _ = zp_primitive(zp_trim(digits))
-        if len(g) > 1:
-            try:
-                zp_divexact(a, g)
-                zp_divexact(b, g)
-                return g
-            except ValueError:
-                pass
-        xi = 2 * xi + 3
-    return None
-
-
 def zp_gcd(a, b):
     """Primitive gcd in Z[x] with positive leading coefficient.
 
-    Coprime inputs (the common case) are certified by a gcd over F_p; a
-    nontrivial gcd is first attempted heuristically (integer evaluation,
-    balanced-digit reconstruction, division check) and its maximality
-    certified through the cofactors, since gcd(a, b) = g * gcd(a/g, b/g);
-    the primitive PRS is the fallback that handles whatever remains.
+    Heuristic gcd first (GCDHEU, Char, Geddes and Gonnet 1989): evaluate
+    the primitive parts at xi = 2^k, take the integer gcd h of a(xi) and
+    b(xi), and read its balanced base-xi digits as a polynomial G.  With
+    xi >= 2*min(|a|, |b|) + 2 (max norms), Cauchy's root bound puts every
+    root of a nonconstant common divisor h' within min(|a|, |b|) + 1 of
+    the origin, so |h'(xi)| > xi/2.  Hence:
+
+    * the true gcd g has g(xi) | h, and h = c * prim(G)(xi) with
+      |c| <= xi/2 (c divides G's nonzero digits).  If prim(G) divides a and
+      b it divides g, say g = prim(G) * k, and then k(xi) | c forces k to
+      be constant: prim(G) *is* the gcd, no cofactor recursion needed;
+    * in particular h < xi/2, a single digit, proves a and b coprime.
+
+    When prim(G) does not divide both, a larger xi is tried; after four
+    failed points the coprimality certificate over F_p and then the
+    primitive PRS settle the remaining cases.
     """
     a, _ = zp_primitive(a)
     b, _ = zp_primitive(b)
     if not a:
         a, b = b, a
     if b and len(a) > 1 and len(b) > 1:
+        # xi = 2^(8*nb) >= 2*min(|a|, |b|) + 2
+        nb = (min(_maxabs(a), _maxabs(b)).bit_length() + 8) >> 3
+        for _ in range(4):
+            k = nb << 3
+            h = gcd(_eval_pow2(a, nb), _eval_pow2(b, nb))
+            if h.bit_length() < k:
+                return [1]
+            n = (h.bit_length() + k + 1) // k
+            g, _ = zp_primitive(zp_trim(_unpack(h, n, nb)))
+            try:
+                zp_divexact(a, g)
+                zp_divexact(b, g)
+                return g
+            except ValueError:
+                nb += 1 + nb // 2
         if zp_modp_coprime(a, b):
             return [1]
-        g = _heu_divisor(a, b)
-        if g is not None:
-            rest = zp_gcd(zp_divexact(a, g), zp_divexact(b, g))
-            out = zp_mul(g, rest)
-            if out[-1] < 0:
-                out = [-c for c in out]
-            return out
     while b:
         r = zp_pseudorem(a, b)
         r, _ = zp_primitive(r)

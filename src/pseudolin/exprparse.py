@@ -7,6 +7,10 @@ Grammar (whitespace insignificant, a leading minus is allowed):
     factor := base ('^' nat)?
     base   := nat | 'x' | 'y' | 'Dx' | '(' expr ')'
 
+Exponents are capped at ``MAX_EXPONENT``, nested powers counting as the
+product of their exponents, so hostile input such as ``x^100000000`` is
+a syntax error instead of a computation that never ends.
+
 The same grammar feeds three targets: ``operator`` values normalize to
 sum p_i(x)*Dx^i with polynomial p_i, ``ratfun2`` values to a reduced pair
 of bivariate polynomials, and ``bipoly`` to a single bivariate polynomial.
@@ -118,6 +122,22 @@ class Pow:
 
 Expr = (Num, Var, Neg, Bin, Pow)
 
+#: Largest exponent accepted; ``(x^10)^200`` counts as 2000.  The solvers'
+#: cost grows quickly with degree: ``lclm`` of ``x^1000*Dx-1`` and ``Dx-1``
+#: takes seconds, with ``x^10000`` it runs for more than a minute.
+MAX_EXPONENT = 1000
+
+
+def _exponent_weight(node) -> int:
+    """Product of the exponents along the deepest chain of nested powers."""
+    if isinstance(node, Pow):
+        return node.exp * _exponent_weight(node.base)
+    if isinstance(node, Bin):
+        return max(_exponent_weight(node.left), _exponent_weight(node.right))
+    if isinstance(node, Neg):
+        return _exponent_weight(node.operand)
+    return 1
+
 
 class _Parser:
     def __init__(self, tokens):
@@ -167,7 +187,12 @@ class _Parser:
             if etok.kind != "nat":
                 raise ParseError("exponent must be a natural number",
                                  etok.pos)
-            node = Pow(node, int(etok.text), tok.pos)
+            digits = etok.text.lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_EXPONENT))
+                    or int(digits) * _exponent_weight(node) > MAX_EXPONENT):
+                raise ParseError(f"exponent above the cap of {MAX_EXPONENT} "
+                                 "(nested powers multiply)", etok.pos)
+            node = Pow(node, int(digits), tok.pos)
         return node
 
     def base(self):

@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from pseudolin.linalg import (PolyMatrix, RatMatrix, block_diag_poly,
-                              block_diag_rat, hstack_poly, kronecker,
-                              vstack_poly)
+from pseudolin.linalg import (PolyMatrix, RatMatrix, block_diag, hstack_poly,
+                              kronecker, vstack_poly)
 from pseudolin.ore import (GEN_DX, OrePoly, infinity_not_irregular,
                            normalize_primitive, right_divide, series_apply,
                            series_mul, series_solution, shift_operator,
@@ -106,7 +105,7 @@ def build_lclm(ops) -> ClosureInstance:
     ops, eulers, blocks = _euler_data(ops)
     x = Poly.x()
     dblocks = [_companion_rat(lower, lead) for _, lead, lower in blocks]
-    T = block_diag_rat(dblocks).scale(RatFun(1, x))
+    T = block_diag(dblocks, RatFun.zero()).scale(RatFun(1, x))
     R = T.rows
     a = []
     for r, _, _ in blocks:
@@ -116,7 +115,8 @@ def build_lclm(ops) -> ClosureInstance:
         mdiag.extend([x] * (r - 1) + [-(lead * x)])
     M = PolyMatrix(R, R, [mdiag[i] if i == j else Poly()
                           for i in range(R) for j in range(R)])
-    X = block_diag_poly([_companion_poly(lower) for _, _, lower in blocks])
+    X = block_diag([_companion_poly(lower) for _, _, lower in blocks],
+                   Poly())
     real = Realisation(PolyMatrix.zeros(R, R), X, M, PolyMatrix.identity(R))
     d = max(operator_degree(L) for L in ops)
     if real.delta_degree > len(ops) * d + R:
@@ -204,7 +204,7 @@ def build_symprod(ops) -> ClosureInstance:
         mparts.append(kronecker(kronecker(PolyMatrix.identity(left), Mi),
                                 PolyMatrix.identity(right)))
     X = hstack_poly(xparts)
-    M = block_diag_poly(mparts)
+    M = block_diag(mparts, Poly())
     Y = vstack_poly([PolyMatrix.identity(R)] * len(blocks))
     real = Realisation(PolyMatrix.zeros(R, R), X, M, Y)
     s = len(ops)

@@ -156,10 +156,12 @@ class RatMatrix(_Matrix):
         return all(e.is_strictly_proper() for e in self.entries)
 
 
-def block_diag_rat(blocks) -> RatMatrix:
+def block_diag(blocks, zero):
+    """Block-diagonal matrix of the blocks' own type; ``zero`` fills the
+    off-diagonal entries (``Poly()`` or ``RatFun.zero()``)."""
     n = sum(b.rows for b in blocks)
     m = sum(b.cols for b in blocks)
-    entries = [RatFun.zero()] * (n * m)
+    entries = [zero] * (n * m)
     r0 = c0 = 0
     for b in blocks:
         for i in range(b.rows):
@@ -167,21 +169,7 @@ def block_diag_rat(blocks) -> RatMatrix:
                 entries[(r0 + i) * m + (c0 + j)] = b.entry(i, j)
         r0 += b.rows
         c0 += b.cols
-    return RatMatrix(n, m, entries)
-
-
-def block_diag_poly(blocks) -> PolyMatrix:
-    n = sum(b.rows for b in blocks)
-    m = sum(b.cols for b in blocks)
-    entries = [Poly()] * (n * m)
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                entries[(r0 + i) * m + (c0 + j)] = b.entry(i, j)
-        r0 += b.rows
-        c0 += b.cols
-    return PolyMatrix(n, m, entries)
+    return type(blocks[0])(n, m, entries)
 
 
 def hstack_poly(blocks) -> PolyMatrix:
@@ -394,6 +382,12 @@ class GaussTracker:
         every evaluation, so when the evaluations are coprime the strip
         cannot succeed and is skipped.  (Skipping never affects
         correctness: vectors are only defined up to a scalar.)
+
+        The polynomial content takes one gcd per vector: the gcd of the
+        first nonzero entry with an odd-weighted sum of the others is a
+        multiple of the content, and equal to it when it divides every
+        entry, which the strip's own divisions check.  Only when one of
+        them fails does the chain of pairwise gcds run.
         """
         g = 0
         for z in vec:
@@ -425,15 +419,27 @@ class GaussTracker:
             if g == 1:
                 return vec
         live = [z for z in vec if z]
-        if live:
-            g = live[0]
-            for z in live[1:]:
-                if len(g) == 1:
-                    break
-                g = zk.zp_gcd(g, z)
-            if len(g) > 1:
-                vec = [zk.zp_divexact(z, g) if z else z for z in vec]
-        return vec
+        # a nonzero constant entry leaves no polynomial content
+        if not live or any(len(z) == 1 for z in live):
+            return vec
+        if len(live) == 1:
+            return [[1] if z else z for z in vec]
+        rest = []
+        for w, z in enumerate(live[1:]):
+            rest = zk.zp_add(rest, zk.zp_scale(z, 2 * w + 1))
+        g = zk.zp_gcd(live[0], rest)
+        if len(g) == 1:
+            return vec
+        try:
+            return [zk.zp_divexact(z, g) if z else z for z in vec]
+        except ValueError:
+            pass
+        g = live[0]
+        for z in live[1:]:
+            g = zk.zp_gcd(g, z)
+            if len(g) == 1:
+                return vec
+        return [zk.zp_divexact(z, g) if z else z for z in vec]
 
     def offer(self, vec):
         """Reduce vec against the pivots; keep it as a new pivot and return

@@ -24,9 +24,6 @@ from pseudolin import _kernel as zk
 
 NEG_INF = float("-inf")
 
-#: Alias documenting that package scalars are stdlib reduced rationals.
-BigRational = Fraction
-
 
 def _fr(value) -> Fraction:
     if isinstance(value, Fraction):

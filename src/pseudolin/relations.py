@@ -216,7 +216,7 @@ def _iterate_step(den_z, denp_z, N_z, b, i):
             t = zk.zp_sub(t, zk.zp_scale(zk.zp_mul(denp_z, b[j]), i))
         for k in range(len(b)):
             if N_z[j][k] and b[k]:
-                t = zk.zp_addmul(t, N_z[j][k], b[k])
+                t = zk.zp_add(t, zk.zp_mul(N_z[j][k], b[k]))
         out.append(t)
     return out
 

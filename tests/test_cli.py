@@ -71,6 +71,17 @@ def test_input_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["lclm", "--op", "x^100000000*Dx-1", "--op", "Dx-1"],
+    ["telescoper", "--f", "1/(x^99999999+y)"],
+])
+def test_huge_exponent_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "exponent above the cap of 1000" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["check-props", "--prop", "krylov-denominator", "--n", "0"],
     ["check-props", "--prop", "det-den-laws", "--trials", "0"],
     ["bounds-table", "--trials", "-1"],

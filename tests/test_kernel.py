@@ -1,16 +1,13 @@
-"""Backend parity and algebraic sanity of the integer-polynomial kernels."""
+"""Algebraic sanity of the integer-polynomial kernels, and differential
+tests of the Kronecker product and the heuristic gcd against in-test
+references (schoolbook product, primitive PRS)."""
 
 import random
+from math import gcd, lcm
 
 import pytest
 
-from pseudolin._kernel import _zkernel_py
-
-try:
-    from pseudolin._kernel import _zkernel
-    BACKENDS = [_zkernel_py, _zkernel]
-except ImportError:
-    BACKENDS = [_zkernel_py]
+from pseudolin import _kernel as zk
 
 
 def rand_zp(rng, max_deg=8, bound=20):
@@ -22,87 +19,163 @@ def rand_zp(rng, max_deg=8, bound=20):
     return c
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=lambda m: m.BACKEND)
-def test_ring_identities(mod):
+def test_ring_identities():
     rng = random.Random(101)
     for _ in range(200):
         a, b, c = (rand_zp(rng) for _ in range(3))
-        assert mod.zp_add(a, b) == mod.zp_add(b, a)
-        assert mod.zp_mul(a, b) == mod.zp_mul(b, a)
-        left = mod.zp_mul(a, mod.zp_add(b, c))
-        right = mod.zp_add(mod.zp_mul(a, b), mod.zp_mul(a, c))
+        assert zk.zp_add(a, b) == zk.zp_add(b, a)
+        assert zk.zp_mul(a, b) == zk.zp_mul(b, a)
+        left = zk.zp_mul(a, zk.zp_add(b, c))
+        right = zk.zp_add(zk.zp_mul(a, b), zk.zp_mul(a, c))
         assert left == right
-        assert mod.zp_sub(mod.zp_add(a, b), b) == a
-        assert mod.zp_addmul(c, a, b) == mod.zp_add(c, mod.zp_mul(a, b))
+        assert zk.zp_sub(zk.zp_add(a, b), b) == a
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=lambda m: m.BACKEND)
-def test_divexact_and_gcd(mod):
+def test_divexact_and_gcd():
     rng = random.Random(202)
     for _ in range(150):
         a, b = rand_zp(rng), rand_zp(rng)
         if b:
-            prod = mod.zp_mul(a, b)
-            assert mod.zp_divexact(prod, b) == a
-        g = mod.zp_gcd(a, b)
+            prod = zk.zp_mul(a, b)
+            assert zk.zp_divexact(prod, b) == a
+        g = zk.zp_gcd(a, b)
         if a or b:
             assert g and g[-1] > 0
-            gg, cont = mod.zp_primitive(g)
+            gg, cont = zk.zp_primitive(g)
             assert cont == 1 and gg == g
             if a:
-                assert not any(_qrem(mod, a, g))
+                assert not any(zk.zp_pseudorem(a, g))
             if b:
-                assert not any(_qrem(mod, b, g))
+                assert not any(zk.zp_pseudorem(b, g))
         else:
             assert g == []
 
 
-def _qrem(mod, a, b):
-    """Remainder of a by b over Q (pseudorem is a scalar multiple of it)."""
-    return mod.zp_pseudorem(a, b)
-
-
-@pytest.mark.parametrize("mod", BACKENDS, ids=lambda m: m.BACKEND)
-def test_divexact_rejects_inexact(mod):
+def test_divexact_rejects_inexact():
     with pytest.raises(ValueError):
-        mod.zp_divexact([1, 1], [2])   # (x+1)/2 not integral
+        zk.zp_divexact([1, 1], [2])   # (x+1)/2 not integral
     with pytest.raises(ValueError):
-        mod.zp_divexact([1, 0, 1], [1, 1])
+        zk.zp_divexact([1, 0, 1], [1, 1])
     with pytest.raises(ZeroDivisionError):
-        mod.zp_divexact([1], [])
+        zk.zp_divexact([1], [])
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=lambda m: m.BACKEND)
-def test_gcd_common_factor(mod):
+def test_gcd_common_factor():
     rng = random.Random(303)
     for _ in range(60):
         g = rand_zp(rng, 4)
         if not g:
             continue
         a, b = rand_zp(rng, 4), rand_zp(rng, 4)
-        ag, bg = mod.zp_mul(a, g), mod.zp_mul(b, g)
-        got = mod.zp_gcd(ag, bg)
+        ag, bg = zk.zp_mul(a, g), zk.zp_mul(b, g)
+        got = zk.zp_gcd(ag, bg)
         if ag or bg:
-            gp, _ = mod.zp_primitive(g)
+            gp, _ = zk.zp_primitive(g)
             if gp and gp[-1] < 0:
                 gp = [-c for c in gp]
             # gcd(ag, bg) is a multiple of the primitive part of g
-            assert not any(mod.zp_pseudorem(got, gp)) or got == []
+            assert not any(zk.zp_pseudorem(got, gp)) or got == []
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
-def test_backends_agree():
-    py, cy = BACKENDS
-    rng = random.Random(404)
-    for _ in range(300):
-        a, b = rand_zp(rng, 10, 50), rand_zp(rng, 10, 50)
-        assert py.zp_add(a, b) == cy.zp_add(a, b)
-        assert py.zp_sub(a, b) == cy.zp_sub(a, b)
-        assert py.zp_mul(a, b) == cy.zp_mul(a, b)
-        assert py.zp_deriv(a) == cy.zp_deriv(a)
-        assert py.zp_content(a) == cy.zp_content(a)
-        assert py.zp_gcd(a, b) == cy.zp_gcd(a, b)
-        if b:
-            assert py.zp_pseudorem(a, b) == cy.zp_pseudorem(a, b)
-            prod = py.zp_mul(a, b)
-            assert py.zp_divexact(prod, b) == cy.zp_divexact(prod, b)
+# -- differential tests -------------------------------------------------------
+
+
+def _wide_zp(rng, length, bits, zero_frac=0.2):
+    """length coefficients of up to bits bits, signed, some zero, nonzero
+    leading coefficient."""
+    c = [0 if rng.random() < zero_frac
+         else rng.choice((-1, 1)) * rng.getrandbits(bits)
+         for _ in range(length)]
+    c[-1] = rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1)
+    return c
+
+
+def test_mul_matches_schoolbook():
+    def schoolbook(a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return out
+
+    rng = random.Random(505)
+    cases = [([], [1, 2]), ([3], []), ([-1], [5]), ([0, 0, 7], [1] * 9),
+             ([-(1 << 300)] * 8, [(1 << 300) - 1] * 8)]
+    for la in range(1, 71):
+        for _ in range(3):
+            lb = rng.choice((1, 2, 7, 8, 9, rng.randint(1, 70)))
+            bits = rng.choice((0, 1, 7, 8, 31, 64, 65, 300))
+            cases.append((_wide_zp(rng, la, bits),
+                          _wide_zp(rng, lb, rng.choice((1, bits, 300)))))
+    # product coefficients right at the packing width
+    for la in (8, 15, 16, 31, 63, 64):
+        for t in (7, 8, 9, 31, 32, 33, 61, 62, 63, 64, 65, 301):
+            cases.append(([(1 << t) - 1] * la, [1 - (1 << t)] * la))
+    for a, b in cases:
+        want = schoolbook(a, b)
+        assert zk.zp_mul(a, b) == want
+        assert zk.zp_mul(b, a) == want
+
+
+def test_gcd_matches_primitive_prs():
+    def primitive(a):
+        c = 0
+        for x in a:
+            c = gcd(c, x)
+        return [x // c for x in a] if c else []
+
+    def prs_gcd(a, b):
+        a, b = primitive(a), primitive(b)
+        while b:
+            r = list(a)
+            while len(r) >= len(b):
+                top = r[-1]
+                r = [x * b[-1] for x in r]
+                for i, y in enumerate(b):
+                    r[len(r) - len(b) + i] -= top * y
+                while r and r[-1] == 0:
+                    r.pop()
+            a, b = b, primitive(r)
+        if a and a[-1] < 0:
+            a = [-x for x in a]
+        return a
+
+    def times(*factors):
+        out = [1]
+        for f in factors:
+            out = [sum(out[k] * f[i - k] for k in range(len(out))
+                       if 0 <= i - k < len(f))
+                   for i in range(len(out) + len(f) - 1)]
+        return out
+
+    rng = random.Random(606)
+    cases = [([], []), ([], [0, 4, -6]), ([6], [0, 4]), ([2, 4], [6, 12])]
+    for _ in range(40):
+        g, u, v = (_wide_zp(rng, rng.randint(1, 6), rng.choice((1, 8, 40)))
+                   for _ in range(3))
+        cases.append((times(g, u), times(g, v)))                # planted
+        cases.append((times(g, g, u), times(g, v, g)))          # repeated
+        cases.append((times([-3], g, u), times([10], v)))       # content
+        cases.append(([-c for c in times(u, g)], times(v, g)))  # lc < 0
+        cases.append((u, v))                                    # often coprime
+    # x - 1 and x + m - 1 are coprime, but m is divisible by xi - 1 for every
+    # xi = 2^(8k) up to 2^128, so gcd(a(xi), b(xi)) = xi - 1 reads back as
+    # x - 1 at every such point; m is also 0 mod 2^61 - 1
+    m = lcm(*(2**k - 1 for k in range(8, 129, 8)))
+    cases += [([-1, 1], [m - 1, 1]), ([-1, 1], [m * (2**61 - 1) - 1, 1]),
+              ([-1, 0, 1], [m - 1, 0, 1]),
+              (times([-1, 1], [2, 1]), times([m - 1, 1], [2, 1]))]
+    # gcd x - 250: at xi = 256 both values are small multiples of 256 - 250,
+    # so xi must exceed twice the coefficients, not just the coefficients
+    cases.append((times([-250, 1], [1, 1]), times([-250, 1], [-1, 1])))
+    for deg in (100, 130):
+        g = _wide_zp(rng, 40, 20)
+        u, v = _wide_zp(rng, deg - 39, 20), _wide_zp(rng, deg - 39, 20)
+        cases.append((times(g, u), times(g, v)))
+        cases.append((u, v))
+    for a, b in cases:
+        want = prs_gcd(a, b)
+        assert zk.zp_gcd(a, b) == want
+        assert zk.zp_gcd(b, a) == want

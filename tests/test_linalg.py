@@ -1,10 +1,12 @@
 """Exact linear algebra: determinants, solving, rank, phi_ell, builders."""
 
 import random
+from math import gcd
 
 import pytest
 
-from pseudolin.linalg import (PolyMatrix, RatMatrix, companion,
+from pseudolin import _kernel as zk
+from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, companion,
                               det_denominator, det_fraction_free,
                               det_rational, invert, kronecker, rank,
                               solve_rational)
@@ -198,3 +200,83 @@ def test_invert_roundtrip():
             continue
         assert R.matmul(invert(R)) == RatMatrix.identity(n)
         done += 1
+
+
+def test_normalize_matches_chained_gcd_strip(monkeypatch):
+    def chained_strip(vec, den, pt):
+        """Integer content, full powers of den, then the polynomial
+        content as a chain of pairwise gcds (skipped when the values at
+        pt are coprime, as GaussTracker does)."""
+        c = 0
+        for z in vec:
+            for e in z:
+                c = gcd(c, e)
+        if c == 0:
+            return vec
+        vec = [[e // c for e in z] for z in vec]
+        while den is not None:
+            try:
+                vec = [zk.zp_divexact(z, den) if z else z for z in vec]
+            except ValueError:
+                break
+        c = 0
+        for z in vec:
+            c = gcd(c, sum(e * pt**i for i, e in enumerate(z)))
+        live = [z for z in vec if z]
+        if c == 1 or not live:
+            return vec
+        g = live[0]
+        for z in live[1:]:
+            if len(g) == 1:
+                break
+            g = zk.zp_gcd(g, z)
+        if len(g) > 1:
+            vec = [zk.zp_divexact(z, g) if z else z for z in vec]
+        return vec
+
+    def zpoly(rng, deg):
+        z = [rng.randint(-30, 30) for _ in range(deg + 1)]
+        z[-1] = rng.choice((-1, 1)) * rng.randint(1, 30)
+        return z
+
+    def times(*factors):
+        out = [1]
+        for f in factors:
+            out = zk.zp_mul(out, f)
+        return out
+
+    rng = random.Random(77)
+    real_gcd = zk.zp_gcd
+    paths = {"one gcd": 0, "fallback": 0}
+    for trial in range(120):
+        den = zpoly(rng, rng.randint(1, 3)) if trial % 3 else None
+        g = zpoly(rng, rng.randint(0, 3))
+        c = rng.choice((1, 2, 6))
+        vec = []
+        for _ in range(rng.randint(1, 7)):
+            kind = rng.random()
+            if kind < 0.15:
+                vec.append([])
+            elif kind < 0.2:
+                vec.append([rng.randint(1, 9)])   # a constant: no content
+            else:
+                part = [den] * rng.randint(0, 2) if den else []
+                vec.append(times([c * rng.randint(1, 3)], g,
+                                 zpoly(rng, rng.randint(0, 4)), *part))
+        if trial % 5 == 0:
+            # vec[1] + 3*vec[2] is a multiple of f although vec[1] is not,
+            # so gcd(vec[0], odd-weighted sum) overshoots the content
+            f, w, v = zpoly(rng, 2), zpoly(rng, 1), zpoly(rng, 3)
+            vec = [times(g, f, w),
+                   times(g, zk.zp_sub(times(f, w), times([3], v))),
+                   times(g, v)]
+        want = chained_strip([list(z) for z in vec], den and list(den),
+                             GaussTracker._PT)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(zk, "zp_gcd",
+                      lambda a, b: calls.append(1) or real_gcd(a, b))
+            assert GaussTracker(len(vec), den)._normalize(vec) == want
+        if calls:
+            paths["one gcd" if len(calls) == 1 else "fallback"] += 1
+    assert paths["one gcd"] >= 30 and paths["fallback"] >= 15

@@ -56,6 +56,17 @@ def test_syntax_errors_carry_position():
         parse("z + 1", "operator")
 
 
+def test_exponent_cap():
+    assert parse("x^1000*Dx", "operator").order == 1
+    assert parse("(x^10 + 1)^100", "bipoly") is not None
+    assert parse("x^0001", "bipoly") == parse("x", "bipoly")
+    for text in ("x^1001", "(x^10 + 1)^101", "-((x^2)^2)^251",
+                 "2^" + "9" * 5000):
+        with pytest.raises(ParseError) as e:
+            parse(text, "bipoly")
+        assert "cap of 1000" in str(e.value)
+
+
 def test_semantic_errors():
     with pytest.raises(SemanticError):
         parse("y + 1", "operator")

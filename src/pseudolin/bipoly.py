@@ -55,10 +55,6 @@ class BiPoly:
     def y() -> BiPoly:
         return BiPoly((Poly(), Poly.one()))
 
-    @staticmethod
-    def from_poly(p: Poly) -> BiPoly:
-        return BiPoly((p,))
-
     def is_zero(self) -> bool:
         return not self.ycoeffs
 
@@ -188,10 +184,6 @@ class YPoly:
     def monomial(coeff: RatFun, power: int) -> YPoly:
         return YPoly((RatFun.zero(),) * power + (coeff,))
 
-    @staticmethod
-    def from_bipoly(p: BiPoly) -> YPoly:
-        return p.to_ypoly()
-
     def is_zero(self) -> bool:
         return not self.ycoeffs
 
@@ -269,15 +261,6 @@ class YPoly:
 
     def deriv_y(self) -> YPoly:
         return YPoly(tuple(i * c for i, c in enumerate(self.ycoeffs) if i))
-
-    def deriv_x(self) -> YPoly:
-        return YPoly(tuple(c.derivative() for c in self.ycoeffs))
-
-    def antideriv_y(self) -> YPoly:
-        """Polynomial antiderivative in y (integration constant 0)."""
-        return YPoly((RatFun.zero(),)
-                     + tuple(c / (i + 1)
-                             for i, c in enumerate(self.ycoeffs)))
 
     def monic(self) -> YPoly:
         if self.is_zero():

@@ -39,16 +39,26 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts and dimensions, which must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an int flag that must be at least ``low``."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return convert
+
+
+# counts, dimensions, bivariate degrees and operator orders must be at
+# least 1; operator degrees, the Krylov degree target and the largest
+# iterate exponent may be 0
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,10 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "instances")
     b.add_argument("--trials", type=_positive_int, default=5)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--dx", type=int, default=2)
-    b.add_argument("--dy", type=int, default=2)
-    b.add_argument("--order", type=int, default=2)
-    b.add_argument("--degree", type=int, default=2)
+    b.add_argument("--dx", type=_positive_int, default=2)
+    b.add_argument("--dy", type=_positive_int, default=2)
+    b.add_argument("--order", type=_positive_int, default=2)
+    b.add_argument("--degree", type=_nonnegative_int, default=2)
     b.add_argument("--generic", action="store_true",
                    help="resample until the genericity condition holds")
     b.add_argument("--regular-infinity", action="store_true",
@@ -109,14 +119,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=_positive_int, default=2,
                    help="matrix dimension")
-    p.add_argument("--delta", type=int, default=3,
+    p.add_argument("--delta", type=_nonnegative_int, default=3,
                    help="target degree of det M for the trivial realisation")
-    p.add_argument("--sr", type=int, default=3,
+    p.add_argument("--sr", type=_nonnegative_int, default=3,
                    help="largest iterate exponent s_r")
-    p.add_argument("--dx", type=int, default=2)
-    p.add_argument("--dy", type=int, default=2)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--dx", type=_positive_int, default=2)
+    p.add_argument("--dy", type=_positive_int, default=2)
+    p.add_argument("--order", type=_positive_int, default=2)
+    p.add_argument("--degree", type=_nonnegative_int, default=2)
     p.add_argument("--allow-improper", action="store_true",
                    help="probe the conjectural case without strict "
                         "properness (never asserted by the test suite)")

@@ -20,7 +20,7 @@ from pseudolin.bipoly import (BiPoly, YPoly, bipoly_pseudo_divmod,
                               squarefree_y, ypoly_ext_gcd)
 from pseudolin.linalg import PolyMatrix, RatMatrix, solve_rational
 from pseudolin.ore import GEN_DX, OrePoly, normalize_primitive
-from pseudolin.poly import Poly
+from pseudolin.poly import Poly, poly_gcd, poly_lcm
 from pseudolin.ratfun import RatFun, common_denominator
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  realisation_bound_report, solve_min_relation)
@@ -107,7 +107,8 @@ def _cockle_frac(inst: AlgebraicInstance, count: int):
     D_0 = y mod P and D_{i+1} = D_i' - dD_i/dy * P_x / P_y mod P.
 
     Runs entirely in Q[x][y] with pseudo-division by P, independently of
-    the matrix T used by the solver.
+    the matrix T used by the solver.  After every step C and d are divided
+    by gcd(content_x(C), d), so d does not square at each step.
     """
     P = inst.P
     Py = P.deriv("y")
@@ -130,6 +131,14 @@ def _cockle_frac(inst: AlgebraicInstance, count: int):
         den = d * d * w * lck
         _, num, k2 = bipoly_pseudo_divmod(num, P)
         C, d = num, den * lc**k2
+        g = d
+        for c in C.ycoeffs:
+            g = poly_gcd(g, c)
+            if g.degree == 0:
+                break
+        if g.degree > 0:
+            C = BiPoly(tuple(c.exact_div(g) for c in C.ycoeffs))
+            d = d.exact_div(g)
         out.append((C, d))
     return out
 
@@ -141,20 +150,31 @@ def cockle_iterates(inst: AlgebraicInstance, count: int):
 
 
 def verify_resolvent(inst: AlgebraicInstance, L: OrePoly) -> bool:
-    """Check sum eta_i D_i = 0 in Q(x)[y]/(P) with Cockle-recursed D_i."""
+    """Check sum eta_i D_i = 0 in Q(x)[y]/(P) with Cockle-recursed D_i.
+
+    The D_i = C_i/d_i come from ``_cockle_frac``, which differentiates y
+    modulo P directly and shares no code with the solver (no matrix T,
+    realisation or ``solve_min_relation``).  The sum is taken exactly over
+    the lcm of the d_i: each C_i has y-degree below deg_y P, so the sum
+    vanishes modulo P iff its numerator is the zero polynomial.
+    """
     if L.is_zero() or L.generator != GEN_DX:
         return False
-    ds = _cockle_frac(inst, L.order + 1)
-    acc_num, acc_den = BiPoly.zero(), Poly.one()
-    for i, (C, d) in enumerate(ds):
+    terms = []
+    for i, (C, d) in enumerate(_cockle_frac(inst, L.order + 1)):
         c = L.coeff(i)
         if c.is_zero():
             continue
         if not c.is_poly():
             return False
-        acc_num = acc_num * d + (C * c.num) * acc_den
-        acc_den = acc_den * d
-    return acc_num.is_zero()
+        terms.append((C * c.num, d))
+    D = Poly.one()
+    for _, d in terms:
+        D = poly_lcm(D, d)
+    acc = BiPoly.zero()
+    for C, d in terms:
+        acc = acc + C * D.exact_div(d)
+    return acc.is_zero()
 
 
 def bound_algebraic(r: int, dx: int, dy: int) -> int:

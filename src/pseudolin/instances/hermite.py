@@ -54,13 +54,17 @@ def _bezout_cleared(q: BiPoly):
 
 
 def _hermite_frac(num: BiPoly, den: Poly, power: int, q: BiPoly,
-                  want_certificate: bool):
+                  want_certificate: bool, bezout=None):
     """Reduce num/(den * q^power) to (r_num, r_den, cert) with
-    r_num/r_den / q the non-derivative part."""
+    r_num/r_den / q the non-derivative part.
+
+    ``bezout`` is ``_bezout_cleared(q)`` when the caller already has it;
+    otherwise it is computed here if power >= 2.
+    """
     cert = [] if want_certificate else None
     cur, d, m = num, den, power
     if m >= 2:
-        sigma, tau, w = _bezout_cleared(q)
+        sigma, tau, w = bezout if bezout is not None else _bezout_cleared(q)
         qy = q.deriv("y")
         lc = q.lc_y
         while m >= 2:
@@ -209,11 +213,13 @@ def telescoper(inst: HermiteInstance, want_certificate: bool = False):
     if not want_certificate:
         return L, None
     cert = []
+    bezout = _bezout_cleared(inst.q) if rel.rho else None
     for i, (num, power) in enumerate(_x_derivative_numerators(inst, rel.rho)):
         eta = rel.eta[i]
         if eta.is_zero():
             continue
-        _, _, ci = _hermite_frac(num * eta, Poly.one(), power, inst.q, True)
+        _, _, ci = _hermite_frac(num * eta, Poly.one(), power, inst.q, True,
+                                 bezout)
         cert.extend(ci)
     return L, cert
 
@@ -229,43 +235,53 @@ def _x_derivative_numerators(inst: HermiteInstance, rho: int):
     return out
 
 
-def verify_telescoper(inst: HermiteInstance, L: OrePoly) -> bool:
-    """Check herm(L(f)) = 0 by reducing the x-derivatives of f directly.
+def _applied_numerator(inst: HermiteInstance, L: OrePoly):
+    """The numerator N of L(f) = N / q^(rho + 1), rho = order of L:
 
-    This path recomputes each d^i f/dx^i and Hermite-reduces it from
-    scratch, independently of the matrix T used by the solver.
+        N = sum eta_i f_i q^(rho - i)  with  d^i f/dx^i = f_i / q^(i+1).
+
+    Returns None when a coefficient of L is not a polynomial.
+    """
+    num = BiPoly.zero()
+    for i, (fi, _) in enumerate(_x_derivative_numerators(inst, L.order)):
+        c = L.coeff(i)
+        if not c.is_poly():
+            return None
+        # Horner in q: term i ends up multiplied by q^(rho - i)
+        num = num * inst.q + fi * c.num
+    return num
+
+
+def verify_telescoper(inst: HermiteInstance, L: OrePoly) -> bool:
+    """Check herm(L(f)) = 0 with a single Hermite reduction of
+    L(f) = N / q^(rho + 1) (see ``_applied_numerator``).
+
+    The check is exact: for q square-free in y, the remainder r of
+    g = d/dy(h) + r/q with deg_y r < deg_y q is unique, and r = 0 exactly
+    when g is the y-derivative of a rational function.
+
+    It shares no code with the solver: the x-derivatives of f are
+    recomputed from p and q, never from the matrix T, the realisation or
+    ``solve_min_relation``.
     """
     if L.is_zero() or L.generator != GEN_DX:
         return False
-    acc_num, acc_den = BiPoly.zero(), Poly.one()
-    for i, (num, power) in enumerate(_x_derivative_numerators(inst, L.order)):
-        c = L.coeff(i)
-        if c.is_zero():
-            continue
-        if not c.is_poly():
-            return False
-        rb, rd, _ = _hermite_frac(num * c.num, Poly.one(), power, inst.q,
-                                  False)
-        acc_num = acc_num * rd + rb * acc_den
-        acc_den = acc_den * rd
-    return acc_num.is_zero()
+    num = _applied_numerator(inst, L)
+    if num is None:
+        return False
+    rb, _, _ = _hermite_frac(num, Poly.one(), L.order + 1, inst.q, False)
+    return rb.is_zero()
 
 
 def certificate_matches(inst: HermiteInstance, L: OrePoly, cert) -> bool:
     """Exact check of L(f) = d/dy(h) for a telescoper certificate."""
+    lhs = _applied_numerator(inst, L)
+    if lhs is None:
+        return False
     H, D, J = certificate_fraction(cert, inst.q)
     q = inst.q
     qy = q.deriv("y")
     rho = L.order
-    # L(f) = (sum eta_i f_i q^(rho - i)) / q^(rho + 1)
-    lhs = BiPoly.zero()
-    for i, (num, _) in enumerate(_x_derivative_numerators(inst, rho)):
-        c = L.coeff(i)
-        if not c.is_zero():
-            t = num * c.num
-            for _ in range(rho - i):
-                t = t * q
-            lhs = lhs + t
     # d/dy(H / (D q^J)) = (H' q - J H q_y) / (D q^(J + 1))
     rhs = H.deriv("y") * q - (H * qy) * J
     # compare over the common denominator D * q^(max(rho, J) + 1)

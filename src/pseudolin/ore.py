@@ -349,9 +349,6 @@ class TruncSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def truncate(self, n: int) -> TruncSeries:
-        return TruncSeries(self.coeffs[:n + 1])
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

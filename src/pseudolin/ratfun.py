@@ -77,10 +77,6 @@ class RatFun:
     def x() -> RatFun:
         return RatFun(Poly.x())
 
-    @staticmethod
-    def from_poly(p: Poly) -> RatFun:
-        return RatFun(p)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:

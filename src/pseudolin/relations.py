@@ -289,18 +289,67 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
     return Relation(rho, tuple(p * scale for p in eta))
 
 
+def _joint_clear(polys):
+    """Integer zpolys s*p for one common scale s > 0 over all of polys."""
+    s = lcm(1, *[c.denominator for p in polys for c in p.coeffs])
+    return [[c.numerator * (s // c.denominator) for c in p.coeffs]
+            for p in polys]
+
+
 def verify_relation(pmap: PseudoLinearMap, a, rel: Relation) -> bool:
-    """Recompute sum eta_i theta^i a with plain rational arithmetic."""
+    """Check sum eta_i theta^i(a) = 0 exactly, in Z[x] over one fixed
+    denominator.
+
+    With den the monic common denominator of T, one joint scale s makes
+    D = s*den and N = s*den*T integer.  Starting from c_0 = a cleared to
+    integers, the recurrence
+
+        c_{i+1} = D c_i' - i D' c_i + N c_i
+
+    gives c_i = sa * D^i * theta^i(a) (sa the clearing scale of a), so the
+    relation holds iff sum eta_i D^(rho - i) c_i = 0 in Z[x]^n, with the
+    eta_i cleared by one scale as well: the two sides differ by the nonzero
+    factor sa * se * D^rho.  Every step is an exact integer-polynomial ring
+    operation, so the check is exact.
+
+    It shares no code with the solver: it clears the map itself instead of
+    calling ``_clear_map``, never calls ``_iterate_step``, and does no
+    elimination (no ``GaussTracker`` or ``linalg``); it only multiplies and
+    adds through ``_kernel``.
+    """
+    n = pmap.n
     a = [c if isinstance(c, Poly) else Poly.const(c) for c in a]
-    vecs = theta_iterates(pmap, a, rel.rho + 1)
-    for j in range(pmap.n):
-        acc = RatFun.zero()
-        for i, e in enumerate(rel.eta):
-            if not e.is_zero():
-                acc = acc + vecs[i][j] * e
-        if not acc.is_zero():
-            return False
-    return True
+    if len(a) != n:
+        raise ValueError("vector dimension mismatch")
+    entries = pmap.T.entries
+    den = common_denominator(entries)
+    cleared = _joint_clear([den] + [e.num * den.exact_div(e.den)
+                                    for e in entries])
+    D = cleared[0]
+    N = [cleared[1 + j * n:1 + (j + 1) * n] for j in range(n)]
+    Dp = zk.zp_deriv(D)
+    c = _joint_clear(a)
+    acc = [[] for _ in range(n)]
+    for i, e in enumerate(_joint_clear(rel.eta)):
+        if i:
+            # c <- D c' - (i - 1) D' c + N c
+            nxt = []
+            for j in range(n):
+                t = zk.zp_mul(D, zk.zp_deriv(c[j]))
+                if i > 1 and c[j]:
+                    t = zk.zp_sub(t, zk.zp_mul(Dp, zk.zp_scale(c[j], i - 1)))
+                for Njk, ck in zip(N[j], c):
+                    if Njk and ck:
+                        t = zk.zp_add(t, zk.zp_mul(Njk, ck))
+                nxt.append(t)
+            c = nxt
+        # Horner in D: term i ends up multiplied by D^(rho - i)
+        for j in range(n):
+            t = zk.zp_mul(acc[j], D) if acc[j] else []
+            if e and c[j]:
+                t = zk.zp_add(t, zk.zp_mul(e, c[j]))
+            acc[j] = t
+    return not any(acc)
 
 
 # -- Krylov determinantal-denominator property -----------------------------------

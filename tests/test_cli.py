@@ -95,6 +95,25 @@ def test_nonpositive_counts_exit_2(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check-props", "--prop", "bounds", "--trials", "1", "--delta", "-2"],
+     "argument --delta: must be at least 0"),
+    (["check-props", "--prop", "krylov-denominator", "--trials", "1",
+      "--sr", "-1"], "argument --sr: must be at least 0"),
+    (["bounds-table", "--order", "0"], "argument --order: must be at least 1"),
+    (["bounds-table", "--dx", "-1"], "argument --dx: must be at least 1"),
+])
+def test_out_of_range_flags_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "randrange" not in captured.err
+    assert "attempts" not in captured.err
+    assert captured.out == ""
+
+
 def test_json_report_validates(tmp_path, capsys):
     schema = load_schema()
     for argv in (

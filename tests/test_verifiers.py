@@ -1,0 +1,202 @@
+"""Mutation and differential tests for the independent verifiers.
+
+Every verifier must accept the solver's output and reject three mutants
+of it: eta_0 + x, the middle coefficient eta_(rho//2) + 1, and the
+operator with its top coefficient dropped (order reduced).  By minimality
+none of the mutants is a valid relation: eta_0 + x adds x*a != 0, the
+middle coefficient adds theta^k(a) with k < rho, and a shorter relation
+would contradict the minimal order.
+
+``verify_relation`` is also compared with a reference that recomputes the
+theta-iterates as reduced RatFun vectors (``theta_iterates``).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from pseudolin.instances import (build_algebraic, build_hermite, build_lclm,
+                                 lclm, resolvent, telescoper, verify_lclm,
+                                 verify_resolvent, verify_telescoper)
+from pseudolin.linalg import RatMatrix
+from pseudolin.ore import OrePoly
+from pseudolin.poly import Poly
+from pseudolin.randgen import (rand_algebraic_input, rand_hermite_input,
+                               rand_map, rand_operator, rand_vector)
+from pseudolin.ratfun import RatFun
+from pseudolin.relations import (PseudoLinearMap, Relation,
+                                 solve_min_relation, theta_iterates,
+                                 verify_relation)
+
+X = Poly.x()
+
+
+def reference_verify(pmap, a, rel):
+    """sum eta_i theta^i(a) = 0 over reduced RatFun iterates."""
+    a = [c if isinstance(c, Poly) else Poly.const(c) for c in a]
+    vecs = theta_iterates(pmap, a, rel.rho + 1)
+    for j in range(pmap.n):
+        acc = RatFun.zero()
+        for i, e in enumerate(rel.eta):
+            acc = acc + vecs[i][j] * e
+        if not acc.is_zero():
+            return False
+    return True
+
+
+def mutated_coeffs(coeffs, one, x):
+    """The three mutants of a coefficient list, as lists (None when the
+    order cannot be reduced)."""
+    plus_x = list(coeffs)
+    plus_x[0] = plus_x[0] + x
+    middle = list(coeffs)
+    k = (len(coeffs) - 1) // 2
+    middle[k] = middle[k] + one
+    dropped = list(coeffs[:-1])
+    while dropped and dropped[-1].is_zero():
+        dropped.pop()
+    return [plus_x, middle, dropped or None]
+
+
+def relation_mutants(rel):
+    out = []
+    for eta in mutated_coeffs(rel.eta, Poly.one(), X):
+        if eta is not None:
+            out.append(Relation(len(eta) - 1, tuple(eta)))
+    return out
+
+
+def operator_mutants(L):
+    return [OrePoly(cs, L.generator) for cs in
+            mutated_coeffs(L.coeffs, RatFun.one(), RatFun.x())
+            if cs is not None]
+
+
+def test_mutants_of_a_known_relation():
+    # theta = d/dx + 1/x on a = 1 gives theta(a) = 1/x, so the minimal
+    # relation is x*theta(a) - a = 0
+    pmap = PseudoLinearMap(RatMatrix(1, 1, [RatFun(1, X)]))
+    rel = solve_min_relation(pmap, [Poly.one()])
+    assert rel.eta == (Poly.const(-1), X)
+    assert verify_relation(pmap, [Poly.one()], rel)
+    mutants = relation_mutants(rel)
+    assert len(mutants) == 3
+    for m in mutants:
+        assert not verify_relation(pmap, [Poly.one()], m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_relation_mutants_rejected(seed):
+    rng = random.Random(1000 + seed)
+    for n in (1, 2, 3):
+        pmap = rand_map(rng, n, num_deg=2, den_deg=2)
+        a = rand_vector(rng, n, 2)
+        rel = solve_min_relation(pmap, a)
+        assert verify_relation(pmap, a, rel)
+        mutants = relation_mutants(rel)
+        assert len(mutants) == 3
+        for m in mutants:
+            assert not verify_relation(pmap, a, m)
+
+
+def test_telescoper_mutants_rejected():
+    rng = random.Random(21)
+    checked = 0
+    for dx, dy in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        p, q = rand_hermite_input(rng, dx, dy, generic=True)
+        inst = build_hermite(p, q)
+        L, _ = telescoper(inst)
+        assert verify_telescoper(inst, L)
+        for m in operator_mutants(L):
+            assert not verify_telescoper(inst, m)
+            checked += 1
+    assert checked == 12
+
+
+def test_resolvent_mutants_rejected():
+    rng = random.Random(22)
+    checked = 0
+    for dx, dy in ((1, 2), (2, 2), (1, 3)):
+        P = rand_algebraic_input(rng, dx, dy, generic=True)
+        inst = build_algebraic(P)
+        L = resolvent(inst)
+        assert verify_resolvent(inst, L)
+        for m in operator_mutants(L):
+            assert not verify_resolvent(inst, m)
+            checked += 1
+    assert checked == 9
+
+
+def test_lclm_mutants_rejected():
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(3):
+        ops = [rand_operator(rng, rng.randint(1, 2), rng.randint(1, 2),
+                             regular_infinity=True) for _ in range(2)]
+        inst = build_lclm(ops)
+        L = lclm(inst)
+        assert verify_lclm(inst, L)
+        for m in operator_mutants(L):
+            assert not verify_lclm(inst, m)
+            checked += 1
+    assert checked == 9
+
+
+def _rand_fraction(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _rational_map(rng, n):
+    """T with Fraction coefficients over non-monic denominators, so the
+    monic common denominator has non-integer coefficients."""
+    entries = []
+    for _ in range(n * n):
+        if rng.random() < 0.25:
+            entries.append(RatFun.zero())
+            continue
+        num = Poly([_rand_fraction(rng) for _ in range(rng.randint(1, 3))])
+        den = Poly([rng.randint(-4, 4), rng.choice([-3, 2, 3, 5])])
+        if rng.random() < 0.5:
+            den = den * Poly([rng.randint(1, 3), 0, rng.choice([2, -7])])
+        entries.append(RatFun(num, den))
+    return PseudoLinearMap(RatMatrix(n, n, entries))
+
+
+def _vector_with_zeros(rng, n):
+    while True:
+        a = [Poly([_rand_fraction(rng) for _ in range(rng.randint(0, 3))])
+             for _ in range(n)]
+        if n > 1:
+            a[rng.randrange(n)] = Poly()
+        if any(not c.is_zero() for c in a):
+            return a
+
+
+def test_verify_relation_matches_reference():
+    rng = random.Random(77)
+    for k in range(60):
+        n = 1 + k % 3
+        pmap = _rational_map(rng, n)
+        a = _vector_with_zeros(rng, n)
+        rel = solve_min_relation(pmap, a)
+        cases = [(rel, True)] + [(m, False) for m in relation_mutants(rel)]
+        # rho = 0: eta_0 * a = 0 fails for every nonzero a
+        cases.append((Relation(0, (Poly([1, 2]),)), False))
+        for r, expected in cases:
+            assert reference_verify(pmap, a, r) is expected
+            assert verify_relation(pmap, a, r) is expected
+
+
+def test_verify_relation_zero_vector_and_scalars():
+    rng = random.Random(5)
+    pmap = _rational_map(rng, 2)
+    zero_rel = Relation(0, (Poly.one(),))
+    assert verify_relation(pmap, [0, 0], zero_rel)
+    assert reference_verify(pmap, [0, 0], zero_rel)
+    # integer and Fraction entries of a are read as constant polynomials
+    a = [3, Fraction(1, 2)]
+    rel = solve_min_relation(pmap, a)
+    assert verify_relation(pmap, a, rel) and reference_verify(pmap, a, rel)
+    with pytest.raises(ValueError):
+        verify_relation(pmap, [1], rel)

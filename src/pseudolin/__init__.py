@@ -13,7 +13,7 @@ The hot integer-polynomial kernels are one pure-Python core in
 """
 
 from pseudolin._kernel import BACKEND
-from pseudolin.bipoly import (BiPoly, YPoly, bipoly_derivative, bipoly_gcd,
+from pseudolin.bipoly import (BiPoly, bipoly_derivative, bipoly_gcd,
                               resultant_y, squarefree_y)
 from pseudolin.exprparse import (ParseError, SemanticError, format_operator,
                                  parse)
@@ -30,7 +30,7 @@ from pseudolin.poly import NEG_INF, Poly, poly_divides, poly_gcd, poly_lcm
 from pseudolin.ratfun import RatFun, common_denominator
 from pseudolin.relations import (BoundReport, PseudoLinearMap, Realisation,
                                  Relation, bound_direct, bound_realisation,
-                                 is_strictly_proper, krylov_denominator_check,
+                                 krylov_denominator_check,
                                  krylov_matrix, solve_min_relation,
                                  theta_apply, theta_iterates,
                                  trivial_realisation, verify_relation)
@@ -41,11 +41,11 @@ __all__ = [
     "BACKEND", "BiPoly", "BoundReport", "GEN_DX", "GEN_EULER",
     "NEG_INF", "OrePoly", "ParseError", "Poly", "PolyMatrix",
     "PseudoLinearMap", "RatFun", "RatMatrix", "Realisation", "Relation",
-    "SemanticError", "TruncSeries", "YPoly", "bipoly_derivative",
+    "SemanticError", "TruncSeries", "bipoly_derivative",
     "bipoly_gcd", "bound_direct", "bound_realisation", "common_denominator",
     "companion", "det_denominator", "det_fraction_free", "det_rational",
     "format_operator", "from_euler", "full_primitive",
-    "infinity_not_irregular", "invert", "is_strictly_proper", "kronecker",
+    "infinity_not_irregular", "invert", "kronecker",
     "krylov_denominator_check", "krylov_matrix", "normalize_primitive",
     "ore_apply", "ore_mul", "parse", "poly_divides", "poly_gcd", "poly_lcm",
     "rank", "resultant_y", "right_divide", "series_apply", "series_mul",

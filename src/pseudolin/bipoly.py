@@ -1,10 +1,12 @@
-"""Bivariate polynomial layers: Q[x][y] and Q(x)[y].
+"""Bivariate polynomials in Q[x][y].
 
 :class:`BiPoly` is a dense list of :class:`Poly` coefficients in y (index j
-holds the x-polynomial coefficient of y^j); :class:`YPoly` is the same with
-:class:`RatFun` coefficients, i.e. an element of the vector space of
-y-polynomials over the field Q(x).  Both strip trailing zero coefficients,
-and the zero polynomial has y-degree ``NEG_INF``.
+holds the x-polynomial coefficient of y^j).  Trailing zero coefficients
+are stripped, and the zero polynomial has y-degree ``NEG_INF``.
+
+Every operation stays fraction-free in Q[x][y]: pseudo-division by the
+y-leading coefficient is the only division, and the gcd, the Bezout
+cofactors and exact quotients over Q(x)[y] all come from it.
 
 The Sylvester-matrix resultant follows a fixed row convention (documented
 on :func:`resultant_y`) because it pins the sign of determinant-vs-resultant
@@ -14,10 +16,10 @@ identities used elsewhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from pseudolin.linalg import PolyMatrix, det_fraction_free
 from pseudolin.poly import NEG_INF, Poly, poly_gcd
-from pseudolin.ratfun import RatFun, common_denominator
 
 
 def _as_poly(e) -> Poly:
@@ -121,9 +123,6 @@ class BiPoly:
             return BiPoly(tuple(c.derivative() for c in self.ycoeffs))
         raise ValueError(f"unknown variable {var!r}")
 
-    def to_ypoly(self) -> YPoly:
-        return YPoly(tuple(RatFun(c) for c in self.ycoeffs))
-
     def content_x(self) -> Poly:
         """Monic gcd over Q[x] of the y-coefficients (the x-content)."""
         g = Poly()
@@ -151,148 +150,6 @@ def bipoly_derivative(p: BiPoly, var: str) -> BiPoly:
     return p.deriv(var)
 
 
-class YPoly:
-    """Element of Q(x)[y], dense in y with RatFun coefficients."""
-
-    __slots__ = ("ycoeffs",)
-
-    def __init__(self, ycoeffs=()):
-        cs = []
-        for c in ycoeffs:
-            cs.append(c if isinstance(c, RatFun) else RatFun(c))
-        n = len(cs)
-        while n and cs[n - 1].is_zero():
-            n -= 1
-        object.__setattr__(self, "ycoeffs", tuple(cs[:n]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("YPoly is immutable")
-
-    @staticmethod
-    def zero() -> YPoly:
-        return YPoly()
-
-    @staticmethod
-    def one() -> YPoly:
-        return YPoly((RatFun.one(),))
-
-    @staticmethod
-    def y() -> YPoly:
-        return YPoly((RatFun.zero(), RatFun.one()))
-
-    @staticmethod
-    def monomial(coeff: RatFun, power: int) -> YPoly:
-        return YPoly((RatFun.zero(),) * power + (coeff,))
-
-    def is_zero(self) -> bool:
-        return not self.ycoeffs
-
-    @property
-    def degree(self):
-        return len(self.ycoeffs) - 1 if self.ycoeffs else NEG_INF
-
-    @property
-    def lc(self) -> RatFun:
-        return self.ycoeffs[-1] if self.ycoeffs else RatFun.zero()
-
-    def ycoeff(self, j: int) -> RatFun:
-        return self.ycoeffs[j] if 0 <= j < len(self.ycoeffs) else RatFun.zero()
-
-    def __add__(self, other: YPoly) -> YPoly:
-        a, b = self.ycoeffs, other.ycoeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return YPoly(out)
-
-    def __sub__(self, other: YPoly) -> YPoly:
-        return self + (-other)
-
-    def __neg__(self) -> YPoly:
-        return YPoly(tuple(-c for c in self.ycoeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly, RatFun)):
-            f = other if isinstance(other, RatFun) else RatFun(other)
-            return YPoly(tuple(c * f for c in self.ycoeffs))
-        if not isinstance(other, YPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return YPoly()
-        out = [RatFun.zero()] * (len(self.ycoeffs) + len(other.ycoeffs) - 1)
-        for i, a in enumerate(self.ycoeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.ycoeffs):
-                    out[i + j] = out[i + j] + a * b
-        return YPoly(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: YPoly):
-        if other.is_zero():
-            raise ZeroDivisionError("YPoly division by zero")
-        rem = list(self.ycoeffs)
-        db = len(other.ycoeffs) - 1
-        lb = other.ycoeffs[-1]
-        if len(rem) - 1 < db:
-            return YPoly(), self
-        q = [RatFun.zero()] * (len(rem) - db)
-        for k in range(len(rem) - 1 - db, -1, -1):
-            c = rem[db + k] / lb
-            q[k] = c
-            if not c.is_zero():
-                for i, bc in enumerate(other.ycoeffs):
-                    rem[i + k] = rem[i + k] - c * bc
-        return YPoly(q), YPoly(rem[:db])
-
-    def __mod__(self, other: YPoly) -> YPoly:
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: YPoly) -> YPoly:
-        return divmod(self, other)[0]
-
-    def exact_div(self, other: YPoly) -> YPoly:
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact YPoly division")
-        return q
-
-    def deriv_y(self) -> YPoly:
-        return YPoly(tuple(i * c for i, c in enumerate(self.ycoeffs) if i))
-
-    def monic(self) -> YPoly:
-        if self.is_zero():
-            return self
-        inv = RatFun.one() / self.lc
-        return YPoly(tuple(c * inv for c in self.ycoeffs))
-
-    def to_bipoly(self):
-        """Clear denominators: returns (BiPoly numerator, Poly denominator)."""
-        den = common_denominator(self.ycoeffs)
-        nums = [(c * den).num for c in self.ycoeffs]
-        return BiPoly(nums), den
-
-    def __eq__(self, other):
-        if not isinstance(other, YPoly):
-            return NotImplemented
-        return self.ycoeffs == other.ycoeffs
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"({c})*y^{j}" if j else f"({c})"
-                          for j, c in enumerate(self.ycoeffs)
-                          if not c.is_zero())
-
-    def __repr__(self):
-        return f"YPoly({str(self)!r})"
-
-
 def bipoly_pseudo_divmod(a: BiPoly, b: BiPoly):
     """Pseudo-division in y: returns (Q, R, k) with lc_y(b)^k a = Q b + R
     and deg_y R < deg_y b, everything staying in Q[x][y]."""
@@ -313,39 +170,6 @@ def bipoly_pseudo_divmod(a: BiPoly, b: BiPoly):
         if not R.is_zero() and R.degree_y >= dr:
             raise AssertionError("pseudo-division failed to reduce degree")
     return Q, R, k
-
-
-def ypoly_gcd(a: YPoly, b: YPoly) -> YPoly:
-    """Monic gcd in Q(x)[y]; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def ypoly_ext_gcd(a: YPoly, b: YPoly):
-    """Extended Euclid in Q(x)[y]: returns (g, s, t) with s*a + t*b = g monic."""
-    r0, r1 = a, b
-    s0, s1 = YPoly.one(), YPoly.zero()
-    t0, t1 = YPoly.zero(), YPoly.one()
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = RatFun.one() / r0.lc
-    return r0 * inv, s0 * inv, t0 * inv
-
-
-def squarefree_y(q: BiPoly) -> bool:
-    """True iff gcd(q, dq/dy) over Q(x)[y] has y-degree 0."""
-    if q.is_zero():
-        raise ValueError("square-freeness of the zero polynomial")
-    if q.degree_y <= 0:
-        return True
-    g = ypoly_gcd(q.to_ypoly(), q.deriv("y").to_ypoly())
-    return g.degree == 0
 
 
 def resultant_y(a: BiPoly, b: BiPoly) -> Poly:
@@ -371,26 +195,80 @@ def resultant_y(a: BiPoly, b: BiPoly) -> Poly:
     return det_fraction_free(PolyMatrix.from_rows(rows))
 
 
+def squarefree_y(q: BiPoly) -> bool:
+    """True iff q has no repeated factor of positive y-degree over Q(x),
+    i.e. iff res_y(q, dq/dy) != 0."""
+    if q.is_zero():
+        raise ValueError("square-freeness of the zero polynomial")
+    if q.degree_y <= 0:
+        return True
+    return not resultant_y(q, q.deriv("y")).is_zero()
+
+
+def bipoly_ext_prs(a: BiPoly, b: BiPoly):
+    """Primitive pseudo-remainder sequence of a and b in y, carrying its
+    cofactors (Collins 1967; Brown and Traub 1971).
+
+    Returns (r, s, t) with s*a + t*b = r, where r is the last nonzero
+    remainder: over Q(x), r is a multiple of gcd(a, b), so deg_y r = 0
+    exactly when a and b are coprime in Q(x)[y].  Each step pseudo-divides,
+    lc_y(r1)^k r0 = Q r1 + R, and divides (R, s, t) jointly by their
+    x-content and rational content, so the sequence never leaves Q[x][y]
+    and its coefficients stay small.  The cofactors of b = 0 are (1, 0).
+    """
+    one, zero = BiPoly.one(), BiPoly.zero()
+    if b.is_zero():
+        return a, one, zero
+    r0, s0, t0 = a, one, zero
+    r1, s1, t1 = b, zero, one
+    while True:
+        Q, R, k = bipoly_pseudo_divmod(r0, r1)
+        if R.is_zero():
+            return r1, s1, t1
+        lck = r1.lc_y**k
+        r0, s0, t0, (r1, s1, t1) = r1, s1, t1, _primitive(
+            R, s0 * lck - Q * s1, t0 * lck - Q * t1)
+
+
+def _primitive(*ps):
+    """Divide the BiPolys jointly by the monic gcd of all their
+    x-coefficients, then by their positive rational content."""
+    g = Poly()
+    for c in [c for p in ps for c in p.ycoeffs]:
+        g = poly_gcd(g, c)
+        if g.degree == 0:
+            break
+    if g.degree > 0:
+        ps = [BiPoly(tuple(c.exact_div(g) for c in p.ycoeffs)) for p in ps]
+    scale = 1 / _rational_content([c for p in ps for c in p.ycoeffs])
+    return tuple(p * scale for p in ps)
+
+
 def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     """Gcd in Q[x][y], normalized integer-primitive with positive leading
-    rational in the leading y-coefficient.  gcd(0, 0) = 0."""
-    if a.is_zero():
-        a, b = b, a
-    if a.is_zero():
-        return BiPoly()
-    if b.is_zero():
-        return _normalize_bipoly(a)
+    rational in the leading y-coefficient.  gcd(0, 0) = 0.
+
+    The gcd of the x-contents times the primitive part of the last
+    remainder of ``bipoly_ext_prs``."""
     cont = poly_gcd(a.content_x(), b.content_x())
-    gy = ypoly_gcd(a.to_ypoly(), b.to_ypoly())
-    gnum, _ = gy.to_bipoly()
-    gcont = gnum.content_x()
-    if gcont.degree > 0:
-        gnum = BiPoly(tuple(c.exact_div(gcont) for c in gnum.ycoeffs))
-    return _normalize_bipoly(gnum * cont)
+    r, _, _ = bipoly_ext_prs(a, b)
+    rcont = r.content_x()
+    if rcont.degree > 0:
+        r = BiPoly(tuple(c.exact_div(rcont) for c in r.ycoeffs))
+    return _normalize_bipoly(r * cont)
 
 
 def bipoly_coprime(a: BiPoly, b: BiPoly) -> bool:
     return bipoly_gcd(a, b) == BiPoly.one()
+
+
+def _rational_content(polys) -> Fraction:
+    """Positive rational c such that the polys divided by c have integer
+    coefficients with gcd 1 (at least one poly must be nonzero)."""
+    den = lcm(*(f.denominator for p in polys for f in p.coeffs))
+    num = gcd(*(f.numerator * (den // f.denominator)
+                for p in polys for f in p.coeffs))
+    return Fraction(num, den)
 
 
 def _normalize_bipoly(p: BiPoly) -> BiPoly:
@@ -398,16 +276,7 @@ def _normalize_bipoly(p: BiPoly) -> BiPoly:
     leading coefficient of lc_y is positive."""
     if p.is_zero():
         return p
-    from math import gcd, lcm
-    den = 1
-    for c in p.ycoeffs:
-        for f in c.coeffs:
-            den = lcm(den, f.denominator)
-    g = 0
-    for c in p.ycoeffs:
-        for f in c.coeffs:
-            g = gcd(g, int(f * den))
-    scale = Fraction(den, g)
+    scale = 1 / _rational_content(p.ycoeffs)
     if p.lc_y.lc < 0:
         scale = -scale
     return p * scale

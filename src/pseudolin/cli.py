@@ -16,7 +16,8 @@ import sys
 import time
 
 from pseudolin.bipoly import format_bipoly, resultant_y
-from pseudolin.exprparse import (ParseError, SemanticError, format_operator,
+from pseudolin.exprparse import (MAX_DIMENSION, MAX_OPERATOR_ORDER,
+                                 ParseError, SemanticError, format_operator,
                                  format_ratfun2, parse)
 from pseudolin.instances import (algebraic_bound_report, build_algebraic,
                                  build_hermite, build_lclm, build_symprod,
@@ -39,8 +40,9 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
 
-def _int_at_least(low: int):
-    """argparse type for an int flag that must be at least ``low``."""
+def _int_in_range(low: int, high=None):
+    """argparse type for an int flag in [low, high] (no upper end when
+    ``high`` is None)."""
     def convert(text: str) -> int:
         try:
             value = int(text)
@@ -50,15 +52,21 @@ def _int_at_least(low: int):
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {high}, got {value}")
         return value
     return convert
 
 
 # counts, dimensions, bivariate degrees and operator orders must be at
 # least 1; operator degrees, the Krylov degree target and the largest
-# iterate exponent may be 0
-_positive_int = _int_at_least(1)
-_nonnegative_int = _int_at_least(0)
+# iterate exponent may be 0.  Operator orders and matrix dimensions are
+# capped (see exprparse), because the cost grows steeply with both.
+_positive_int = _int_in_range(1)
+_nonnegative_int = _int_in_range(0)
+_order = _int_in_range(1, MAX_OPERATOR_ORDER)
+_dimension = _int_in_range(1, MAX_DIMENSION)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--dx", type=_positive_int, default=2)
     b.add_argument("--dy", type=_positive_int, default=2)
-    b.add_argument("--order", type=_positive_int, default=2)
+    b.add_argument("--order", type=_order, default=2)
     b.add_argument("--degree", type=_nonnegative_int, default=2)
     b.add_argument("--generic", action="store_true",
                    help="resample until the genericity condition holds")
@@ -117,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "lemma2-delta", "bounds"])
     p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=_positive_int, default=2,
+    p.add_argument("--n", type=_dimension, default=2,
                    help="matrix dimension")
     p.add_argument("--delta", type=_nonnegative_int, default=3,
                    help="target degree of det M for the trivial realisation")
@@ -125,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest iterate exponent s_r")
     p.add_argument("--dx", type=_positive_int, default=2)
     p.add_argument("--dy", type=_positive_int, default=2)
-    p.add_argument("--order", type=_positive_int, default=2)
+    p.add_argument("--order", type=_order, default=2)
     p.add_argument("--degree", type=_nonnegative_int, default=2)
     p.add_argument("--allow-improper", action="store_true",
                    help="probe the conjectural case without strict "

@@ -9,7 +9,9 @@ Grammar (whitespace insignificant, a leading minus is allowed):
 
 Exponents are capped at ``MAX_EXPONENT``, nested powers counting as the
 product of their exponents, so hostile input such as ``x^100000000`` is
-a syntax error instead of a computation that never ends.
+a syntax error instead of a computation that never ends.  Operator
+orders are capped at ``MAX_OPERATOR_ORDER`` in the same spirit, and the
+command line applies it and ``MAX_DIMENSION`` to its size flags.
 
 The same grammar feeds three targets: ``operator`` values normalize to
 sum p_i(x)*Dx^i with polynomial p_i, ``ratfun2`` values to a reduced pair
@@ -23,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pseudolin.bipoly import BiPoly, _normalize_bipoly, bipoly_gcd, format_bipoly
+from pseudolin.bipoly import (BiPoly, _normalize_bipoly, bipoly_gcd,
+                              bipoly_pseudo_divmod, format_bipoly)
 from pseudolin.ore import GEN_DX, OrePoly, ore_mul
 from pseudolin.poly import Poly
 from pseudolin.ratfun import RatFun
@@ -127,6 +130,16 @@ Expr = (Num, Var, Neg, Bin, Pow)
 #: takes seconds, with ``x^10000`` it runs for more than a minute.
 MAX_EXPONENT = 1000
 
+#: Largest operator order accepted, both for a parsed operator and for the
+#: ``--order`` of randomly drawn operators.  A symmetric product multiplies
+#: orders: for two operators ``Dx^r - x`` and ``Dx^r - x^2 + 1``, r = 4
+#: takes about a second, r = 5 six seconds and r = 6 more than twenty.
+MAX_OPERATOR_ORDER = 4
+
+#: Largest matrix dimension (``check-props --n``).  The determinantal
+#: denominator laws take about 3 s per trial at n = 4 and 27 s at n = 5.
+MAX_DIMENSION = 4
+
 
 def _exponent_weight(node) -> int:
     """Product of the exponents along the deepest chain of nested powers."""
@@ -226,6 +239,14 @@ def parse_text(text: str):
 # -- evaluation --------------------------------------------------------------
 
 
+def _check_order(order, pos: int):
+    """Reject a power or product before computing it when its operator
+    order would exceed ``MAX_OPERATOR_ORDER``."""
+    if order > MAX_OPERATOR_ORDER:
+        raise SemanticError(f"operator order {order} above the cap of "
+                            f"{MAX_OPERATOR_ORDER}", pos)
+
+
 def _eval_operator(node) -> OrePoly:
     if isinstance(node, Num):
         return OrePoly.from_scalar(node.value, GEN_DX)
@@ -239,6 +260,7 @@ def _eval_operator(node) -> OrePoly:
         return -_eval_operator(node.operand)
     if isinstance(node, Pow):
         base = _eval_operator(node.base)
+        _check_order(base.order * node.exp, node.pos)
         out = OrePoly.from_scalar(1, GEN_DX)
         for _ in range(node.exp):
             out = ore_mul(out, base)
@@ -251,6 +273,7 @@ def _eval_operator(node) -> OrePoly:
         if node.op == "-":
             return lhs - rhs
         if node.op == "*":
+            _check_order(lhs.order + rhs.order, node.pos)
             return ore_mul(lhs, rhs)
         if rhs.is_zero():
             raise SemanticError("division by zero", node.pos)
@@ -297,11 +320,13 @@ def _eval_birat(node):
 
 
 def _bipoly_exact_div(a: BiPoly, g: BiPoly) -> BiPoly:
-    q = a.to_ypoly().exact_div(g.to_ypoly())
-    num, den = q.to_bipoly()
-    if den != Poly.one():
+    """a/g for g dividing a in Q[x][y]: lc_y(g)^k a = Q g exactly, so the
+    quotient is Q/lc_y(g)^k; ValueError when the division is inexact."""
+    Q, R, k = bipoly_pseudo_divmod(a, g)
+    if not R.is_zero():
         raise ValueError("inexact bivariate division")
-    return num
+    lck = g.lc_y**k
+    return BiPoly(tuple(c.exact_div(lck) for c in Q.ycoeffs))
 
 
 def _reduce_pair(num: BiPoly, den: BiPoly):

@@ -10,22 +10,25 @@ and the minimal relation of (T, y) is an operator annihilating every root
 of P (the differential resolvent).  T is realised through the Sylvester
 system of (P, P_y): solving U P + V P_y = -da/dy * P_x gives T a = V, so
 M is the Sylvester matrix and det M = res_y(P, P_y) up to sign.
+
+The verifier does not use T: ``cockle_iterates`` differentiates y modulo
+P as fractions C_i/d_i in Q[x][y], with the inverse of P_y modulo P taken
+from the Bezout identity of (P, P_y).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pseudolin.bipoly import (BiPoly, YPoly, bipoly_pseudo_divmod,
-                              squarefree_y, ypoly_ext_gcd)
+from pseudolin.bipoly import BiPoly, bipoly_pseudo_divmod, squarefree_y
 from pseudolin.linalg import PolyMatrix, RatMatrix, solve_rational
 from pseudolin.ore import GEN_DX, OrePoly, normalize_primitive
 from pseudolin.poly import Poly, poly_gcd, poly_lcm
-from pseudolin.ratfun import RatFun, common_denominator
+from pseudolin.ratfun import RatFun
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  realisation_bound_report, solve_min_relation)
 
-from pseudolin.instances.hermite import genericity_check
+from pseudolin.instances.hermite import _bezout_cleared, genericity_check
 
 
 @dataclass(frozen=True)
@@ -102,24 +105,18 @@ def resolvent(inst: AlgebraicInstance) -> OrePoly:
     return OrePoly([RatFun(e) for e in rel.eta], GEN_DX)
 
 
-def _cockle_frac(inst: AlgebraicInstance, count: int):
+def cockle_iterates(inst: AlgebraicInstance, count: int):
     """Fraction-form Cockle recursion: pairs (C_i, d_i) with D_i = C_i/d_i,
     D_0 = y mod P and D_{i+1} = D_i' - dD_i/dy * P_x / P_y mod P.
 
     Runs entirely in Q[x][y] with pseudo-division by P, independently of
-    the matrix T used by the solver.  After every step C and d are divided
+    the matrix T used by the solver: 1/P_y mod P is tau/w from the Bezout
+    identity sigma P + tau P_y = w.  After every step C and d are divided
     by gcd(content_x(C), d), so d does not square at each step.
     """
     P = inst.P
-    Py = P.deriv("y")
     Px = P.deriv("x")
-    g, _, pinv = ypoly_ext_gcd(P.to_ypoly(), Py.to_ypoly())
-    if g.degree != 0:
-        raise ValueError("P must be square-free with respect to y")
-    w = common_denominator(pinv.ycoeffs)
-    tb, tden = (pinv * RatFun(w)).to_bipoly()
-    if tden != Poly.one():
-        raise AssertionError("denominator clearing failed")
+    _, tb, w = _bezout_cleared(P)
     lc = P.lc_y
     _, C, k0 = bipoly_pseudo_divmod(BiPoly.y(), P)
     d = lc**k0
@@ -143,16 +140,10 @@ def _cockle_frac(inst: AlgebraicInstance, count: int):
     return out
 
 
-def cockle_iterates(inst: AlgebraicInstance, count: int):
-    """D_0 = y, D_{i+1} = D_i' - dD_i/dy * P_x / P_y mod P, as YPoly."""
-    return [YPoly(tuple(RatFun(c, d) for c in C.ycoeffs))
-            for C, d in _cockle_frac(inst, count)]
-
-
 def verify_resolvent(inst: AlgebraicInstance, L: OrePoly) -> bool:
     """Check sum eta_i D_i = 0 in Q(x)[y]/(P) with Cockle-recursed D_i.
 
-    The D_i = C_i/d_i come from ``_cockle_frac``, which differentiates y
+    The D_i = C_i/d_i come from ``cockle_iterates``, which differentiates y
     modulo P directly and shares no code with the solver (no matrix T,
     realisation or ``solve_min_relation``).  The sum is taken exactly over
     the lcm of the d_i: each C_i has y-degree below deg_y P, so the sum
@@ -161,7 +152,7 @@ def verify_resolvent(inst: AlgebraicInstance, L: OrePoly) -> bool:
     if L.is_zero() or L.generator != GEN_DX:
         return False
     terms = []
-    for i, (C, d) in enumerate(_cockle_frac(inst, L.order + 1)):
+    for i, (C, d) in enumerate(cockle_iterates(inst, L.order + 1)):
         c = L.coeff(i)
         if c.is_zero():
             continue

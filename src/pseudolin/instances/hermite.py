@@ -14,69 +14,74 @@ T is realised as X M^-1 Y where M is the 2d_y x 2d_y matrix of the map
 projection onto the last d_y coordinates; det M has degree at most
 2 d_x d_y and equals lc_y(q) res_y(q, q_y) up to sign.
 
-The reduction engine works on fractions (BiPoly numerator, Poly
+``hermite_reduce`` works on fractions (BiPoly numerator, Poly
 denominator) with pseudo-division by q, so the inner loop is polynomial
-multiplication only; rational-function reduction happens once on the
-outputs.  Certificates are lists of (numerator, denominator, j) terms
-meaning sum num/(den * q^j).
+multiplication only.  The Bezout cofactors of (q, q_y) it needs come from
+the fraction-free pseudo-remainder sequence ``bipoly_ext_prs``.
+Certificates are lists of (numerator, denominator, j) terms meaning
+sum num/(den * q^j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pseudolin.bipoly import (BiPoly, YPoly, bipoly_coprime,
-                              bipoly_pseudo_divmod, squarefree_y,
-                              ypoly_ext_gcd)
+from pseudolin.bipoly import (BiPoly, bipoly_coprime, bipoly_ext_prs,
+                              bipoly_pseudo_divmod, squarefree_y)
 from pseudolin.linalg import PolyMatrix, RatMatrix, solve_rational
 from pseudolin.ore import GEN_DX, OrePoly
 from pseudolin.poly import Poly, poly_gcd, poly_lcm
-from pseudolin.ratfun import RatFun, common_denominator
+from pseudolin.ratfun import RatFun
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  realisation_bound_report, solve_min_relation,
                                  vector_degree)
 
 
 def _bezout_cleared(q: BiPoly):
-    """(sigma, tau, w) in Q[x][y]^2 x Q[x] with sigma q + tau q_y = w."""
-    qq = q.to_ypoly()
-    qy = q.deriv("y").to_ypoly()
-    g, s, t = ypoly_ext_gcd(qq, qy)
-    if g.degree != 0:
-        raise ValueError("q must be square-free with respect to y")
-    w = poly_lcm(common_denominator(s.ycoeffs),
-                 common_denominator(t.ycoeffs))
-    sb, sden = (s * RatFun(w)).to_bipoly()
-    tb, tden = (t * RatFun(w)).to_bipoly()
-    if sden != Poly.one() or tden != Poly.one():
-        raise AssertionError("denominator clearing failed")
-    return sb, tb, w
+    """(sigma, tau, w) in Q[x][y]^2 x Q[x] with sigma q + tau q_y = w.
 
-
-def _hermite_frac(num: BiPoly, den: Poly, power: int, q: BiPoly,
-                  want_certificate: bool, bezout=None):
-    """Reduce num/(den * q^power) to (r_num, r_den, cert) with
-    r_num/r_den / q the non-derivative part.
-
-    ``bezout`` is ``_bezout_cleared(q)`` when the caller already has it;
-    otherwise it is computed here if power >= 2.
+    sigma/w and tau/w are the unique Bezout cofactors over Q(x) of degrees
+    below deg_y q_y and deg_y q, cleared by their least common denominator:
+    w is monic and gcd(w, content_x(sigma), content_x(tau)) = 1.  The
+    pseudo-remainder sequence already strips that joint content, so only
+    the scale that makes w monic is left.
     """
+    r, sigma, tau = bipoly_ext_prs(q, q.deriv("y"))
+    if r.degree_y != 0:
+        raise ValueError("q must be square-free with respect to y")
+    inv = 1 / r.lc_y.lc
+    return sigma * inv, tau * inv, r.lc_y * inv
+
+
+def hermite_reduce(num: BiPoly, den: Poly, power: int, q: BiPoly,
+                   want_certificate: bool = False, bezout=None):
+    """Hermite-reduce num/(den * q^power) to (r_num, r_den, cert).
+
+    r = r_num/r_den has deg_y r < deg_y q and num/(den * q^power) =
+    d/dy(h) + r/q.  The certificate is a list of (BiPoly, Poly, j) terms
+    meaning h = sum num_j/(den_j * q^j); None unless requested.  ``bezout``
+    is ``_bezout_cleared(q)`` when the caller already has it.
+
+    The loop pseudo-divides by q, so it is polynomial multiplication
+    only.  Raises ValueError when power < 1 or q is not square-free in y.
+    """
+    if power < 1:
+        raise ValueError("power must be at least 1")
+    sigma, tau, w = bezout if bezout is not None else _bezout_cleared(q)
     cert = [] if want_certificate else None
     cur, d, m = num, den, power
-    if m >= 2:
-        sigma, tau, w = bezout if bezout is not None else _bezout_cleared(q)
-        qy = q.deriv("y")
-        lc = q.lc_y
-        while m >= 2:
-            Q, R, k = bipoly_pseudo_divmod(cur * tau, q)
-            lck = lc**k
-            if cert is not None and not R.is_zero():
-                cert.append((-R, d * w * lck * (m - 1), m - 1))
-            cur = (cur * sigma * lck + Q * qy) * (m - 1) + R.deriv("y")
-            d = d * w * lck * (m - 1)
-            m -= 1
+    qy = q.deriv("y")
+    lc = q.lc_y
+    while m >= 2:
+        Q, R, k = bipoly_pseudo_divmod(cur * tau, q)
+        lck = lc**k
+        if cert is not None and not R.is_zero():
+            cert.append((-R, d * w * lck * (m - 1), m - 1))
+        cur = (cur * sigma * lck + Q * qy) * (m - 1) + R.deriv("y")
+        d = d * w * lck * (m - 1)
+        m -= 1
     Q, R, k = bipoly_pseudo_divmod(cur, q)
-    lck = q.lc_y**k
+    lck = lc**k
     if cert is not None and not Q.is_zero():
         cert.append((_antideriv_y(Q), d * lck, 0))
     return R, d * lck, cert
@@ -86,24 +91,6 @@ def _antideriv_y(p: BiPoly) -> BiPoly:
     from fractions import Fraction
     return BiPoly((Poly(),) + tuple(c * Fraction(1, i + 1)
                                     for i, c in enumerate(p.ycoeffs)))
-
-
-def hermite_reduce(num: YPoly, power: int, q: BiPoly,
-                   want_certificate: bool = False):
-    """Hermite-reduce num/q^power to (r, certificate).
-
-    Returns r with deg_y r < deg_y q such that num/q^power = d/dy(h) + r/q.
-    The certificate is a list of (BiPoly, Poly, j) terms meaning
-    h = sum num_j/(den_j * q^j); None unless requested.
-    """
-    if power < 1:
-        raise ValueError("power must be at least 1")
-    if not squarefree_y(q):
-        raise ValueError("q must be square-free with respect to y")
-    nb, nd = num.to_bipoly()
-    rb, rd, cert = _hermite_frac(nb, nd, power, q, want_certificate)
-    r = YPoly(tuple(RatFun(c, rd) for c in rb.ycoeffs))
-    return r, cert
 
 
 def certificate_fraction(cert, q: BiPoly):
@@ -213,13 +200,13 @@ def telescoper(inst: HermiteInstance, want_certificate: bool = False):
     if not want_certificate:
         return L, None
     cert = []
-    bezout = _bezout_cleared(inst.q) if rel.rho else None
+    bezout = _bezout_cleared(inst.q)
     for i, (num, power) in enumerate(_x_derivative_numerators(inst, rel.rho)):
         eta = rel.eta[i]
         if eta.is_zero():
             continue
-        _, _, ci = _hermite_frac(num * eta, Poly.one(), power, inst.q, True,
-                                 bezout)
+        _, _, ci = hermite_reduce(num * eta, Poly.one(), power, inst.q, True,
+                                  bezout)
         cert.extend(ci)
     return L, cert
 
@@ -269,7 +256,7 @@ def verify_telescoper(inst: HermiteInstance, L: OrePoly) -> bool:
     num = _applied_numerator(inst, L)
     if num is None:
         return False
-    rb, _, _ = _hermite_frac(num, Poly.one(), L.order + 1, inst.q, False)
+    rb, _, _ = hermite_reduce(num, Poly.one(), L.order + 1, inst.q)
     return rb.is_zero()
 
 

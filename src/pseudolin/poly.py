@@ -10,9 +10,8 @@ Scalars throughout the package are ``fractions.Fraction``: it already is an
 arbitrary-precision reduced rational with positive denominator, so no extra
 wrapper type is needed.  Heavy operations (products, gcds, exact
 division, lcm and divisibility) clear denominators once, run in Z[x] on
-the integer kernels in ``pseudolin._kernel`` and rescale once.
-``divmod``/``//``/``%`` stay a general division with remainder over the
-Fraction coefficients.
+the integer kernels in ``pseudolin._kernel`` and rescale once.  The
+only division is the exact one, ``exact_div``.
 """
 
 from __future__ import annotations
@@ -163,32 +162,6 @@ class Poly:
             n >>= 1
         return out
 
-    def __divmod__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        lb = other.coeffs[-1]
-        if len(rem) - 1 < db:
-            return Poly(), self
-        q = [Fraction(0)] * (len(rem) - db)
-        for k in range(len(rem) - 1 - db, -1, -1):
-            c = rem[db + k] / lb
-            q[k] = c
-            if c:
-                for i, bc in enumerate(other.coeffs):
-                    rem[i + k] -= c * bc
-        return Poly(q), Poly(rem[:db])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def exact_div(self, other) -> Poly:
         """Quotient self/other, raising ValueError when not exact.
 
@@ -241,19 +214,6 @@ class Poly:
         cs = self.coeffs
         den = lcm(*[c.denominator for c in cs])
         return [c.numerator * (den // c.denominator) for c in cs], den
-
-    def primitive_z(self):
-        """Return (primitive integer Poly with positive lc, scale) so that
-        self == scale * primitive, scale a positive Fraction (0 gives (0,1))."""
-        if self.is_zero():
-            return self, Fraction(1)
-        z, den = self.clear_denominators()
-        prim, content = zk.zp_primitive(z)
-        sign = 1
-        if prim[-1] < 0:
-            prim = [-c for c in prim]
-            sign = -1
-        return Poly(prim), Fraction(sign * content, den)
 
     # -- comparison / hashing / display -----------------------------------
 

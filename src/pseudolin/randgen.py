@@ -169,27 +169,3 @@ def rand_operator(rng: random.Random, order: int, deg: int,
         return (not regular_infinity) or infinity_not_irregular(L)
 
     return _retrying(make, accept, "a differential operator")
-
-
-def random_instance(kind: str, params: dict, seed: int):
-    """Deterministic instance input for a named kind.
-
-    kinds: hermite -> (p, q); algebraic -> P; lclm/symprod -> operator list.
-    params: dx, dy, order, degree, count, generic, regular_infinity.
-    """
-    rng = random.Random(seed)
-    if kind == "hermite":
-        return rand_hermite_input(rng, params.get("dx", 2),
-                                  params.get("dy", 2),
-                                  params.get("generic", False))
-    if kind == "algebraic":
-        return rand_algebraic_input(rng, params.get("dx", 2),
-                                    params.get("dy", 2),
-                                    params.get("generic", False))
-    if kind in ("lclm", "symprod"):
-        count = params.get("count", 2)
-        return [rand_operator(rng, params.get("order", 2),
-                              params.get("degree", 2),
-                              params.get("regular_infinity", False))
-                for _ in range(count)]
-    raise ValueError(f"unknown instance kind {kind!r}")

@@ -148,11 +148,6 @@ class Realisation:
         return RatMatrix(n, n, entries)
 
 
-def is_strictly_proper(T: RatMatrix) -> bool:
-    """True iff every entry has numerator degree < denominator degree."""
-    return T.is_strictly_proper()
-
-
 def trivial_realisation(pmap: PseudoLinearMap) -> Realisation:
     """T = (den*T)(den*I)^(-1) for den the monic lcm of the denominators."""
     n = pmap.n
@@ -377,7 +372,7 @@ def krylov_denominator_check(pmap: PseudoLinearMap, real: Realisation, a,
     proved); pass allow_improper=True to probe the conjectural general
     case without the properness gate.
     """
-    if not allow_improper and not is_strictly_proper(pmap.T):
+    if not allow_improper and not pmap.T.is_strictly_proper():
         raise ValueError("T is not strictly proper "
                          "(use allow_improper=True to probe anyway)")
     K = krylov_matrix(pmap, a, s_list)

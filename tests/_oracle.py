@@ -6,6 +6,10 @@ the common denominator of its entries (so minors live in Q[x]), ranks via
 exhaustive minor enumeration with recursive cofactor determinants, and the
 relation via Cramer's rule on an explicitly located nonsingular square
 subsystem.  No elimination, no integer kernels.
+
+The division references work on Fraction coefficients: ``poly_divmod``
+is schoolbook long division in Q[x], and ``ratfun_y_ext_gcd`` is the
+extended Euclidean algorithm in Q(x)[y] on lists of RatFun coefficients.
 """
 
 from fractions import Fraction
@@ -109,3 +113,75 @@ def oracle_min_relation(pmap, a) -> Relation:
     if eta[-1].lc * scale < 0:
         scale = -scale
     return Relation(rho, tuple(p * scale for p in eta))
+
+
+def poly_divmod(a: Poly, b: Poly):
+    """(q, r) with a = q*b + r and deg r < deg b, by long division over
+    Fraction coefficients."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    db = len(b.coeffs) - 1
+    if len(rem) - 1 < db:
+        return Poly(), a
+    q = [Fraction(0)] * (len(rem) - db)
+    for k in range(len(rem) - 1 - db, -1, -1):
+        c = rem[db + k] / b.coeffs[-1]
+        q[k] = c
+        for i, bc in enumerate(b.coeffs):
+            rem[i + k] -= c * bc
+    return Poly(q), Poly(rem[:db])
+
+
+# Elements of Q(x)[y] as lists of RatFun, index j holding the coefficient
+# of y^j, with no trailing zero (the zero polynomial is []).
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1].is_zero():
+        p.pop()
+    return p
+
+
+def _y_sub(a, b):
+    n = max(len(a), len(b))
+    zero = RatFun.zero()
+    return _trim([(a[i] if i < len(a) else zero)
+                  - (b[i] if i < len(b) else zero) for i in range(n)])
+
+
+def _y_mul(a, b):
+    if not a or not b:
+        return []
+    out = [RatFun.zero()] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = out[i + j] + u * v
+    return _trim(out)
+
+
+def _y_divmod(a, b):
+    rem = list(a)
+    q = [RatFun.zero()] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        q[k] = c
+        for i, bc in enumerate(b):
+            rem[i + k] = rem[i + k] - c * bc
+    return _trim(q), _trim(rem[:len(b) - 1])
+
+
+def ratfun_y_ext_gcd(a, b):
+    """Extended Euclid in Q(x)[y]: (g, s, t) with s*a + t*b = g, g monic
+    (g = [] when a = b = [])."""
+    r0, r1 = _trim(a), _trim(b)
+    s0, s1, t0, t1 = [RatFun.one()], [], [], [RatFun.one()]
+    while r1:
+        q, r = _y_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _y_sub(s0, _y_mul(q, s1))
+        t0, t1 = t1, _y_sub(t0, _y_mul(q, t1))
+    if not r0:
+        return r0, s0, t0
+    inv = [RatFun.one() / r0[-1]]
+    return _y_mul(r0, inv), _y_mul(s0, inv), _y_mul(t0, inv)

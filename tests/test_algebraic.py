@@ -14,7 +14,6 @@ from pseudolin.ore import OrePoly, ore_apply
 from pseudolin.poly import Poly
 from pseudolin.randgen import rand_algebraic_input
 from pseudolin.ratfun import RatFun
-from pseudolin.relations import is_strictly_proper
 
 x = Poly.x()
 one = Poly.one()
@@ -64,11 +63,13 @@ def test_resolvent_zero_root_degenerate():
 
 def test_cockle_iterates_match_roots():
     inst = build_algebraic(P_SQRT)
-    ds = cockle_iterates(inst, 3)
+    ds = [[RatFun(c, d) for c in C.ycoeffs]
+          for C, d in cockle_iterates(inst, 3)]
     # D_0 = y, D_1 = y/(2x) (since alpha' = 1/(2 alpha) = alpha/(2x))
-    assert ds[0].ycoeff(1) == RatFun(1)
-    assert ds[1].ycoeff(1) == RatFun(1, 2 * x)
-    assert ds[1].ycoeff(0).is_zero()
+    assert ds[0] == [RatFun(0), RatFun(1)]
+    assert ds[1] == [RatFun(0), RatFun(1, 2 * x)]
+    # D_2 = D_1' - D_1_y * P_x/P_y = -y/(2x^2) + y/(4x^2) = -y/(4x^2)
+    assert ds[2] == [RatFun(0), RatFun(-1, 4 * x * x)]
 
 
 def test_genericity_gates_strict_properness():
@@ -76,7 +77,7 @@ def test_genericity_gates_strict_properness():
     for _ in range(8):
         P = rand_algebraic_input(rng, 2, 2, generic=True)
         inst = build_algebraic(P)
-        assert is_strictly_proper(inst.T)
+        assert inst.T.is_strictly_proper()
         assert inst.realisation.delta_degree \
             <= (2 * inst.dy - 1) * inst.dx
 

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from pseudolin.bipoly import (BiPoly, bipoly_coprime, bipoly_derivative,
-                              bipoly_gcd, bipoly_pseudo_divmod, format_bipoly,
-                              resultant_y, squarefree_y, ypoly_ext_gcd,
-                              ypoly_gcd)
+                              bipoly_ext_prs, bipoly_gcd,
+                              bipoly_pseudo_divmod, format_bipoly,
+                              resultant_y, squarefree_y)
 from pseudolin.poly import Poly
 from pseudolin.ratfun import RatFun
+from _oracle import ratfun_y_ext_gcd
 from test_poly import rand_poly
 
 x = Poly.x()
@@ -19,6 +20,20 @@ one = Poly.one()
 def rand_bipoly(rng, dx=3, dy=3):
     cols = [rand_poly(rng, rng.randint(-1, dx)) for _ in range(dy + 1)]
     return BiPoly(cols)
+
+
+def rand_pair(rng, trial, dx=2, dy=2):
+    """A random pair; every third one shares a random factor."""
+    a, b = rand_bipoly(rng, dx, dy), rand_bipoly(rng, dx, dy)
+    if trial % 3 == 0:
+        c = rand_bipoly(rng, 1, 1)
+        a, b = a * c, b * c
+    return a, b
+
+
+def ratfun_lists(p: BiPoly, scale=RatFun.one()):
+    """p * scale as the oracle's list of RatFun y-coefficients."""
+    return [RatFun(c) * scale for c in p.ycoeffs]
 
 
 def test_derivative_examples():
@@ -60,9 +75,9 @@ def test_resultant_detects_common_factor():
         b = rand_bipoly(rng, 2, 2)
         if a.is_zero() or b.is_zero() or a.degree_y < 1 or b.degree_y < 1:
             continue
-        g = ypoly_gcd(a.to_ypoly(), b.to_ypoly())
+        g, _, _ = ratfun_y_ext_gcd(ratfun_lists(a), ratfun_lists(b))
         res = resultant_y(a, b)
-        assert res.is_zero() == (g.degree > 0)
+        assert res.is_zero() == (len(g) > 1)
         # and force a shared factor
         c = rand_bipoly(rng, 1, 1)
         if c.degree_y == 1:
@@ -74,19 +89,40 @@ def test_squarefree_examples():
     sq = BiPoly([one, Poly([-2]), one])                 # (y-1)^2
     assert not squarefree_y(sq)
     assert squarefree_y(BiPoly([-(x * x), Poly(), one]))  # y^2 - x^2
+    rng = random.Random(25)
+    verdicts = set()
+    for trial in range(40):
+        q = rand_bipoly(rng, 2, 2)
+        if trial % 2:
+            c = rand_bipoly(rng, 1, 1)
+            q = q * c * c
+        if q.is_zero():
+            continue
+        g, _, _ = ratfun_y_ext_gcd(ratfun_lists(q), ratfun_lists(q.deriv("y")))
+        assert squarefree_y(q) == (len(g) <= 1)
+        verdicts.add(squarefree_y(q))
+    assert verdicts == {True, False}
 
 
-def test_ypoly_ext_gcd():
+def test_bipoly_ext_prs():
+    """s*a + t*b = r, and scaled by 1/lc_y(r) the triple is the Q(x)[y]
+    extended Euclid of the oracle: the monic gcd and its cofactors."""
     rng = random.Random(22)
-    for _ in range(40):
-        a = rand_bipoly(rng, 2, 2).to_ypoly()
-        b = rand_bipoly(rng, 2, 2).to_ypoly()
+    degrees = set()
+    for trial in range(40):
+        a, b = rand_pair(rng, trial)
         if a.is_zero() or b.is_zero():
             continue
-        g, s, t = ypoly_ext_gcd(a, b)
-        assert s * a + t * b == g
-        if not g.is_zero():
-            assert g.lc == RatFun.one()
+        r, s, t = bipoly_ext_prs(a, b)
+        assert s * a + t * b == r
+        inv = RatFun.one() / RatFun(r.lc_y)
+        expected = ratfun_y_ext_gcd(ratfun_lists(a), ratfun_lists(b))
+        assert (ratfun_lists(r, inv), ratfun_lists(s, inv),
+                ratfun_lists(t, inv)) == expected
+        degrees.add(min(r.degree_y, 1))
+    assert degrees == {0, 1}
+    r, s, t = bipoly_ext_prs(BiPoly([x, one]), BiPoly())
+    assert (r, s, t) == (BiPoly([x, one]), BiPoly.one(), BiPoly.zero())
 
 
 def test_pseudo_divmod():
@@ -121,3 +157,39 @@ def test_x_slice_and_format():
     assert q.x_slice(1) == Poly([-1, 0, 1])          # y^2 - 1
     assert q.x_slice(0) == Poly([0, 1])              # y
     assert format_bipoly(BiPoly([x, Poly(), one])) == "y^2 + x"
+
+
+def test_matches_sympy():
+    """resultant_y, bipoly_gcd and the cofactors of bipoly_ext_prs against
+    sympy's resultant, gcd and gcdex, up to normalisation."""
+    sympy = pytest.importorskip("sympy")
+    X, Y = sympy.symbols("x y")
+    field = sympy.QQ.frac_field(X)
+
+    def expr(p):
+        if isinstance(p, Poly):
+            p = BiPoly([p])
+        return sum(sympy.Rational(f.numerator, f.denominator) * X**i * Y**j
+                   for j, c in enumerate(p.ycoeffs)
+                   for i, f in enumerate(c.coeffs))
+
+    rng = random.Random(26)
+    shared = 0
+    for trial in range(30):
+        a, b = rand_pair(rng, trial, 2, 3)
+        if a.is_zero() or b.is_zero():
+            continue
+        A, B = expr(a), expr(b)
+        res = resultant_y(a, b)
+        assert sympy.expand(expr(res) - sympy.resultant(A, B, Y)) == 0
+        ratio = sympy.cancel(expr(bipoly_gcd(a, b)) / sympy.gcd(A, B))
+        assert ratio.is_Rational and ratio != 0
+        r, s, t = bipoly_ext_prs(a, b)
+        ss, ts, h = sympy.gcdex(sympy.Poly(A, Y, domain=field),
+                                sympy.Poly(B, Y, domain=field))
+        lc = expr(r.lc_y)
+        assert sympy.cancel(expr(r) / lc - h.as_expr()) == 0
+        assert sympy.cancel(expr(s) / lc - ss.as_expr()) == 0
+        assert sympy.cancel(expr(t) / lc - ts.as_expr()) == 0
+        shared += res.is_zero()
+    assert shared >= 5

@@ -81,6 +81,16 @@ def test_huge_exponent_exit_2(argv, capsys):
     assert captured.out == ""
 
 
+def test_operator_order_cap_exit_2(capsys):
+    # Dx^200 is rejected before it is expanded
+    argv = ["lclm", "--op", "x^1000*Dx-1", "--op", "Dx^200-x"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert ("semantic error at position 2: operator order 200 above the cap "
+            "of 4") in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["check-props", "--prop", "krylov-denominator", "--n", "0"],
     ["check-props", "--prop", "det-den-laws", "--trials", "0"],
@@ -102,6 +112,10 @@ def test_nonpositive_counts_exit_2(argv, capsys):
       "--sr", "-1"], "argument --sr: must be at least 0"),
     (["bounds-table", "--order", "0"], "argument --order: must be at least 1"),
     (["bounds-table", "--dx", "-1"], "argument --dx: must be at least 1"),
+    (["bounds-table", "--trials", "1", "--order", "40"],
+     "argument --order: must be at most 4, got 40"),
+    (["check-props", "--prop", "krylov-denominator", "--trials", "1",
+      "--n", "50"], "argument --n: must be at most 4, got 50"),
 ])
 def test_out_of_range_flags_exit_2(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,6 @@ from pseudolin.ore import OrePoly, infinity_not_irregular, right_divide
 from pseudolin.poly import Poly
 from pseudolin.randgen import rand_operator
 from pseudolin.ratfun import RatFun
-from pseudolin.relations import is_strictly_proper
 
 x = Poly.x()
 XD1 = OrePoly([-1, RatFun(x)])                       # x Dx - 1
@@ -32,13 +31,13 @@ def test_build_lclm_example():
     assert list(inst.a) == [Poly.one(), Poly.one()]
     assert inst.realisation.delta in (x * x, -(x * x))
     assert inst.realisation.reconstruct() == inst.T
-    assert is_strictly_proper(inst.T)
+    assert inst.T.is_strictly_proper()
 
 
 def test_build_lclm_irregular_still_builds():
     inst = build_lclm([D1, XD2])
     assert not infinity_not_irregular(D1)
-    assert not is_strictly_proper(inst.T)   # Euler form of Dx-1 is E - x
+    assert not inst.T.is_strictly_proper()   # Euler form of Dx-1 is E - x
     L = lclm(inst)
     assert verify_lclm(inst, L)
 
@@ -88,7 +87,7 @@ def test_lclm_delta_degree_bound():
         R = sum(op.order for op in ops)
         d = max(operator_degree(op) for op in ops)
         assert inst.realisation.delta_degree <= s * d + R
-        assert is_strictly_proper(inst.T)
+        assert inst.T.is_strictly_proper()
 
 
 def test_build_symprod_example():
@@ -119,9 +118,9 @@ def test_symprod_closed_forms():
 
 def test_symprod_strict_properness_iff_regular():
     inst = build_symprod([XD1, XD2])
-    assert is_strictly_proper(inst.T)
+    assert inst.T.is_strictly_proper()
     inst2 = build_symprod([D1, XD1])
-    assert not is_strictly_proper(inst2.T)
+    assert not inst2.T.is_strictly_proper()
 
 
 def test_symprod_delta_degree():

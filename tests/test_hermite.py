@@ -5,22 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from pseudolin.bipoly import BiPoly, YPoly, resultant_y
-from pseudolin.instances.hermite import (bound_hermite, build_hermite,
+from pseudolin.bipoly import BiPoly, resultant_y
+from pseudolin.instances.hermite import (_bezout_cleared, bound_hermite,
+                                         build_hermite,
                                          certificate_fraction,
                                          certificate_matches,
                                          genericity_check,
                                          hermite_bound_report, hermite_reduce,
                                          telescoper, verify_telescoper)
 from pseudolin.ore import OrePoly
-from pseudolin.poly import Poly
+from pseudolin.poly import Poly, poly_gcd
 from pseudolin.randgen import rand_bipoly, rand_hermite_input
 from pseudolin.ratfun import RatFun
-from pseudolin.relations import is_strictly_proper
 
 import sys
 sys.path.insert(0, "tests")
-from _oracle import oracle_min_relation
+from _oracle import oracle_min_relation, ratfun_y_ext_gcd
 
 x = Poly.x()
 one = Poly.one()
@@ -28,17 +28,22 @@ Q_SHIFTED = BiPoly([x, Poly(), one])            # y^2 + x
 P_ONE = BiPoly([one])
 
 
+def fraction(num: BiPoly, den: Poly):
+    """num/den as a list of RatFun y-coefficients."""
+    return [RatFun(c, den) for c in num.ycoeffs]
+
+
 def test_hermite_reduce_power_one_is_identity():
-    r, cert = hermite_reduce(YPoly([RatFun(x), RatFun(2)]), 1, Q_SHIFTED,
-                             want_certificate=True)
-    assert r == YPoly([RatFun(x), RatFun(2)])
+    rb, rd, cert = hermite_reduce(BiPoly([x, Poly([2])]), Poly.one(), 1,
+                                  Q_SHIFTED, want_certificate=True)
+    assert fraction(rb, rd) == [RatFun(x), RatFun(2)]
     assert cert == []
 
 
 def test_hermite_reduce_example():
-    r, cert = hermite_reduce(YPoly.one(), 2, Q_SHIFTED,
-                             want_certificate=True)
-    assert r == YPoly([RatFun(1, 2 * x)])
+    rb, rd, cert = hermite_reduce(BiPoly.one(), Poly.one(), 2, Q_SHIFTED,
+                                  want_certificate=True)
+    assert fraction(rb, rd) == [RatFun(1, 2 * x)]
     H, D, J = certificate_fraction(cert, Q_SHIFTED)
     # h = y / (2x q)
     assert J == 1
@@ -46,24 +51,45 @@ def test_hermite_reduce_example():
 
 
 def test_hermite_reduce_kills_derivatives():
-    r, _ = hermite_reduce(YPoly([RatFun(0), RatFun(-2)]), 2, Q_SHIFTED)
-    assert r.is_zero()
+    rb, _, _ = hermite_reduce(BiPoly([Poly(), Poly([-2])]), Poly.one(), 2,
+                              Q_SHIFTED)
+    assert rb.is_zero()
     rng = random.Random(60)
     for _ in range(10):
         p, q = rand_hermite_input(rng, 2, 2)
-        g = rand_bipoly(rng, 1, 1, exact=False).to_ypoly()
-        qq = q.to_ypoly()
-        qy = q.deriv("y").to_ypoly()
-        # d/dy(g/q) = (g' q - g q_y)/q^2 must reduce to zero
-        num = g.deriv_y() * qq - g * qy
-        r, _ = hermite_reduce(num, 2, q)
-        assert r.is_zero()
+        g = rand_bipoly(rng, 1, 1, exact=False)
+        den = rand_bipoly(rng, 1, 0).lc_y
+        # d/dy(g/(den q)) = (g' q - g q_y)/(den q^2) must reduce to zero
+        num = g.deriv("y") * q - g * q.deriv("y")
+        rb, _, _ = hermite_reduce(num, den, 2, q)
+        assert rb.is_zero()
 
 
 def test_hermite_reduce_rejects_non_squarefree():
     sq = BiPoly([one, Poly([-2]), one])   # (y - 1)^2
     with pytest.raises(ValueError):
-        hermite_reduce(YPoly.one(), 2, sq)
+        hermite_reduce(BiPoly.one(), Poly.one(), 2, sq)
+    with pytest.raises(ValueError):
+        hermite_reduce(BiPoly.one(), Poly.one(), 0, Q_SHIFTED)
+
+
+def test_bezout_cleared_is_minimal():
+    """sigma/w and tau/w are the oracle's Bezout cofactors of (q, q_y),
+    cleared by their least common denominator: w is monic and shares no
+    factor with both contents."""
+    rng = random.Random(65)
+    for _ in range(12):
+        _, q = rand_hermite_input(rng, rng.randint(1, 3), rng.randint(1, 3))
+        sigma, tau, w = _bezout_cleared(q)
+        qy = q.deriv("y")
+        assert sigma * q + tau * qy == BiPoly([w])
+        assert w.lc == 1
+        assert poly_gcd(w, poly_gcd(sigma.content_x(),
+                                    tau.content_x())) == Poly.one()
+        g, s, t = ratfun_y_ext_gcd([RatFun(c) for c in q.ycoeffs],
+                                   [RatFun(c) for c in qy.ycoeffs])
+        assert g == [RatFun.one()]
+        assert (fraction(sigma, w), fraction(tau, w)) == (s, t)
 
 
 def test_build_example_matrix():
@@ -105,7 +131,7 @@ def test_telescoper_generic_instance_against_oracle():
     assert genericity_check(q)
     p = BiPoly([Poly(), one])                        # y
     inst = build_hermite(p, q)
-    assert is_strictly_proper(inst.T)
+    assert inst.T.is_strictly_proper()
     L, _ = telescoper(inst)
     assert 1 <= L.order <= 2
     ref = oracle_min_relation(inst.map, list(inst.a))
@@ -130,7 +156,7 @@ def test_generic_implies_strictly_proper():
     for _ in range(10):
         p, q = rand_hermite_input(rng, 2, 2, generic=True)
         inst = build_hermite(p, q)
-        assert is_strictly_proper(inst.T)
+        assert inst.T.is_strictly_proper()
 
 
 def test_bound_hermite_values():

@@ -67,6 +67,17 @@ def test_exponent_cap():
         assert "cap of 1000" in str(e.value)
 
 
+def test_operator_order_cap():
+    assert parse("Dx^4 - x*Dx^2*Dx", "operator").order == 4
+    assert parse("(x^2 + Dx)^4", "operator").order == 4
+    for text, pos in (("Dx^5", 2), ("Dx^2*Dx^3", 4), ("(Dx^2 - x)^3", 10),
+                      ("x*Dx^4*Dx", 6)):
+        with pytest.raises(SemanticError) as e:
+            parse(text, "operator")
+        assert e.value.pos == pos
+        assert "above the cap of 4" in str(e.value)
+
+
 def test_semantic_errors():
     with pytest.raises(SemanticError):
         parse("y + 1", "operator")

@@ -7,14 +7,13 @@ import pytest
 from pseudolin.bipoly import bipoly_coprime, squarefree_y
 from pseudolin.instances.hermite import genericity_check
 from pseudolin.ore import infinity_not_irregular
-from pseudolin.randgen import (GenerationError, _retrying, random_instance,
-                               rand_strictly_proper_map)
-from pseudolin.relations import is_strictly_proper
+from pseudolin.randgen import (GenerationError, _retrying,
+                               rand_algebraic_input, rand_hermite_input,
+                               rand_operator, rand_strictly_proper_map)
 
 
 def test_hermite_instance_constraints():
-    p, q = random_instance("hermite", {"dx": 2, "dy": 2, "generic": True},
-                           seed=5)
+    p, q = rand_hermite_input(random.Random(5), 2, 2, generic=True)
     assert q.degree_x == 2 and q.degree_y == 2
     assert p.degree_y < 2 and p.degree_x <= 2
     assert squarefree_y(q) and bipoly_coprime(p, q)
@@ -22,8 +21,8 @@ def test_hermite_instance_constraints():
 
 
 def test_operator_pair_constraints():
-    ops = random_instance("lclm", {"order": 2, "degree": 2, "count": 2,
-                                   "regular_infinity": True}, seed=5)
+    rng = random.Random(5)
+    ops = [rand_operator(rng, 2, 2, regular_infinity=True) for _ in range(2)]
     assert len(ops) == 2
     for op in ops:
         assert op.order == 2
@@ -31,10 +30,10 @@ def test_operator_pair_constraints():
 
 
 def test_determinism():
-    a = random_instance("algebraic", {"dx": 2, "dy": 2}, seed=42)
-    b = random_instance("algebraic", {"dx": 2, "dy": 2}, seed=42)
+    a = rand_algebraic_input(random.Random(42), 2, 2)
+    b = rand_algebraic_input(random.Random(42), 2, 2)
     assert a == b
-    c = random_instance("algebraic", {"dx": 2, "dy": 2}, seed=43)
+    c = rand_algebraic_input(random.Random(43), 2, 2)
     assert a != c
 
 
@@ -42,11 +41,9 @@ def test_strictly_proper_generator():
     rng = random.Random(3)
     for _ in range(10):
         pmap = rand_strictly_proper_map(rng, 2, 2)
-        assert is_strictly_proper(pmap.T)
+        assert pmap.T.is_strictly_proper()
 
 
 def test_retry_cap_raises():
     with pytest.raises(GenerationError):
         _retrying(lambda: 0, lambda _: False, "an impossible draw")
-    with pytest.raises(ValueError):
-        random_instance("unknown-kind", {}, seed=0)

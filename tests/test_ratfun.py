@@ -35,7 +35,7 @@ def test_reduction_invariants():
 
 def test_normalisation_matches_fraction_reference():
     """RatFun cancels and scales in Z[x]; the gcd check uses the Fraction
-    remainder sequence of divmod instead."""
+    remainder sequence of the oracle's poly_divmod instead."""
     rng = random.Random(22)
     for _ in range(300):
         n, d, g = rand_q_poly(rng, 4), rand_q_poly(rng, 3), rand_q_poly(rng, 2)

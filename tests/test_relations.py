@@ -10,7 +10,7 @@ from pseudolin.poly import Poly, poly_divides, poly_gcd
 from pseudolin.ratfun import RatFun
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  bound_direct, bound_realisation,
-                                 is_strictly_proper, krylov_denominator_check,
+                                 krylov_denominator_check,
                                  krylov_matrix, solve_min_relation,
                                  theta_apply, theta_iterates,
                                  trivial_realisation, vector_degree,
@@ -137,12 +137,12 @@ def test_realisation_validation():
 
 
 def test_is_strictly_proper_examples():
-    assert is_strictly_proper(M_1OVERX.T)
-    assert not is_strictly_proper(_map([RatFun(x + 1, x)], 1).T)
+    assert M_1OVERX.T.is_strictly_proper()
+    assert not _map([RatFun(x + 1, x)], 1).T.is_strictly_proper()
     # companion matrix in the derivation basis has plain 1 entries
     from pseudolin.linalg import companion
     comp = companion([RatFun(0), RatFun(-1)], RatFun(1))
-    assert not is_strictly_proper(comp)
+    assert not comp.is_strictly_proper()
 
 
 def test_bound_realisation_examples():

@@ -16,9 +16,11 @@ import sys
 import time
 
 from pseudolin.bipoly import format_bipoly, resultant_y
-from pseudolin.exprparse import (MAX_DIMENSION, MAX_OPERATOR_ORDER,
-                                 ParseError, SemanticError, format_operator,
-                                 format_ratfun2, parse)
+from pseudolin.exprparse import (MAX_BIVARIATE_DEGREE, MAX_DIMENSION,
+                                 MAX_KRYLOV_DEGREE, MAX_KRYLOV_EXPONENT,
+                                 MAX_OPERATOR_DEGREE, MAX_OPERATOR_ORDER,
+                                 MAX_TRIALS, ParseError, SemanticError,
+                                 format_operator, format_ratfun2, parse)
 from pseudolin.instances import (algebraic_bound_report, build_algebraic,
                                  build_hermite, build_lclm, build_symprod,
                                  certificate_fraction, certificate_matches,
@@ -61,12 +63,15 @@ def _int_in_range(low: int, high=None):
 
 # counts, dimensions, bivariate degrees and operator orders must be at
 # least 1; operator degrees, the Krylov degree target and the largest
-# iterate exponent may be 0.  Operator orders and matrix dimensions are
-# capped (see exprparse), because the cost grows steeply with both.
-_positive_int = _int_in_range(1)
-_nonnegative_int = _int_in_range(0)
+# iterate exponent may be 0.  Every size flag is capped (see exprparse),
+# because the cost grows steeply with each.
+_trials = _int_in_range(1, MAX_TRIALS)
+_bivariate_degree = _int_in_range(1, MAX_BIVARIATE_DEGREE)
+_operator_degree = _int_in_range(0, MAX_OPERATOR_DEGREE)
 _order = _int_in_range(1, MAX_OPERATOR_ORDER)
 _dimension = _int_in_range(1, MAX_DIMENSION)
+_krylov_degree = _int_in_range(0, MAX_KRYLOV_DEGREE)
+_krylov_exponent = _int_in_range(0, MAX_KRYLOV_EXPONENT)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,12 +109,12 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds-table",
                        help="observed degrees vs predicted bounds, all four "
                             "instances")
-    b.add_argument("--trials", type=_positive_int, default=5)
+    b.add_argument("--trials", type=_trials, default=5)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--dx", type=_positive_int, default=2)
-    b.add_argument("--dy", type=_positive_int, default=2)
+    b.add_argument("--dx", type=_bivariate_degree, default=2)
+    b.add_argument("--dy", type=_bivariate_degree, default=2)
     b.add_argument("--order", type=_order, default=2)
-    b.add_argument("--degree", type=_nonnegative_int, default=2)
+    b.add_argument("--degree", type=_operator_degree, default=2)
     b.add_argument("--generic", action="store_true",
                    help="resample until the genericity condition holds")
     b.add_argument("--regular-infinity", action="store_true",
@@ -123,18 +128,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prop", required=True,
                    choices=["krylov-denominator", "det-den-laws",
                             "lemma2-delta", "bounds"])
-    p.add_argument("--trials", type=_positive_int, default=50)
+    p.add_argument("--trials", type=_trials, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=_dimension, default=2,
                    help="matrix dimension")
-    p.add_argument("--delta", type=_nonnegative_int, default=3,
+    p.add_argument("--delta", type=_krylov_degree, default=3,
                    help="target degree of det M for the trivial realisation")
-    p.add_argument("--sr", type=_nonnegative_int, default=3,
+    p.add_argument("--sr", type=_krylov_exponent, default=3,
                    help="largest iterate exponent s_r")
-    p.add_argument("--dx", type=_positive_int, default=2)
-    p.add_argument("--dy", type=_positive_int, default=2)
+    p.add_argument("--dx", type=_bivariate_degree, default=2)
+    p.add_argument("--dy", type=_bivariate_degree, default=2)
     p.add_argument("--order", type=_order, default=2)
-    p.add_argument("--degree", type=_nonnegative_int, default=2)
+    p.add_argument("--degree", type=_operator_degree, default=2)
     p.add_argument("--allow-improper", action="store_true",
                    help="probe the conjectural case without strict "
                         "properness (never asserted by the test suite)")

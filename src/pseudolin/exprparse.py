@@ -11,7 +11,8 @@ Exponents are capped at ``MAX_EXPONENT``, nested powers counting as the
 product of their exponents, so hostile input such as ``x^100000000`` is
 a syntax error instead of a computation that never ends.  Operator
 orders are capped at ``MAX_OPERATOR_ORDER`` in the same spirit, and the
-command line applies it and ``MAX_DIMENSION`` to its size flags.
+command line applies it and the ``MAX_*`` caps below it to its size
+flags.
 
 The same grammar feeds three targets: ``operator`` values normalize to
 sum p_i(x)*Dx^i with polynomial p_i, ``ratfun2`` values to a reduced pair
@@ -140,6 +141,26 @@ MAX_OPERATOR_ORDER = 4
 #: denominator laws take about 3 s per trial at n = 4 and 27 s at n = 5.
 MAX_DIMENSION = 4
 
+#: Largest x- and y-degree of random bivariate inputs (``--dx``, ``--dy``).
+#: One ``bounds-table`` trial takes about 7 s at dx = dy = 4, 11 s at
+#: dx = 2, dy = 5 and 32 s at dx = dy = 5.
+MAX_BIVARIATE_DEGREE = 4
+
+#: Largest coefficient degree of random operators (``--degree``).  At the
+#: order cap, the symmetric product of two order-4 operators takes up to
+#: 13 s at degree 3 and 20 s at degree 4 (regular at infinity).
+MAX_OPERATOR_DEGREE = 3
+
+#: Largest Krylov degree target and iterate exponent (``check-props
+#: --delta``, ``--sr``).  With n = 4 and ``--allow-improper`` one trial
+#: takes 4 s at delta = 7, sr = 4, 15-18 s at delta = 8 (where the entry
+#: denominators reach degree 2) and more than 40 s at sr = 5.
+MAX_KRYLOV_DEGREE = 7
+MAX_KRYLOV_EXPONENT = 4
+
+#: Largest trial count (``--trials``): the run time is linear in it.
+MAX_TRIALS = 1000
+
 
 def _exponent_weight(node) -> int:
     """Product of the exponents along the deepest chain of nested powers."""
@@ -260,6 +281,9 @@ def _eval_operator(node) -> OrePoly:
         return -_eval_operator(node.operand)
     if isinstance(node, Pow):
         base = _eval_operator(node.base)
+        if base.order <= 0:
+            # a scalar: one RatFun power, not exp operator products
+            return OrePoly.from_scalar(base.coeff(0) ** node.exp, GEN_DX)
         _check_order(base.order * node.exp, node.pos)
         out = OrePoly.from_scalar(1, GEN_DX)
         for _ in range(node.exp):

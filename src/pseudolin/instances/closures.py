@@ -30,9 +30,9 @@ from math import prod
 from pseudolin.linalg import (PolyMatrix, RatMatrix, block_diag, hstack_poly,
                               kronecker, vstack_poly)
 from pseudolin.ore import (GEN_DX, OrePoly, infinity_not_irregular,
-                           normalize_primitive, right_divide, series_apply,
-                           series_mul, series_solution, shift_operator,
-                           to_euler)
+                           is_right_multiple, normalize_primitive,
+                           series_apply, series_mul, series_solution,
+                           shift_operator, to_euler)
 from pseudolin.poly import Poly
 from pseudolin.ratfun import RatFun
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
@@ -134,14 +134,15 @@ def lclm(inst: ClosureInstance) -> OrePoly:
 
 
 def verify_lclm(inst: ClosureInstance, L: OrePoly) -> bool:
-    """L must be a left multiple of every input operator."""
+    """L must be a left multiple of every input operator.
+
+    Each operator must right-divide L, which ``ore.is_right_multiple``
+    checks by fraction-free right pseudo-division on integer polynomial
+    coefficients; it shares no code with the solver.
+    """
     if L.is_zero():
         return False
-    for Li in inst.operators:
-        _, r = right_divide(L, Li)
-        if not r.is_zero():
-            return False
-    return True
+    return all(is_right_multiple(L, Li) for Li in inst.operators)
 
 
 def bound_lclm(r: int, r_list, d: int) -> int:

@@ -353,6 +353,74 @@ def solve_rational(A: RatMatrix, b):
     return [dens[j] * y[j] / RatFun(bden) for j in range(m)]
 
 
+#: evaluation point for the content prechecks below
+_PT = 1048583
+
+
+def _strip_int_content(vec):
+    """(c, vec/c) for c >= 0 the integer content of a zpoly vector; c = 0
+    (and vec unchanged) when every entry is zero."""
+    c = 0
+    for z in vec:
+        c = gcd(c, zk.zp_content(z))
+        if c == 1:
+            return 1, vec
+    if c > 1:
+        vec = [[e // c for e in z] for z in vec]
+    return c, vec
+
+
+def _strip_poly_content(vec, evals):
+    """(g, vec/g) for g the polynomial content of an integer-primitive
+    zpoly vector, with ``evals`` the entries' values at ``_PT``.
+
+    A common polynomial factor g forces g(pt) to divide every evaluation,
+    so when the evaluations are coprime there is nothing to strip.  The
+    content takes one gcd per vector: the gcd of the first nonzero entry
+    with an odd-weighted sum of the others is a multiple of the content,
+    and equal to it when it divides every entry, which the strip's own
+    divisions check.  Only when one of them fails does the chain of
+    pairwise gcds run.
+    """
+    g = 0
+    for e in evals:
+        g = gcd(g, e)
+        if g == 1:
+            return [1], vec
+    live = [z for z in vec if z]
+    # a nonzero constant entry leaves no polynomial content
+    if not live or any(len(z) == 1 for z in live):
+        return [1], vec
+    if len(live) == 1:
+        return live[0], [[1] if z else z for z in vec]
+    rest = []
+    for w, z in enumerate(live[1:]):
+        rest = zk.zp_add(rest, zk.zp_scale(z, 2 * w + 1))
+    g = zk.zp_gcd(live[0], rest)
+    if len(g) == 1:
+        return [1], vec
+    try:
+        return g, [zk.zp_divexact(z, g) if z else z for z in vec]
+    except ValueError:
+        pass
+    g = live[0]
+    for z in live[1:]:
+        g = zk.zp_gcd(g, z)
+        if len(g) == 1:
+            return [1], vec
+    return g, [zk.zp_divexact(z, g) if z else z for z in vec]
+
+
+def zvec_content(vec):
+    """(g, vec/g) for g the content of a zpoly vector in Z[x]: its integer
+    content times its polynomial content (g = [1] for the zero vector)."""
+    c, vec = _strip_int_content(vec)
+    if c == 0:
+        return [1], vec
+    g, vec = _strip_poly_content(vec, [_zp_eval(z, _PT) for z in vec])
+    return (zk.zp_scale(g, c) if c > 1 else g), vec
+
+
 class GaussTracker:
     """Incremental fraction-free column elimination over Z[x].
 
@@ -363,42 +431,32 @@ class GaussTracker:
     an overall nonzero scalar of Q(x) — integer content, full powers of
     ``den`` and the polynomial content are stripped — which neither the
     rank nor ratios of slots depend on.
-    """
 
-    #: evaluation point for the content prechecks below
-    _PT = 1048583
+    Bookkeeping slots keep the content of an offered vector in place, so a
+    caller should offer content-free working slots (see ``zvec_content``):
+    content carried into the elimination is multiplied through every
+    reduction and only divided out again as powers of ``den``.
+    """
 
     def __init__(self, width: int, den=None):
         self.width = width
         self.den = den if den is not None and len(den) > 1 else None
-        self.den_at_pt = _zp_eval(self.den, self._PT) if self.den else None
+        self.den_at_pt = _zp_eval(self.den, _PT) if self.den else None
         self.pivots = []  # (pivot slot, normalized vector)
 
     def _normalize(self, vec):
         """Strip integer content, full powers of den, polynomial content.
 
-        The two polynomial strips are guarded by integer evaluations at a
-        fixed point: a common polynomial factor g forces g(pt) to divide
-        every evaluation, so when the evaluations are coprime the strip
-        cannot succeed and is skipped.  (Skipping never affects
-        correctness: vectors are only defined up to a scalar.)
-
-        The polynomial content takes one gcd per vector: the gcd of the
-        first nonzero entry with an odd-weighted sum of the others is a
-        multiple of the content, and equal to it when it divides every
-        entry, which the strip's own divisions check.  Only when one of
-        them fails does the chain of pairwise gcds run.
+        The den-power and polynomial strips are guarded by integer
+        evaluations at a fixed point, as in ``_strip_poly_content``: when
+        den(pt) does not divide every evaluation the den strip cannot
+        succeed and is skipped.  (Skipping never affects correctness:
+        vectors are only defined up to a scalar.)
         """
-        g = 0
-        for z in vec:
-            g = gcd(g, zk.zp_content(z))
-            if g == 1:
-                break
-        if g == 0:
+        c, vec = _strip_int_content(vec)
+        if c == 0:
             return vec
-        if g > 1:
-            vec = [[c // g for c in z] for z in vec]
-        evals = [_zp_eval(z, self._PT) for z in vec]
+        evals = [_zp_eval(z, _PT) for z in vec]
         if self.den is not None:
             dv = self.den_at_pt
             while True:
@@ -412,34 +470,8 @@ class GaussTracker:
                 if dv:
                     evals = [e // dv for e in evals]
                 else:
-                    evals = [_zp_eval(z, self._PT) for z in vec]
-        g = 0
-        for e in evals:
-            g = gcd(g, e)
-            if g == 1:
-                return vec
-        live = [z for z in vec if z]
-        # a nonzero constant entry leaves no polynomial content
-        if not live or any(len(z) == 1 for z in live):
-            return vec
-        if len(live) == 1:
-            return [[1] if z else z for z in vec]
-        rest = []
-        for w, z in enumerate(live[1:]):
-            rest = zk.zp_add(rest, zk.zp_scale(z, 2 * w + 1))
-        g = zk.zp_gcd(live[0], rest)
-        if len(g) == 1:
-            return vec
-        try:
-            return [zk.zp_divexact(z, g) if z else z for z in vec]
-        except ValueError:
-            pass
-        g = live[0]
-        for z in live[1:]:
-            g = zk.zp_gcd(g, z)
-            if len(g) == 1:
-                return vec
-        return [zk.zp_divexact(z, g) if z else z for z in vec]
+                    evals = [_zp_eval(z, _PT) for z in vec]
+        return _strip_poly_content(vec, evals)[1]
 
     def offer(self, vec):
         """Reduce vec against the pivots; keep it as a new pivot and return

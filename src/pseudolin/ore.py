@@ -11,13 +11,19 @@ x^r on the left and expanding yields an Euler-form operator with
 polynomial coefficients and the same solution set.  Canonical outputs are
 "primitive": polynomial coefficients, jointly integer-primitive, with a
 positive leading rational in the leading coefficient.
+
+Right division comes twice: ``right_divide`` returns quotient and
+remainder over ``RatFun`` coefficients, and ``is_right_multiple`` only
+decides divisibility, by a fraction-free right pseudo-division on integer
+polynomial coefficients (the LCLM verifier's check).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
+from pseudolin import _kernel as zk
 from pseudolin.poly import NEG_INF, Poly
 from pseudolin.ratfun import RatFun, common_denominator
 
@@ -195,6 +201,84 @@ def right_divide(a: OrePoly, b: OrePoly):
     return q, r
 
 
+def _cleared_z(L: OrePoly):
+    """Integer zpoly coefficients of f*L for one nonzero f in Q[x]: the
+    product of the distinct integer-cleared denominators and one integer
+    scale."""
+    pairs = []
+    scale = 1
+    for c in L.coeffs:
+        zn, dn = c.num.clear_denominators()
+        zd, dd = c.den.clear_denominators()
+        pairs.append((zk.zp_scale(zn, dd), dn, zd))
+        scale = lcm(scale, dn)
+    dens = []
+    for _, _, zd in pairs:
+        if zd != [1] and zd not in dens:
+            dens.append(zd)
+    out = []
+    for p, dn, zd in pairs:
+        p = zk.zp_scale(p, scale // dn)
+        for d in dens:
+            if d != zd:
+                p = zk.zp_mul(p, d)
+        out.append(p)
+    return out
+
+
+def is_right_multiple(a: OrePoly, b: OrePoly) -> bool:
+    """True when b right-divides a, i.e. a = q*b for an operator q over
+    Q(x), by fraction-free right pseudo-division.
+
+    Both operators are first cleared to integer polynomial coefficients
+    by a left scalar, which does not change right divisibility.  Each step
+    then cancels the top coefficient of the remainder r with
+
+        r <- (lc_b/g) r - (lc_r/g) gen^k b,    g = gcd(lc_b, lc_r),
+
+    which again only multiplies r on the left by a nonzero polynomial, so
+    b right-divides a iff the final r (of order below b's) is 0.  The
+    shifts gen^k b come from gen (c gen^j) = delta(c) gen^j + c gen^(j+1),
+    and r's integer content is stripped after every step.  Every operation
+    is an exact ring operation of ``_kernel``: no ``Fraction`` or
+    ``RatFun`` arithmetic.
+    """
+    a._check_gen(b)
+    if b.is_zero():
+        raise ZeroDivisionError("right division by the zero operator")
+    euler = a.generator == GEN_EULER
+    r = _cleared_z(a)
+    shifted = [_cleared_z(b)]  # shifted[k] = gen^k * b
+    m = len(shifted[0]) - 1
+    lb = shifted[0][-1]
+    while len(r) - 1 >= m:
+        k = len(r) - 1 - m
+        while len(shifted) <= k:
+            prev = shifted[-1]
+            nxt = [[]] + prev
+            for j, c in enumerate(prev):
+                dc = zk.zp_deriv(c)
+                if euler and dc:
+                    dc = [0] + dc
+                nxt[j] = zk.zp_add(nxt[j], dc)
+            shifted.append(nxt)
+        lr = r[-1]
+        g = zk.zp_gcd(lb, lr)
+        u, v = zk.zp_divexact(lb, g), zk.zp_divexact(lr, g)
+        r = [zk.zp_sub(zk.zp_mul(u, c), zk.zp_mul(v, s))
+             for c, s in zip(r[:-1], shifted[k])]
+        while r and not r[-1]:
+            r.pop()
+        content = 0
+        for c in r:
+            content = gcd(content, zk.zp_content(c))
+            if content == 1:
+                break
+        if content > 1:
+            r = [[e // content for e in c] for c in r]
+    return not r
+
+
 def normalize_primitive(L: OrePoly) -> OrePoly:
     """Canonical form: polynomial coefficients, jointly integer-primitive,
     positive leading rational in the leading coefficient.
@@ -204,8 +288,6 @@ def normalize_primitive(L: OrePoly) -> OrePoly:
     """
     if L.is_zero():
         return L
-    from math import gcd, lcm
-
     den = common_denominator(L.coeffs)
     polys = [(c * den).num for c in L.coeffs]
     d = 1

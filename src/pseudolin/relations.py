@@ -11,12 +11,16 @@ common denominator of T and N = den*T, the iterates satisfy
     b_{i+1}    = den*b_i' - i*den'*b_i + N*b_i,
 
 so the b_i stay polynomial vectors (integer-cleared).  Rank growth is
-watched by incremental fraction-free elimination on the columns b_i, with
-coordinate slots appended so the first dependent column yields the
-relation certificate directly.  Reduced vectors are normalized by
-stripping integer content, full powers of den, and the polynomial content;
-for the structured instances in this package the stripped entries stay
-small (their denominators are powers of the realisation determinant).
+watched by incremental fraction-free elimination (``GaussTracker``) on the
+content-free columns p_i = b_i/g_i, g_i the content of b_i in Z[x], with a
+coordinate slot e_i appended so the first dependent column yields the
+relation certificate directly: sum c_j p_j = 0 gives the b-coordinates
+c_j/g_j.  The coordinate slot would keep g_i in place through every
+reduction, so it is stripped before the offer; the recurrence runs on the
+unstripped b_i.  Reduced vectors are normalized by stripping integer
+content, full powers of den, and the polynomial content; for the
+structured instances in this package the stripped entries stay small
+(their denominators are powers of the realisation determinant).
 
 Degree-bound predictors: ``bound_realisation`` (for a strictly proper T
 with a realisation T = W + X M^-1 Y, in terms of deg det M) and
@@ -32,7 +36,7 @@ from math import gcd, lcm
 from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix,
                               det_denominator, det_fraction_free,
-                              solve_rational)
+                              solve_rational, zvec_content)
 from pseudolin.poly import NEG_INF, Poly, poly_divides, poly_lcm
 from pseudolin.ratfun import RatFun, common_denominator
 
@@ -241,9 +245,13 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
 
     tracker = GaussTracker(n, den_zp)
     ncoord = n + 1
+    contents = []
     i = 0
     while True:
-        aug = [list(z) for z in b] + [[] for _ in range(ncoord)]
+        # offer p_i = b_i/g_i; b_i itself drives the recurrence
+        g, p = zvec_content(b)
+        contents.append(g)
+        aug = p + [[] for _ in range(ncoord)]
         aug[n + i] = [1]
         coords = tracker.offer(aug)
         if coords is not None:
@@ -254,15 +262,16 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
         b = _iterate_step(den_z, denp_z, N_z, b, i)
         i += 1
 
-    # coords certify sum_j coords[j] * b_j = 0 with b_j = s_j den^j theta^j a,
-    # so nu_i = theta-coordinates of theta^rho a in the earlier iterates.
-    den_full = Poly.from_z(den_z)  # scale * den_q, the per-step clearing
-    c_rho = Poly.from_z(coords[rho])
+    # coords certify sum_j coords[j] * b_j / g_j = 0 with
+    # b_j = s den^j theta^j a (den = den_z, the per-step clearing), so
+    # nu_i = coords[i] g_rho / (coords[rho] g_i den^(rho - i)) are the
+    # theta-coordinates of theta^rho a in the earlier iterates.
     nu = []
-    denpow = Poly.one()
+    lower = coords[rho]  # coords[rho] den^(rho - i)
     for i in range(rho - 1, -1, -1):
-        denpow = denpow * den_full
-        nu.append(RatFun(Poly.from_z(coords[i]), c_rho * denpow))
+        lower = zk.zp_mul(lower, den_z)
+        nu.append(RatFun(Poly.from_z(zk.zp_mul(coords[i], contents[rho])),
+                         Poly.from_z(zk.zp_mul(lower, contents[i]))))
     nu.reverse()
 
     ell = Poly.one()

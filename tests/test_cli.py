@@ -116,6 +116,22 @@ def test_nonpositive_counts_exit_2(argv, capsys):
      "argument --order: must be at most 4, got 40"),
     (["check-props", "--prop", "krylov-denominator", "--trials", "1",
       "--n", "50"], "argument --n: must be at most 4, got 50"),
+    # the size caps of exprparse (MAX_BIVARIATE_DEGREE and the rest)
+    (["bounds-table", "--trials", "1", "--dx", "5", "--dy", "5"],
+     "argument --dx: must be at most 4, got 5"),
+    (["check-props", "--prop", "lemma2-delta", "--trials", "1", "--dy", "5"],
+     "argument --dy: must be at most 4, got 5"),
+    (["bounds-table", "--trials", "1", "--order", "4", "--degree", "6"],
+     "argument --degree: must be at most 3, got 6"),
+    (["check-props", "--prop", "krylov-denominator", "--trials", "1",
+      "--sr", "200", "--delta", "20"],
+     "argument --sr: must be at most 4, got 200"),
+    (["check-props", "--prop", "krylov-denominator", "--trials", "1",
+      "--delta", "8"], "argument --delta: must be at most 7, got 8"),
+    (["check-props", "--prop", "bounds", "--trials", "1001"],
+     "argument --trials: must be at most 1000, got 1001"),
+    (["bounds-table", "--trials", "100000000"],
+     "argument --trials: must be at most 1000, got 100000000"),
 ])
 def test_out_of_range_flags_exit_2(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

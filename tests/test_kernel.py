@@ -179,3 +179,44 @@ def test_gcd_matches_primitive_prs():
         want = prs_gcd(a, b)
         assert zk.zp_gcd(a, b) == want
         assert zk.zp_gcd(b, a) == want
+
+
+def test_gcd_matches_sympy():
+    """zp_gcd is the primitive part, with positive leading coefficient, of
+    sympy's gcd over ZZ[x]."""
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
+
+    def to_sympy(a):
+        return sympy.Poly(list(reversed(a)) or [0], X, domain=sympy.ZZ)
+
+    def from_sympy(p):
+        if p.is_zero:
+            return []
+        _, p = p.primitive()
+        if p.LC() < 0:
+            p = -p
+        return [int(c) for c in reversed(p.all_coeffs())]
+
+    rng = random.Random(707)
+    cases = [([], [0, 4, -6]), ([6], [0, 4]), ([-2, -4], [6, 12])]
+    nontrivial = 0
+    for k in range(60):
+        g = rand_zp(rng, 5)
+        if not g:
+            g = [rng.choice((-3, 2))]
+        u, v = rand_zp(rng, 6), rand_zp(rng, 6)
+        a, b = zk.zp_mul(g, u or [1]), zk.zp_mul(g, v or [1])
+        if k % 3 == 0:
+            a = zk.zp_scale(a, rng.choice((-6, 4, 15)))    # integer content
+        if k % 4 == 1:
+            b = zk.zp_neg(b)                                # lc < 0
+        if k % 5 == 2:
+            a = zk.zp_mul(a, g)                             # repeated factor
+        cases.append((a, b))
+        nontrivial += len(g) > 1
+    assert nontrivial >= 40
+    for a, b in cases:
+        want = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
+        assert zk.zp_gcd(a, b) == want
+        assert zk.zp_gcd(b, a) == want

@@ -9,7 +9,7 @@ from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, companion,
                               det_denominator, det_fraction_free,
                               det_rational, invert, kronecker, rank,
-                              solve_rational)
+                              solve_rational, _PT)
 from pseudolin.poly import Poly, poly_divides, poly_gcd
 from pseudolin.ratfun import RatFun
 from test_poly import rand_poly
@@ -270,8 +270,7 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
             vec = [times(g, f, w),
                    times(g, zk.zp_sub(times(f, w), times([3], v))),
                    times(g, v)]
-        want = chained_strip([list(z) for z in vec], den and list(den),
-                             GaussTracker._PT)
+        want = chained_strip([list(z) for z in vec], den and list(den), _PT)
         calls = []
         with monkeypatch.context() as m:
             m.setattr(zk, "zp_gcd",

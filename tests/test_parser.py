@@ -1,13 +1,15 @@
 """Expression grammar, semantic checks, printing round trips."""
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from pseudolin.bipoly import BiPoly
 from pseudolin.exprparse import (ParseError, SemanticError, format_operator,
                                  format_ratfun2, parse)
-from pseudolin.ore import OrePoly, normalize_primitive
+from pseudolin.ore import OrePoly, normalize_primitive, ore_mul
 from pseudolin.poly import Poly
 from pseudolin.randgen import rand_operator
 from pseudolin.ratfun import RatFun
@@ -76,6 +78,24 @@ def test_operator_order_cap():
             parse(text, "operator")
         assert e.value.pos == pos
         assert "above the cap of 4" in str(e.value)
+
+
+def test_scalar_powers():
+    """A power of an order-0 operator is one RatFun power: same result as
+    the operator products, without one product per unit of exponent."""
+    start = time.perf_counter()
+    assert parse("x^1000*Dx-1", "operator") \
+        == OrePoly([-1, RatFun(x**1000)])
+    assert time.perf_counter() - start < 0.5
+    assert parse("(x+1)^3*Dx", "operator") \
+        == OrePoly([0, RatFun((x + 1)**3)])
+    assert parse("(2*x-1)^5", "operator") == OrePoly([RatFun((2 * x - 1)**5)])
+    assert parse("(3/2)^4*Dx", "operator") == OrePoly([0, Fraction(81, 16)])
+    assert parse("0^0*Dx", "operator") == OrePoly([0, 1])
+    assert parse("(x+1)^0*Dx", "operator") == OrePoly([0, 1])
+    assert parse("0^3*Dx + x", "operator") == OrePoly([RatFun(x)])
+    gen = OrePoly([RatFun(x), 1])
+    assert parse("(Dx+x)^2", "operator") == ore_mul(gen, gen)
 
 
 def test_semantic_errors():

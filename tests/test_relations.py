@@ -1,11 +1,14 @@
 """The minimal-relation solver, realisations, bounds and the Krylov
 denominator property."""
 
+import hashlib
 import random
 
 import pytest
 
-from pseudolin.linalg import RatMatrix, rank
+from pseudolin import _kernel as zk
+from pseudolin.instances import build_lclm
+from pseudolin.linalg import RatMatrix, rank, zvec_content
 from pseudolin.poly import Poly, poly_divides, poly_gcd
 from pseudolin.ratfun import RatFun
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
@@ -14,9 +17,9 @@ from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  krylov_matrix, solve_min_relation,
                                  theta_apply, theta_iterates,
                                  trivial_realisation, vector_degree,
-                                 verify_relation)
-from pseudolin.randgen import (rand_map, rand_strictly_proper_map,
-                               rand_vector)
+                                 verify_relation, _clear_map, _iterate_step)
+from pseudolin.randgen import (rand_map, rand_operator,
+                               rand_strictly_proper_map, rand_vector)
 from _oracle import oracle_min_relation
 
 x = Poly.x()
@@ -48,6 +51,72 @@ def test_solve_min_relation_examples():
     assert rel0.rho == 1 and rel0.eta == (Poly(), one)
     with pytest.raises(ValueError):
         solve_min_relation(M_1OVERX, [Poly()])
+
+
+def _relation_digest(rel):
+    text = f"{rel.rho}:" + ";".join(",".join(str(c) for c in e.coeffs)
+                                    for e in rel.eta)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _content_cases():
+    """(name, map, a) whose iterates b_i carry content that the solver
+    strips before offering them to GaussTracker."""
+    rng = random.Random(60)
+    cases = []
+    # n = 1: the content of b_i is its whole entry
+    for k in range(3):
+        cases.append((f"n1-{k}", rand_map(rng, 1), rand_vector(rng, 1, 2)))
+    # T = [[0, 0], [1, 0]] on a = (1, 0): theta^2(a) = 0
+    cases.append(("vanishing", _map([RatFun(0), RatFun(0), RatFun(1),
+                                     RatFun(0)], 2), [one, Poly()]))
+    # a nonzero constant entry leaves no polynomial content
+    cases.append(("constant-2", rand_map(rng, 2), [Poly.const(3), x * x - 2]))
+    cases.append(("constant-3", rand_map(rng, 3),
+                  [x + 1, Poly.const(-2), x**3]))
+    for k in range(3):
+        ops = [rand_operator(rng, 2, 2, regular_infinity=True)
+               for _ in range(2)]
+        inst = build_lclm(ops)
+        cases.append((f"lclm-{k}", inst.map, list(inst.a)))
+    return cases
+
+
+# digests of the relations as computed before iterates were offered
+# content-free
+CONTENT_CASE_DIGESTS = {
+    "n1-0": "eea1745185f1eff6", "n1-1": "be6ccd1f7dda2c2c",
+    "n1-2": "6b362ad90e3d539a", "vanishing": "872921ccdfe80976",
+    "constant-2": "82f2e915117d1657", "constant-3": "3f0429548246b819",
+    "lclm-0": "d4a982e9ba613721", "lclm-1": "78cdb906f4df0147",
+    "lclm-2": "651877d80671f6e9",
+}
+
+
+def test_content_free_offers_keep_the_relation():
+    for name, pmap, a in _content_cases():
+        rel = solve_min_relation(pmap, a)
+        assert verify_relation(pmap, a, rel), name
+        assert _relation_digest(rel) == CONTENT_CASE_DIGESTS[name], name
+    rel = solve_min_relation(*_content_cases()[3][1:])
+    assert rel.eta == (Poly(), Poly(), one)
+
+
+def test_lclm_iterates_have_content():
+    """The lclm cases above exercise the strip: some b_i has a content of
+    positive degree, which the integer-evaluation guard cannot skip."""
+    degrees = []
+    for name, pmap, a in _content_cases():
+        if not name.startswith("lclm"):
+            continue
+        den_z, N_z = _clear_map(pmap)
+        b = [[int(c) for c in p.coeffs] for p in a]
+        for i in range(pmap.n):
+            g, p = zvec_content(b)
+            assert [zk.zp_mul(g, z) for z in p] == b
+            degrees.append(len(g) - 1)
+            b = _iterate_step(den_z, zk.zp_deriv(den_z), N_z, b, i)
+    assert max(degrees) >= 3 and sum(d > 0 for d in degrees) >= 6
 
 
 def test_relation_normalization_invariants():

@@ -7,8 +7,15 @@ none of the mutants is a valid relation: eta_0 + x adds x*a != 0, the
 middle coefficient adds theta^k(a) with k < rho, and a shorter relation
 would contradict the minimal order.
 
+``verify_lclm`` and ``verify_symprod`` must also reject a fourth mutant,
+one lower coefficient scaled by a non-unit: L + (s - 1) c_k Dx^k with
+c_k != 0 and k < order(L) is no left multiple of L, since c_k Dx^k has
+the lower order.
+
 ``verify_relation`` is also compared with a reference that recomputes the
-theta-iterates as reduced RatFun vectors (``theta_iterates``).
+theta-iterates as reduced RatFun vectors (``theta_iterates``), and the
+fraction-free ``is_right_multiple`` behind ``verify_lclm`` with the
+``RatFun`` right division ``right_divide``.
 """
 
 import random
@@ -17,10 +24,12 @@ from fractions import Fraction
 import pytest
 
 from pseudolin.instances import (build_algebraic, build_hermite, build_lclm,
-                                 lclm, resolvent, telescoper, verify_lclm,
-                                 verify_resolvent, verify_telescoper)
+                                 build_symprod, lclm, resolvent, symprod,
+                                 telescoper, verify_lclm, verify_resolvent,
+                                 verify_symprod, verify_telescoper)
 from pseudolin.linalg import RatMatrix
-from pseudolin.ore import OrePoly
+from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, is_right_multiple,
+                           ore_mul, right_divide)
 from pseudolin.poly import Poly
 from pseudolin.randgen import (rand_algebraic_input, rand_hermite_input,
                                rand_map, rand_operator, rand_vector)
@@ -71,6 +80,15 @@ def operator_mutants(L):
     return [OrePoly(cs, L.generator) for cs in
             mutated_coeffs(L.coeffs, RatFun.one(), RatFun.x())
             if cs is not None]
+
+
+def scaled_mutant(L, rng, unit):
+    """L with one nonzero coefficient of order below L's scaled by unit."""
+    ks = [k for k in range(L.order) if not L.coeff(k).is_zero()]
+    cs = list(L.coeffs)
+    k = rng.choice(ks)
+    cs[k] = cs[k] * unit
+    return OrePoly(cs, L.generator)
 
 
 def test_mutants_of_a_known_relation():
@@ -141,6 +159,87 @@ def test_lclm_mutants_rejected():
             assert not verify_lclm(inst, m)
             checked += 1
     assert checked == 9
+
+
+def test_lclm_mutants_with_scaled_coefficient_rejected():
+    rng = random.Random(24)
+    checked = 0
+    for k in range(6):
+        ops = [rand_operator(rng, rng.randint(1, 3), rng.randint(1, 2),
+                             regular_infinity=k % 2 == 0) for _ in range(2)]
+        inst = build_lclm(ops)
+        L = lclm(inst)
+        assert verify_lclm(inst, L)
+        mutants = operator_mutants(L) + [
+            scaled_mutant(L, rng, RatFun(rng.choice((2, -3, 5)))),
+            scaled_mutant(L, rng, RatFun.x())]
+        for m in mutants:
+            assert not verify_lclm(inst, m)
+            checked += 1
+    assert checked == 30
+
+
+def test_symprod_mutants_rejected():
+    rng = random.Random(25)
+    checked = 0
+    for k in range(4):
+        ops = [rand_operator(rng, rng.randint(1, 2), rng.randint(1, 2),
+                             regular_infinity=True) for _ in range(2)]
+        inst = build_symprod(ops)
+        L = symprod(inst)
+        assert verify_symprod(inst, L, random.Random(k))
+        mutants = operator_mutants(L)
+        if any(not L.coeff(j).is_zero() for j in range(L.order)):
+            mutants.append(scaled_mutant(L, rng, RatFun(2)))
+        for m in mutants:
+            assert not verify_symprod(inst, m, random.Random(k))
+            checked += 1
+    assert checked >= 12
+
+
+def _rand_ratfun(rng, deg):
+    """Rational coefficients over a non-monic denominator, or a
+    polynomial with Fraction coefficients."""
+    num = Poly([_rand_fraction(rng) for _ in range(rng.randint(1, deg + 1))])
+    if rng.random() < 0.5:
+        return RatFun(num)
+    den = Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+               + [rng.choice((-3, 2, 5))])
+    return RatFun(num, den)
+
+
+def _rand_ore(rng, order, generator):
+    cs = [_rand_ratfun(rng, 2) for _ in range(order)]
+    lead = RatFun.zero()
+    while lead.is_zero():
+        lead = _rand_ratfun(rng, 2)
+    return OrePoly(cs + [lead], generator)
+
+
+def test_is_right_multiple_matches_right_divide():
+    rng = random.Random(31)
+    verdicts = {True: 0, False: 0}
+    for k in range(64):
+        gen = GEN_EULER if k % 8 >= 6 else GEN_DX
+        b = _rand_ore(rng, rng.randint(1, 4), gen)
+        q = _rand_ore(rng, rng.randint(0, 2), gen)
+        a = ore_mul(q, b)
+        planted = k % 2 == 0
+        if not planted:
+            # a random term of order <= order(b): a multiple only by accident
+            a = a + _rand_ore(rng, rng.randint(0, b.order), gen)
+        want = right_divide(a, b)[1].is_zero()
+        assert is_right_multiple(a, b) is want
+        if planted:
+            assert want
+        verdicts[want] += 1
+    assert verdicts[True] >= 32 and verdicts[False] >= 25
+    # a lower order than b, the zero operator, and b = 0
+    b = _rand_ore(rng, 3, GEN_DX)
+    assert not is_right_multiple(_rand_ore(rng, 2, GEN_DX), b)
+    assert is_right_multiple(OrePoly.zero(), b)
+    with pytest.raises(ZeroDivisionError):
+        is_right_multiple(b, OrePoly.zero())
 
 
 def _rand_fraction(rng):

@@ -16,10 +16,11 @@ identities used elsewhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from pseudolin.linalg import PolyMatrix, det_fraction_free
-from pseudolin.poly import NEG_INF, Poly, poly_gcd
+from pseudolin.poly import NEG_INF, Poly, joint_primitive, poly_gcd
+
+_ZERO = Poly.zero()
 
 
 def _as_poly(e) -> Poly:
@@ -105,7 +106,7 @@ class BiPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return BiPoly()
-        out = [Poly()] * (len(self.ycoeffs) + len(other.ycoeffs) - 1)
+        out = [_ZERO] * (len(self.ycoeffs) + len(other.ycoeffs) - 1)
         for i, a in enumerate(self.ycoeffs):
             if not a.is_zero():
                 for j, b in enumerate(other.ycoeffs):
@@ -136,7 +137,7 @@ class BiPoly:
         return self.ycoeffs == other.ycoeffs
 
     def __hash__(self):
-        return hash(("BiPoly", tuple(c.coeffs for c in self.ycoeffs)))
+        return hash(("BiPoly", self.ycoeffs))
 
     def __str__(self):
         return format_bipoly(self)
@@ -164,8 +165,9 @@ def bipoly_pseudo_divmod(a: BiPoly, b: BiPoly):
         dr = R.degree_y
         top = R.lc_y
         shift = dr - db
-        Q = Q * lc + BiPoly((Poly(),) * shift + (top,))
-        R = R * lc - b * BiPoly((Poly(),) * shift + (top,))
+        mono = BiPoly((_ZERO,) * shift + (top,))
+        Q = Q * lc + mono
+        R = R * lc - b * mono
         k += 1
         if not R.is_zero() and R.degree_y >= dr:
             raise AssertionError("pseudo-division failed to reduce degree")
@@ -240,8 +242,13 @@ def _primitive(*ps):
             break
     if g.degree > 0:
         ps = [BiPoly(tuple(c.exact_div(g) for c in p.ycoeffs)) for p in ps]
-    scale = 1 / _rational_content([c for p in ps for c in p.ycoeffs])
-    return tuple(p * scale for p in ps)
+    flat = joint_primitive([c for p in ps for c in p.ycoeffs])
+    out, i = [], 0
+    for p in ps:
+        n = len(p.ycoeffs)
+        out.append(BiPoly(flat[i:i + n]))
+        i += n
+    return tuple(out)
 
 
 def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
@@ -262,24 +269,15 @@ def bipoly_coprime(a: BiPoly, b: BiPoly) -> bool:
     return bipoly_gcd(a, b) == BiPoly.one()
 
 
-def _rational_content(polys) -> Fraction:
-    """Positive rational c such that the polys divided by c have integer
-    coefficients with gcd 1 (at least one poly must be nonzero)."""
-    den = lcm(*(f.denominator for p in polys for f in p.coeffs))
-    num = gcd(*(f.numerator * (den // f.denominator)
-                for p in polys for f in p.coeffs))
-    return Fraction(num, den)
-
-
 def _normalize_bipoly(p: BiPoly) -> BiPoly:
     """Scale by a rational so coefficients are integer-primitive and the
     leading coefficient of lc_y is positive."""
     if p.is_zero():
         return p
-    scale = 1 / _rational_content(p.ycoeffs)
-    if p.lc_y.lc < 0:
-        scale = -scale
-    return p * scale
+    cs = joint_primitive(p.ycoeffs)
+    if p.lc_y.z[-1] < 0:
+        cs = [-c for c in cs]
+    return BiPoly(cs)
 
 
 def format_bipoly(p: BiPoly) -> str:
@@ -291,8 +289,9 @@ def format_bipoly(p: BiPoly) -> str:
         c = p.ycoeffs[j]
         if c.is_zero():
             continue
-        for i in range(len(c.coeffs) - 1, -1, -1):
-            f = c.coeffs[i]
+        cs = c.coeffs
+        for i in range(len(cs) - 1, -1, -1):
+            f = cs[i]
             if f == 0:
                 continue
             mag = abs(f)

@@ -236,28 +236,39 @@ def det_fraction_free(m: PolyMatrix) -> Poly:
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    scale = Fraction(1)
+    scale = 1
     zrows = []
     for i in range(m.rows):
-        zrow = []
-        for e in m.row(i):
-            z, den = e.clear_denominators()
-            zrow.append((z, den))
-        den_row = 1
-        for _, d in zrow:
-            den_row = lcm(den_row, d)
-        scale /= den_row
-        zrow = [zk.zp_scale(z, den_row // d) for z, d in zrow]
-        zrows.append(zrow)
+        row = m.row(i)
+        den_row = lcm(*[e.d for e in row])
+        scale *= den_row
+        zrows.append([zk.zp_scale(e.z, den_row // e.d) for e in row])
     det = _bareiss_z(zrows)
-    return Poly.from_z(det) * scale
+    return Poly.from_z(det, scale)
+
+
+# from this length on, _zp_eval splits pairwise instead of running Horner
+# (the crossover measured on CPython 3.11 lies between 300 and 400)
+_SPLIT_MIN_LEN = 400
 
 
 def _zp_eval(z, pt: int) -> int:
-    acc = 0
-    for c in reversed(z):
-        acc = acc * pt + c
-    return acc
+    """z(pt) in Z.  Horner is quadratic in the degree, because the
+    accumulator grows to the full size at every step; for long z, pairwise
+    binary splitting (v[2i] + v[2i+1]*p, then p <- p*p) keeps the operands
+    balanced and makes the cost quasi-linear."""
+    if len(z) < _SPLIT_MIN_LEN:
+        acc = 0
+        for c in reversed(z):
+            acc = acc * pt + c
+        return acc
+    v, p = z, pt
+    while len(v) > 1:
+        nxt = [a + b * p for a, b in zip(v[0::2], v[1::2])]
+        if len(v) & 1:
+            nxt.append(v[-1])
+        v, p = nxt, p * p
+    return v[0]
 
 
 def det_rational(R: RatMatrix) -> RatFun:
@@ -500,16 +511,8 @@ def rank(A: RatMatrix) -> int:
     cols, _ = _clear_columns(A)
     tracker = GaussTracker(A.rows)
     for col in cols:
-        zcol = []
-        dd = 1
-        cleared = []
-        for e in col:
-            z, den = e.clear_denominators()
-            cleared.append((z, den))
-            dd = lcm(dd, den)
-        for z, den in cleared:
-            zcol.append(zk.zp_scale(z, dd // den))
-        tracker.offer(zcol)
+        dd = lcm(*[e.d for e in col])
+        tracker.offer([zk.zp_scale(e.z, dd // e.d) for e in col])
     return tracker.rank
 
 

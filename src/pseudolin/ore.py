@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from pseudolin import _kernel as zk
-from pseudolin.poly import NEG_INF, Poly
+from pseudolin.poly import NEG_INF, Poly, joint_primitive
 from pseudolin.ratfun import RatFun, common_denominator
 
 GEN_DX = "Dx"
@@ -208,10 +208,8 @@ def _cleared_z(L: OrePoly):
     pairs = []
     scale = 1
     for c in L.coeffs:
-        zn, dn = c.num.clear_denominators()
-        zd, dd = c.den.clear_denominators()
-        pairs.append((zk.zp_scale(zn, dd), dn, zd))
-        scale = lcm(scale, dn)
+        pairs.append((zk.zp_scale(c.num.z, c.den.d), c.num.d, c.den.z))
+        scale = lcm(scale, c.num.d)
     dens = []
     for _, _, zd in pairs:
         if zd != [1] and zd not in dens:
@@ -289,19 +287,10 @@ def normalize_primitive(L: OrePoly) -> OrePoly:
     if L.is_zero():
         return L
     den = common_denominator(L.coeffs)
-    polys = [(c * den).num for c in L.coeffs]
-    d = 1
-    for p in polys:
-        for f in p.coeffs:
-            d = lcm(d, f.denominator)
-    g = 0
-    for p in polys:
-        for f in p.coeffs:
-            g = gcd(g, int(f * d))
-    scale = Fraction(d, g)
-    if polys[-1].lc < 0:
-        scale = -scale
-    return OrePoly(tuple(RatFun(p * scale) for p in polys), L.generator)
+    polys = joint_primitive([c.num * den.exact_div(c.den) for c in L.coeffs])
+    if polys[-1].z[-1] < 0:
+        polys = [-p for p in polys]
+    return OrePoly(tuple(RatFun(p) for p in polys), L.generator)
 
 
 def full_primitive(L: OrePoly) -> OrePoly:
@@ -337,10 +326,10 @@ def _euler_raw(L: OrePoly) -> OrePoly:
     x = Poly.x()
     out = [Poly() for _ in range(r + 1)]
     # falling factorial E(E-1)...(E-l+1) as integer coefficient lists in E
-    fall = [Fraction(1)]
+    fall = [1]
     for ell, p in enumerate(polys):
         if ell:
-            new = [Fraction(0)] * (len(fall) + 1)
+            new = [0] * (len(fall) + 1)
             for j, c in enumerate(fall):
                 new[j + 1] += c
                 new[j] -= c * (ell - 1)
@@ -405,15 +394,21 @@ def shift_operator(L: OrePoly, c) -> OrePoly:
 
 
 class TruncSeries:
-    """Truncated power series: coefficients c_0..c_N of x^0..x^N."""
+    """Truncated power series: coefficients c_0..c_N of x^0..x^N, stored
+    as integer numerators ``num`` over one positive denominator ``den``
+    with gcd(den, num) = 1, so equal series have equal fields."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs):
-        object.__setattr__(
-            self, "coeffs",
-            tuple(c if isinstance(c, Fraction) else Fraction(c)
-                  for c in coeffs))
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for c in coeffs]
+        # clearing reduced fractions by the lcm of their denominators
+        # leaves no common factor with it
+        den = lcm(*[c.denominator for c in cs])
+        object.__setattr__(self, "num", tuple(
+            c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -421,31 +416,40 @@ class TruncSeries:
     @property
     def order(self) -> int:
         """Truncation order N (coefficients are exact through x^N)."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
+        return Fraction(self.num[i], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __repr__(self):
         return f"TruncSeries({[str(c) for c in self.coeffs]})"
 
 
+def _series(num, den: int) -> TruncSeries:
+    """The series num/den for a list of ints and an int den > 0."""
+    g = gcd(den, *num)
+    out = object.__new__(TruncSeries)
+    object.__setattr__(out, "num", tuple(c // g for c in num))
+    object.__setattr__(out, "den", den // g)
+    return out
+
+
 def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     n = min(a.order, b.order)
-    out = [Fraction(0)] * (n + 1)
-    for i, ca in enumerate(a.coeffs[:n + 1]):
-        if ca:
-            for j, cb in enumerate(b.coeffs[:n + 1 - i]):
-                out[i + j] += ca * cb
-    return TruncSeries(out)
+    prod = zk.zp_mul(a.num[:n + 1], b.num[:n + 1])
+    return _series(prod[:n + 1], a.den * b.den)
 
 
 def series_solution(L: OrePoly, init, N: int) -> TruncSeries:
@@ -454,6 +458,11 @@ def series_solution(L: OrePoly, init, N: int) -> TruncSeries:
     init[j] is the j-th derivative at 0 for j < order(L), i.e. the series
     starts sum init[j]/j! x^j; 0 must be an ordinary point (the leading
     coefficient must not vanish there).
+
+    The recurrence runs on integer numerators over one common
+    denominator: the primitive form of L has integer coefficients, and
+    each new coefficient's divisor joins the common denominator, which
+    multiplies the numerators found so far.
     """
     if L.generator != GEN_DX:
         raise ValueError("expected a Dx-generator operator")
@@ -463,29 +472,41 @@ def series_solution(L: OrePoly, init, N: int) -> TruncSeries:
     r = prim.order
     if len(init) != r:
         raise ValueError(f"expected {r} initial derivatives")
-    polys = [c.num for c in prim.coeffs]
-    if polys[-1].eval(0) == 0:
+    polys = [c.num.z for c in prim.coeffs]  # integer: the form is primitive
+    lead0 = polys[-1][0]
+    if lead0 == 0:
         raise ValueError("0 is a singular point; shift the operator first")
-    c = [Fraction(0)] * (N + 1)
-    for j in range(min(r, N + 1)):
-        c[j] = Fraction(init[j]) / factorial(j)
-    lead0 = polys[-1].coeff(0)
+    first = [Fraction(init[j]) / factorial(j) for j in range(min(r, N + 1))]
+    den = lcm(*[f.denominator for f in first])
+    c = [f.numerator * (den // f.denominator) for f in first]
+    c += [0] * (N + 1 - len(c))
+    fall = [[_falling(m, j) for m in range(N + 1)] for j in range(r + 1)]
     for t in range(N + 1 - r):
-        s = Fraction(0)
+        # (t + r)! / t! lead0 c_(t+r) = -sum of the lower terms
+        s = 0
         for j, pj in enumerate(polys):
-            for k, pk in enumerate(pj.coeffs):
-                if pk == 0 or (j == r and k == 0):
-                    continue
+            fj = fall[j]
+            for k, pk in enumerate(pj):
                 m = t - k + j
-                if 0 <= m <= t + r - 1:
-                    s += pk * _falling(m, j) * c[m]
-        c[t + r] = -s / (lead0 * _falling(t + r, r))
-    return TruncSeries(c)
+                if pk and 0 <= m < t + r:
+                    s += pk * fj[m] * c[m]
+        q = lead0 * fall[r][t + r]
+        g = gcd(s, q)
+        s, q = s // g, q // g
+        if q < 0:
+            s, q = -s, -q
+        if q != 1:
+            for i in range(t + r):
+                c[i] *= q
+            den *= q
+        c[t + r] = -s
+    return _series(c, den)
 
 
 def series_apply(L: OrePoly, s: TruncSeries) -> TruncSeries:
     """Apply an operator to a truncated series; the result is exact through
-    x^(N - order) when s is exact through x^N."""
+    x^(N - order) when s is exact through x^N.  Runs on the integer
+    numerators of s, over its denominator."""
     prim = full_primitive(L)
     if prim.is_zero():
         return TruncSeries([0] * (s.order + 1))
@@ -493,19 +514,16 @@ def series_apply(L: OrePoly, s: TruncSeries) -> TruncSeries:
     if s.order < r:
         raise ValueError("series too short for the operator order")
     n_out = s.order - r
-    out = [Fraction(0)] * (n_out + 1)
-    d = list(s.coeffs)
+    out = [0] * (n_out + 1)
+    d = s.num
     for j, cf in enumerate(prim.coeffs):
         if j:
             d = [i * d[i] for i in range(1, len(d))]
-        pj = cf.num
-        for k, pk in enumerate(pj.coeffs):
-            if pk == 0:
-                continue
-            for i, di in enumerate(d):
-                if i + k <= n_out:
-                    out[i + k] += pk * di
-    return TruncSeries(out)
+        for k, pk in enumerate(cf.num.z):
+            if pk:
+                for i in range(n_out + 1 - k):
+                    out[i + k] += pk * d[i]
+    return _series(out, s.den)
 
 
 def _falling(m: int, j: int) -> int:

@@ -1,48 +1,75 @@
 """Exact univariate polynomials over Q.
 
-A :class:`Poly` stores a dense tuple of ``fractions.Fraction`` coefficients,
-index i holding the coefficient of x^i, with no trailing zeros.  The zero
-polynomial has an empty tuple and degree ``NEG_INF`` (``float("-inf")``),
-which compares strictly less than every integer, so degree-bound checks
-work uniformly.
+A :class:`Poly` is an integer polynomial over one positive denominator:
+``z / d`` with ``z`` a trimmed zpoly (a list of ints, index i holding the
+coefficient of x^i, see ``pseudolin._kernel``) and ``d > 0`` an int, kept
+in the canonical form gcd(content(z), d) = 1.  The form is unique, so
+equality and hashing compare ``(z, d)``.  The zero polynomial is
+``([], 1)``; its degree is ``NEG_INF`` (``float("-inf")``), which compares
+strictly less than every integer, so degree-bound checks work uniformly.
 
-Scalars throughout the package are ``fractions.Fraction``: it already is an
-arbitrary-precision reduced rational with positive denominator, so no extra
-wrapper type is needed.  Heavy operations (products, gcds, exact
-division, lcm and divisibility) clear denominators once, run in Z[x] on
-the integer kernels in ``pseudolin._kernel`` and rescale once.  The
-only division is the exact one, ``exact_div``.
+Every ring operation (``+``, ``-``, ``*``, powers, ``derivative``,
+``monic``, ``exact_div``, gcd, lcm, divisibility) runs on ints through the
+kernels in ``pseudolin._kernel``; none creates a ``fractions.Fraction``.
+Scalars throughout the package are ``Fraction`` (an arbitrary-precision
+reduced rational with positive denominator) or ``int``.  ``coeffs`` gives
+the coefficients as a read-only tuple of ``Fraction``, built on first use,
+for printing, parsing and reports.  The only division is the exact one,
+``exact_div``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from pseudolin import _kernel as zk
 
 NEG_INF = float("-inf")
 
 
-def _fr(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+def _check_scalar(value):
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(
+            f"expected int or Fraction, got {type(value).__name__}")
+    return value
+
+
+def _raw(z, d) -> Poly:
+    """Poly from a trimmed zpoly ``z`` and ``d > 0`` already canonical."""
+    p = object.__new__(Poly)
+    _set_z(p, z)
+    _set_d(p, d)
+    return p
+
+
+def _canon(z, d) -> Poly:
+    """Poly z/d from a trimmed zpoly and a nonzero int."""
+    if d < 0:
+        z, d = [-c for c in z], -d
+    if d != 1:
+        g = gcd(d, *z)
+        if g != 1:
+            z, d = [c // g for c in z], d // g
+    return _raw(z, d)
 
 
 class Poly:
-    """Dense univariate polynomial over Q."""
+    """Dense univariate polynomial over Q, stored as ``z / d``.
 
-    __slots__ = ("coeffs",)
+    ``z`` and ``d`` are read-only: other values may share the list ``z``.
+    """
+
+    __slots__ = ("z", "d", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [_fr(c) for c in coeffs]
-        n = len(cs)
-        while n and cs[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", tuple(cs[:n]))
+        cs = [_check_scalar(c) for c in coeffs]
+        # after clearing by the lcm of reduced denominators, no prime of d
+        # divides every numerator: (z, d) is canonical as it stands
+        d = lcm(*[c.denominator for c in cs])
+        z = zk.zp_trim([c.numerator * (d // c.denominator) for c in cs])
+        _set_z(self, z)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -51,49 +78,63 @@ class Poly:
 
     @staticmethod
     def zero() -> Poly:
-        return Poly()
+        return _raw([], 1)
 
     @staticmethod
     def one() -> Poly:
-        return Poly((1,))
+        return _raw([1], 1)
 
     @staticmethod
     def x() -> Poly:
-        return Poly((0, 1))
+        return _raw([0, 1], 1)
 
     @staticmethod
     def monomial(coeff, power: int) -> Poly:
-        c = _fr(coeff)
+        c = _check_scalar(coeff)
         if c == 0:
-            return Poly()
-        return Poly((0,) * power + (c,))
+            return _raw([], 1)
+        return _raw([0] * power + [c.numerator], c.denominator)
 
     @staticmethod
     def const(value) -> Poly:
-        return Poly((_fr(value),))
+        return Poly.monomial(value, 0)
 
     @staticmethod
     def from_z(zcoeffs, den=1) -> Poly:
-        """Build from integer coefficients divided by a common denominator."""
-        return Poly(tuple(Fraction(c, den) for c in zcoeffs))
+        """The polynomial zcoeffs/den for a list of ints and a nonzero
+        int.  The list is trimmed in place and kept, not copied, so it must
+        not change afterwards.  O(1) for a trimmed list when den is 1."""
+        return _canon(zk.zp_trim(zcoeffs), den)
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of ``Fraction`` (built once)."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            d = self.d
+            cs = tuple(Fraction(c, d) for c in self.z)
+            _set_coeffs(self, cs)
+            return cs
+
+    @property
     def degree(self):
         """Degree; ``NEG_INF`` for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.z) - 1 if self.z else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.z
 
     @property
     def lc(self) -> Fraction:
         """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.z[-1], self.d) if self.z else Fraction(0)
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        z = self.z
+        return Fraction(z[i], self.d) if 0 <= i < len(z) else Fraction(0)
 
     # -- ring operations -----------------------------------------------
 
@@ -101,13 +142,12 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        da, db = self.d, other.d
+        if da == db:
+            return _canon(zk.zp_add(self.z, other.z), da)
+        g = gcd(da, db)
+        return _canon(zk.zp_add(zk.zp_scale(self.z, db // g),
+                                zk.zp_scale(other.z, da // g)), da // g * db)
 
     __radd__ = __add__
 
@@ -124,96 +164,107 @@ class Poly:
         return other - self
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _raw(zk.zp_neg(self.z), self.d)
 
     def __mul__(self, other):
+        if isinstance(other, Poly):
+            if not self.z or not other.z:
+                return _raw([], 1)
+            return _canon(zk.zp_mul(self.z, other.z), self.d * other.d)
         if isinstance(other, (int, Fraction)):
-            k = _fr(other)
-            if k == 0:
-                return Poly()
-            return Poly(tuple(c * k for c in self.coeffs))
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        if len(self.coeffs) + len(other.coeffs) <= 16:
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, ca in enumerate(self.coeffs):
-                if ca:
-                    for j, cb in enumerate(other.coeffs):
-                        out[i + j] += ca * cb
-            return Poly(out)
-        za, da = self.clear_denominators()
-        zb, db = other.clear_denominators()
-        return Poly.from_z(zk.zp_mul(za, zb), da * db)
+            if not other or not self.z:
+                return _raw([], 1)
+            # k = n/m with gcd(n, m) = 1 and gcd(content(z), d) = 1:
+            # only gcd(n, d) and gcd(content(z), m) can cancel
+            n, m = other.numerator, other.denominator
+            g = gcd(n, self.d)
+            z = zk.zp_scale(self.z, n // g)
+            if m == 1:
+                return _raw(z, self.d // g)
+            return _canon(z, self.d // g * m)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
+        """Powers by repeated squaring in Z[x]; (z^n, d^n) is canonical
+        because gcd(content(z)^n, d^n) = 1."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        out, base, k = [1], self.z, n
+        while k:
+            if k & 1:
+                out = zk.zp_mul(out, base)
+            if k > 1:
+                base = zk.zp_mul(base, base)
+            k >>= 1
+        return _raw(out, self.d**n)
 
     def exact_div(self, other) -> Poly:
         """Quotient self/other, raising ValueError when not exact.
 
-        Runs in Z[x]: with self = za/da and other = zb/db cleared, the
-        quotient is (db/da) * (za/zb), and za/zb is an exact division of
-        primitive parts (Gauss's lemma).
+        Runs in Z[x]: with self = za/da and other = zb/db, the quotient
+        is (db/da) * (za/zb), and za/zb = q * ca/cb is an exact division
+        of primitive parts (Gauss's lemma) with q primitive, so one gcd
+        of the scalars puts the result in canonical form.
         """
         other = _coerce(other)
         if other is NotImplemented:
             raise TypeError("exact_div needs a Poly, int or Fraction")
-        za, da = self.clear_denominators()
-        zb, db = other.clear_denominators()
-        q, num, den = zk._divexact_q(za, zb)
-        num *= db
-        return Poly.from_z([c * num for c in q], den * da)
+        q, num, den = zk._divexact_q(self.z, other.z)
+        if not q:
+            return _raw([], 1)
+        num *= other.d
+        den *= self.d
+        g = gcd(num, den)
+        return _raw(zk.zp_scale(q, num // g), den // g)
 
     # -- calculus and evaluation ----------------------------------------
 
     def derivative(self) -> Poly:
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _canon(zk.zp_deriv(self.z), self.d)
 
     def eval(self, point) -> Fraction:
-        p = _fr(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
+        """Value at an int or Fraction point, as a Fraction."""
+        p = _check_scalar(point)
+        if not self.z:
+            return Fraction(0)
+        n, m = p.numerator, p.denominator
+        acc, mp = 0, 1
+        for c in reversed(self.z):
+            acc = acc * n + c * mp
+            mp *= m
+        # acc = m^deg * z(n/m) and mp = m^(deg + 1)
+        return Fraction(acc, self.d * (mp // m))
 
     def compose(self, inner: Poly) -> Poly:
-        """Substitute ``inner`` for x (Horner over Poly)."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c)
-        return acc
+        """Substitute ``inner`` for x: Horner in Z[x] on the numerators,
+        sum z_k zi^k di^(n-k) over d * di^n for inner = zi/di."""
+        zi, di = inner.z, inner.d
+        acc, pw = [], 1
+        for c in reversed(self.z):
+            acc = zk.zp_add(zk.zp_mul(acc, zi), [c * pw] if c else [])
+            pw *= di
+        # pw = di^(n+1) after n+1 steps; the result is over d * di^n
+        return _canon(acc, self.d * (pw // di)) if acc else _raw([], 1)
 
     def shift(self, c) -> Poly:
         """Return p(x + c)."""
-        return self.compose(Poly((_fr(c), Fraction(1))))
+        c = _check_scalar(c)
+        return self.compose(_raw([c.numerator, c.denominator],
+                                 c.denominator))
 
     # -- normal forms ----------------------------------------------------
 
     def monic(self) -> Poly:
-        if self.is_zero():
+        z = self.z
+        if not z:
             return self
-        inv = 1 / self.lc
-        return Poly(tuple(c * inv for c in self.coeffs))
-
-    def clear_denominators(self):
-        """Return (zpoly, den) with den > 0 and self == zpoly/den."""
-        cs = self.coeffs
-        den = lcm(*[c.denominator for c in cs])
-        return [c.numerator * (den // c.denominator) for c in cs], den
+        # z / lc(z): dividing z and lc(z) by content(z) makes it canonical
+        c = gcd(*z)
+        if z[-1] < 0:
+            c = -c
+        return _raw([e // c for e in z] if c != 1 else z, z[-1] // c)
 
     # -- comparison / hashing / display -----------------------------------
 
@@ -222,19 +273,24 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.d == other.d and self.z == other.z
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.d, *self.z))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.z)
 
     def __str__(self):
         return format_poly(self)
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
+
+
+_set_z = Poly.z.__set__
+_set_d = Poly.d.__set__
+_set_coeffs = Poly._coeffs.__set__
 
 
 def _coerce(value):
@@ -245,13 +301,24 @@ def _coerce(value):
     return NotImplemented
 
 
+def joint_primitive(polys) -> list:
+    """The integer polynomials c*p, for the one positive rational c that
+    makes them jointly primitive (gcd of all coefficients 1).  At least
+    one of the polys must be nonzero."""
+    den = lcm(*[p.d for p in polys])
+    zs = [zk.zp_scale(p.z, den // p.d) for p in polys]
+    g = gcd(*[c for z in zs for c in z])
+    return [_raw([c // g for c in z] if g != 1 else z, 1) for z in zs]
+
+
 def format_poly(p: Poly, var: str = "x") -> str:
     """Render with descending powers, explicit '*', e.g. ``x^2 - 2*x + 2``."""
     if p.is_zero():
         return "0"
     parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
+    cs = p.coeffs
+    for i in range(len(cs) - 1, -1, -1):
+        c = cs[i]
         if c == 0:
             continue
         mag = abs(c)
@@ -271,28 +338,25 @@ def format_poly(p: Poly, var: str = "x") -> str:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q; gcd(0, 0) = 0."""
     if a.is_zero() and b.is_zero():
-        return Poly()
-    za, _ = a.clear_denominators()
-    zb, _ = b.clear_denominators()
-    g = zk.zp_gcd(za, zb)
-    return Poly.from_z(g, g[-1])
+        return _raw([], 1)
+    # zp_gcd is primitive with a positive leading coefficient, so g/lc(g)
+    # is canonical as it stands
+    g = zk.zp_gcd(a.z, b.z)
+    return _raw(g, g[-1])
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     """Monic lcm over Q; lcm with 0 is 0."""
     if a.is_zero() or b.is_zero():
-        return Poly()
-    za, _ = a.clear_denominators()
-    zb, _ = b.clear_denominators()
+        return _raw([], 1)
+    za, zb = a.z, b.z
     # the primitive gcd divides za exactly in Z[x] (Gauss's lemma)
     m = zk.zp_mul(zk.zp_divexact(za, zk.zp_gcd(za, zb)), zb)
-    return Poly.from_z(m, m[-1])
+    return _canon(m, m[-1])
 
 
 def poly_divides(a: Poly, b: Poly) -> bool:
     """True when a divides b over Q[x]."""
     if a.is_zero():
         return b.is_zero()
-    za, _ = a.clear_denominators()
-    zb, _ = b.clear_denominators()
-    return zk.zp_divides(za, zb)
+    return zk.zp_divides(a.z, b.z)

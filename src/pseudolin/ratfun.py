@@ -4,7 +4,7 @@ A :class:`RatFun` keeps ``num/den`` with ``gcd(num, den) = 1`` and a monic
 denominator; zero is ``0/1``.  Construction always normalizes, so every
 value in circulation is reduced.  Normalisation takes ``poly_gcd`` (itself
 computed in Z[x]); when the gcd is nontrivial or ``den`` is not monic, it
-clears the denominators of ``num`` and ``den`` once, cancels the gcd with
+cancels the gcd from the integer numerators of ``num`` and ``den`` with
 exact Z[x] divisions and rebuilds both sides once, with the scale that
 makes ``den`` monic folded in.
 """
@@ -16,6 +16,7 @@ from fractions import Fraction
 from pseudolin import _kernel as zk
 from pseudolin.poly import NEG_INF, Poly, format_poly, poly_gcd, poly_lcm
 
+_ZERO = Poly.zero()
 _ONE = Poly.one()
 
 
@@ -38,24 +39,23 @@ class RatFun:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = Poly(), Poly.one()
+            num, den = _ZERO, _ONE
         else:
             # num/den = (za/dn)/(zb/dd) = (za*dd)/(zb*dn): cancel the gcd
             # in Z[x], then divide both sides by lc(zb)*dn to make den
             # monic; a reduced pair with monic den is kept as it is
             g = (poly_gcd(num, den) if num.degree > 0 and den.degree > 0
                  else _ONE)
-            if g.degree > 0 or den.lc != 1:
-                za, dn = num.clear_denominators()
-                zb, dd = den.clear_denominators()
+            if g.degree > 0 or den.z[-1] != den.d:
+                za, dn = num.z, num.d
+                zb, dd = den.z, den.d
                 if g.degree > 0:
-                    # clearing a monic polynomial leaves it primitive, so
-                    # it divides za and zb exactly in Z[x] (Gauss's lemma)
-                    zg, _ = g.clear_denominators()
-                    za = zk.zp_divexact(za, zg)
-                    zb = zk.zp_divexact(zb, zg)
+                    # a monic polynomial's numerator is primitive, so it
+                    # divides za and zb exactly in Z[x] (Gauss's lemma)
+                    za = zk.zp_divexact(za, g.z)
+                    zb = zk.zp_divexact(zb, g.z)
                 lead = zb[-1]
-                num = Poly.from_z([c * dd for c in za], lead * dn)
+                num = Poly.from_z(zk.zp_scale(za, dd), lead * dn)
                 den = Poly.from_z(zb, lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -83,7 +83,7 @@ class RatFun:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den == Poly.one()
+        return self.den == _ONE
 
     def is_strictly_proper(self) -> bool:
         """deg num < deg den (vacuously true for 0)."""
@@ -172,7 +172,7 @@ class RatFun:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RatFun", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFun", self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -182,9 +182,9 @@ class RatFun:
             return format_poly(self.num)
         num = format_poly(self.num)
         den = format_poly(self.den)
-        if len(self.num.coeffs) > 1 or "/" in num:
+        if len(self.num.z) > 1 or "/" in num:
             num = f"({num})"
-        if len(self.den.coeffs) > 1 or "/" in den:
+        if len(self.den.z) > 1 or "/" in den:
             den = f"({den})"
         return f"{num}/{den}"
 

@@ -30,14 +30,14 @@ with a realisation T = W + X M^-1 Y, in terms of deg det M) and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix,
                               det_denominator, det_fraction_free,
                               solve_rational, zvec_content)
-from pseudolin.poly import NEG_INF, Poly, poly_divides, poly_lcm
+from pseudolin.poly import (NEG_INF, Poly, joint_primitive, poly_divides,
+                            poly_lcm)
 from pseudolin.ratfun import RatFun, common_denominator
 
 
@@ -194,15 +194,9 @@ def _clear_map(pmap: PseudoLinearMap):
     den_q = common_denominator(pmap.T.entries)
     N_q = [[(pmap.T.entry(i, j) * den_q).num for j in range(pmap.n)]
            for i in range(pmap.n)]
-    scale = 1
-    for c in den_q.coeffs:
-        scale = lcm(scale, c.denominator)
-    for row in N_q:
-        for p in row:
-            for c in p.coeffs:
-                scale = lcm(scale, c.denominator)
-    den_z = [int(c * scale) for c in den_q.coeffs]
-    N_z = [[[int(c * scale) for c in p.coeffs] for p in row] for row in N_q]
+    scale = lcm(den_q.d, *[p.d for row in N_q for p in row])
+    den_z = zk.zp_scale(den_q.z, scale // den_q.d)
+    N_z = [[zk.zp_scale(p.z, scale // p.d) for p in row] for row in N_q]
     return den_z, N_z
 
 
@@ -237,11 +231,8 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
     denp_z = zk.zp_deriv(den_z)
     den_zp, _ = zk.zp_primitive(den_z)
 
-    sa = 1
-    for c in a:
-        for f in c.coeffs:
-            sa = lcm(sa, f.denominator)
-    b = [[int(f * sa) for f in c.coeffs] for c in a]
+    sa = lcm(*[c.d for c in a])
+    b = [zk.zp_scale(c.z, sa // c.d) for c in a]
 
     tracker = GaussTracker(n, den_zp)
     ncoord = n + 1
@@ -279,25 +270,16 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
         ell = poly_lcm(ell, v.den)
     eta = [v.num * ell.exact_div(v.den) for v in nu] + [ell]
 
-    d = 1
-    for p in eta:
-        for f in p.coeffs:
-            d = lcm(d, f.denominator)
-    g = 0
-    for p in eta:
-        for f in p.coeffs:
-            g = gcd(g, int(f * d))
-    scale = Fraction(d, g)
-    if eta[-1].lc * scale < 0:
-        scale = -scale
-    return Relation(rho, tuple(p * scale for p in eta))
+    eta = joint_primitive(eta)
+    if eta[-1].z[-1] < 0:
+        eta = [-p for p in eta]
+    return Relation(rho, tuple(eta))
 
 
 def _joint_clear(polys):
     """Integer zpolys s*p for one common scale s > 0 over all of polys."""
-    s = lcm(1, *[c.denominator for p in polys for c in p.coeffs])
-    return [[c.numerator * (s // c.denominator) for c in p.coeffs]
-            for p in polys]
+    s = lcm(*[p.d for p in polys])
+    return [zk.zp_scale(p.z, s // p.d) for p in polys]
 
 
 def verify_relation(pmap: PseudoLinearMap, a, rel: Relation) -> bool:

@@ -7,9 +7,11 @@ exhaustive minor enumeration with recursive cofactor determinants, and the
 relation via Cramer's rule on an explicitly located nonsingular square
 subsystem.  No elimination, no integer kernels.
 
-The division references work on Fraction coefficients: ``poly_divmod``
-is schoolbook long division in Q[x], and ``ratfun_y_ext_gcd`` is the
-extended Euclidean algorithm in Q(x)[y] on lists of RatFun coefficients.
+The ``fl_*`` functions are the ring operations of Q[x] on plain lists of
+Fraction coefficients, the reference for the integer-backed ``Poly``;
+``poly_divmod`` is schoolbook long division in Q[x] on top of them, and
+``ratfun_y_ext_gcd`` is the extended Euclidean algorithm in Q(x)[y] on
+lists of RatFun coefficients.
 """
 
 from fractions import Fraction
@@ -115,22 +117,82 @@ def oracle_min_relation(pmap, a) -> Relation:
     return Relation(rho, tuple(p * scale for p in eta))
 
 
+# Q[x] as lists of Fraction coefficients, index i holding the coefficient
+# of x^i, with no trailing zero (the zero polynomial is []): the reference
+# for Poly's integer-backed ring operations.
+
+def fl_trim(a):
+    a = [Fraction(c) for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def fl_add(a, b):
+    n = max(len(a), len(b))
+    return fl_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                    for i in range(n)])
+
+
+def fl_neg(a):
+    return [-c for c in a]
+
+
+def fl_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return fl_trim(out)
+
+
+def fl_deriv(a):
+    return fl_trim([i * a[i] for i in range(1, len(a))])
+
+
+def fl_monic(a):
+    return [c / a[-1] for c in a] if a else []
+
+
+def fl_compose(a, inner):
+    """a(inner) by Horner."""
+    acc = []
+    for c in reversed(a):
+        acc = fl_add(fl_mul(acc, inner), [c])
+    return acc
+
+
+def fl_eval(a, point):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * point + c
+    return acc
+
+
+def fl_divmod(a, b):
+    """(q, r) with a = q*b + r and deg r < deg b, by long division."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) - 1 < db:
+        return [], fl_trim(rem)
+    q = [Fraction(0)] * (len(rem) - db)
+    for k in range(len(rem) - 1 - db, -1, -1):
+        c = rem[db + k] / b[-1]
+        q[k] = c
+        for i, bc in enumerate(b):
+            rem[i + k] -= c * bc
+    return fl_trim(q), fl_trim(rem[:db])
+
+
 def poly_divmod(a: Poly, b: Poly):
     """(q, r) with a = q*b + r and deg r < deg b, by long division over
     Fraction coefficients."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    db = len(b.coeffs) - 1
-    if len(rem) - 1 < db:
-        return Poly(), a
-    q = [Fraction(0)] * (len(rem) - db)
-    for k in range(len(rem) - 1 - db, -1, -1):
-        c = rem[db + k] / b.coeffs[-1]
-        q[k] = c
-        for i, bc in enumerate(b.coeffs):
-            rem[i + k] -= c * bc
-    return Poly(q), Poly(rem[:db])
+    q, r = fl_divmod(list(a.coeffs), list(b.coeffs))
+    return Poly(q), Poly(r)
 
 
 # Elements of Q(x)[y] as lists of RatFun, index j holding the coefficient

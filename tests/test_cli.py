@@ -1,10 +1,15 @@
 """Golden-file CLI behavior: dispatch, JSON schema, determinism, CSV."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import pseudolin
 from pseudolin.cli import main
 from pseudolin.reports import CSV_HEADER, load_schema
 
@@ -209,3 +214,39 @@ def test_bounds_table_csv(tmp_path, capsys):
             assert int(fields[5]) == int(fields[4]) - int(fields[3])
             if fields[6] == "true":
                 assert int(fields[5]) >= 0   # no negative slack when asserted
+
+
+HASH_ORDER_CASES = [
+    ["telescoper", "--f=(x*y+1)/(y^3-x*y+2)", "--certificate"],
+    ["resolvent", "--poly=y^3+x*y-x^2"],
+    ["lclm", "--op=x*Dx^2-Dx+x", "--op=(x+1)*Dx-2", "--seed", "3"],
+    ["symprod", "--op=x*Dx^2-Dx+x", "--op=(x+1)*Dx-2", "--seed", "3"],
+]
+
+
+def _run_with_hash_seed(argv, hash_seed, report):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudolin.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudolin", *argv, "--json", str(report)],
+        capture_output=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+    # the wall time is the one field that may differ between runs
+    text = re.sub(rb'"wall_ms": [-+0-9.eE]+', b'"wall_ms": 0',
+                  report.read_bytes())
+    return proc.stdout, text
+
+
+@pytest.mark.parametrize("argv", HASH_ORDER_CASES,
+                         ids=[case[0] for case in HASH_ORDER_CASES])
+def test_output_independent_of_hash_seed(tmp_path, argv):
+    """Printed output and the JSON report do not depend on the order of
+    set or dict iteration over hashed objects (Poly, RatFun, BiPoly,
+    strings): two interpreters with different PYTHONHASHSEED values give
+    the same bytes."""
+    out0, rep0 = _run_with_hash_seed(argv, 0, tmp_path / "a.json")
+    out1, rep1 = _run_with_hash_seed(argv, 12345, tmp_path / "b.json")
+    assert b"verified: true" in out0
+    assert out0 == out1
+    assert rep0 == rep1

@@ -1,6 +1,7 @@
 """LCLM and symmetric products: construction, closed forms, bounds."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -190,3 +191,48 @@ def test_bound_asymptotic_envelopes():
 def test_ordinary_shift():
     assert ordinary_shift([XD1], XD2) == 1     # x = 0 is singular for both
     assert ordinary_shift([D1], D1) == 0
+
+
+def test_closures_match_sympy_holonomic():
+    """lclm and symprod against sympy.holonomic's annihilators of f + g
+    and f * g on seeded operator pairs of order <= 2.  Any annihilator A
+    of all f + g (or all f * g) is a left multiple of the minimal one, so
+    our L right-divides A and order(A) >= order(L); at equal orders A and
+    L agree up to a factor in Q(x)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.holonomic import DifferentialOperators, HolonomicFunction
+
+    from pseudolin.ore import GEN_DX, full_primitive, is_right_multiple
+    X = sympy.symbols("x")
+    ring, DX = DifferentialOperators(sympy.QQ.old_poly_ring(X), "Dx")
+
+    def to_sympy(L):
+        prim = full_primitive(L)
+        return sum((sum(sympy.Rational(f.numerator, f.denominator) * X**i
+                        for i, f in enumerate(c.num.coeffs)) * DX**j
+                    for j, c in enumerate(prim.coeffs)), 0 * DX)
+
+    def from_sympy(A):
+        coeffs = []
+        for p in A.listofpoly:
+            cs = sympy.Poly(ring.base.to_sympy(p), X).all_coeffs()[::-1]
+            coeffs.append(RatFun(Poly([Fraction(int(c.p), int(c.q))
+                                       for c in cs])))
+        return OrePoly(coeffs, GEN_DX)
+
+    rng = random.Random(61)
+    equal_orders = 0
+    for _ in range(10):
+        ops = [rand_operator(rng, rng.randint(1, 2), rng.randint(1, 2),
+                             regular_infinity=True) for _ in range(2)]
+        f, g = (HolonomicFunction(to_sympy(L), X) for L in ops)
+        for A, L in ((from_sympy((f + g).annihilator),
+                      lclm(build_lclm(ops))),
+                     (from_sympy((f * g).annihilator),
+                      symprod(build_symprod(ops)))):
+            assert A.order >= L.order
+            assert is_right_multiple(A, L)
+            if A.order == L.order:
+                assert full_primitive(A) == full_primitive(L)
+                equal_orders += 1
+    assert equal_orders >= 15

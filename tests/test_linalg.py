@@ -9,7 +9,8 @@ from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, companion,
                               det_denominator, det_fraction_free,
                               det_rational, invert, kronecker, rank,
-                              solve_rational, _PT)
+                              solve_rational, _PT, _SPLIT_MIN_LEN,
+                              _zp_eval)
 from pseudolin.poly import Poly, poly_divides, poly_gcd
 from pseudolin.ratfun import RatFun
 from test_poly import rand_poly
@@ -31,6 +32,29 @@ def test_det_examples():
     # 3x3 Sylvester matrix of (y^2 + x, 2y) matches the resultant oracle
     syl = PolyMatrix.from_rows([[1, 0, x], [2, 0, 0], [0, 2, 0]])
     assert det_fraction_free(syl) == Poly([0, 4])
+
+
+def _horner(z, pt):
+    acc = 0
+    for c in reversed(z):
+        acc = acc * pt + c
+    return acc
+
+
+def test_zp_eval_binary_splitting_matches_horner():
+    """Above _SPLIT_MIN_LEN, _zp_eval splits pairwise; it must agree with
+    plain Horner at _PT on every length, odd and even, on both sides of
+    the threshold."""
+    rng = random.Random(41)
+    lengths = [0, 1, 2, 3, 10, 150, _SPLIT_MIN_LEN - 1, _SPLIT_MIN_LEN,
+               _SPLIT_MIN_LEN + 1, 1001, 2048, 5001]
+    for n in lengths:
+        for bits in (3, 64, 400):
+            z = [rng.randint(-2**bits, 2**bits) for _ in range(n)]
+            if z:
+                z[-1] = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+            assert _zp_eval(z, _PT) == _horner(z, _PT)
+            assert _zp_eval(z, -3) == _horner(z, -3)
 
 
 def test_det_requires_square():

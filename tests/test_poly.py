@@ -1,14 +1,17 @@
 """Poly arithmetic, gcd and normal forms."""
 
+import fractions
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from pseudolin.poly import (NEG_INF, Poly, format_poly, poly_divides,
                             poly_gcd, poly_lcm)
 
-from _oracle import poly_divmod
+from _oracle import (fl_add, fl_compose, fl_deriv, fl_divmod, fl_eval,
+                     fl_monic, fl_mul, fl_neg, fl_trim, poly_divmod)
 
 x = Poly.x()
 
@@ -149,3 +152,96 @@ def test_format():
     assert format_poly(Poly()) == "0"
     assert format_poly(-x) == "-x"
     assert format_poly(Poly([Fraction(1, 2)])) == "1/2"
+
+
+def assert_canonical(p):
+    """Poly's invariants: z a trimmed list of ints, d > 0 an int,
+    gcd(content(z), d) = 1, and zero stored as ([], 1)."""
+    assert isinstance(p.z, list) and isinstance(p.d, int)
+    assert all(type(c) is int for c in p.z)
+    assert p.d > 0
+    if not p.z:
+        assert p.d == 1
+        return
+    assert p.z[-1] != 0
+    assert gcd(p.d, *p.z) == 1
+
+
+def rand_scalar(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-6, 6)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+
+
+def test_ring_ops_match_fraction_reference():
+    """Every ring operation and composition gives a canonical (z, d)
+    whose coefficients match the Fraction-list reference of ``_oracle``."""
+    rng = random.Random(91)
+    for _ in range(300):
+        a, b = rand_q_poly(rng, 6), rand_q_poly(rng, 6)
+        k = rand_scalar(rng)
+        fa, fb = list(a.coeffs), list(b.coeffs)
+        cases = [(a + b, fl_add(fa, fb)), (a - b, fl_add(fa, fl_neg(fb))),
+                 (-a, fl_neg(fa)), (a * b, fl_mul(fa, fb)),
+                 (a * k, fl_mul(fa, [Fraction(k)] if k else [])),
+                 (k * a, fl_mul(fa, [Fraction(k)] if k else [])),
+                 (a + k, fl_add(fa, [Fraction(k)] if k else [])),
+                 (a**3, fl_mul(fa, fl_mul(fa, fa))),
+                 (a.derivative(), fl_deriv(fa)), (a.monic(), fl_monic(fa)),
+                 (a.compose(b), fl_compose(fa, fb)),
+                 (a.shift(k), fl_compose(fa, fl_trim([k, 1])))]
+        if not b.is_zero():
+            c = a * b
+            cases.append((c.exact_div(b), fl_divmod(list(c.coeffs), fb)[0]))
+        for got, want in cases:
+            assert_canonical(got)
+            assert list(got.coeffs) == want
+        pt = rand_scalar(rng)
+        assert a.eval(pt) == fl_eval(fa, Fraction(pt))
+
+
+def test_coeffs_round_trip():
+    rng = random.Random(92)
+    for _ in range(200):
+        p = rand_q_poly(rng, 8, 50)
+        assert_canonical(p)
+        q = Poly(p.coeffs)
+        assert (q.z, q.d) == (p.z, p.d) and q == p
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert hash(q) == hash(p)
+
+
+def test_from_z_canonical_form():
+    p = Poly.from_z([2, -4, 6], -4)
+    assert (p.z, p.d) == ([-1, 2, -3], 2)
+    assert p == Poly([Fraction(-1, 2), 1, Fraction(-3, 2)])
+    zero = Poly.from_z([0, 0], 7)
+    assert (zero.z, zero.d) == ([], 1) and zero == Poly()
+    for p in (Poly(), Poly([0, 0]), x - x, x * 0, Poly.const(Fraction(0))):
+        assert (p.z, p.d) == ([], 1)
+    assert Poly([Fraction(3, 6), 1]).d == 2
+
+
+def test_ring_ops_create_no_fraction(monkeypatch):
+    """+, -, *, powers, derivative, monic, exact_div, gcd, lcm,
+    divisibility, composition, == and hash run on ints only."""
+    rng = random.Random(93)
+    pairs = [(rand_q_poly(rng, 5), rand_q_poly(rng, 5)) for _ in range(40)]
+    scalars = [rand_scalar(rng) for _ in range(40)]
+    created = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    for (a, b), k in zip(pairs, scalars):
+        c = a * b
+        _ = (a + b, a - b, -a, a * k, k * a, a + k, a**2, a.derivative(),
+             a.monic(), poly_gcd(a, b), poly_lcm(a, b), poly_divides(a, c),
+             a.compose(b), a == b, a == k, hash(a))
+        if not b.is_zero():
+            _ = c.exact_div(b)
+    monkeypatch.undo()
+    assert created == []

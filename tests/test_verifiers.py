@@ -7,10 +7,13 @@ none of the mutants is a valid relation: eta_0 + x adds x*a != 0, the
 middle coefficient adds theta^k(a) with k < rho, and a shorter relation
 would contradict the minimal order.
 
-``verify_lclm`` and ``verify_symprod`` must also reject a fourth mutant,
-one lower coefficient scaled by a non-unit: L + (s - 1) c_k Dx^k with
-c_k != 0 and k < order(L) is no left multiple of L, since c_k Dx^k has
-the lower order.
+Every verifier must also reject a fourth mutant, one lower coefficient
+scaled by a non-unit s (2, -3 or x): L + (s - 1) c_k Dx^k with c_k != 0
+and k < order(L) is no left multiple of L, since c_k Dx^k has the lower
+order; for a relation, (s - 1) eta_k theta^k(a) with k < rho is nonzero
+because the first rho iterates are independent.  For the telescoper and
+the resolvent the same minimality argument applies: the mutant passes
+only if the lower-order c_k Dx^k is itself a telescoper or annihilator.
 
 ``verify_relation`` is also compared with a reference that recomputes the
 theta-iterates as reduced RatFun vectors (``theta_iterates``), and the
@@ -91,6 +94,20 @@ def scaled_mutant(L, rng, unit):
     return OrePoly(cs, L.generator)
 
 
+def scaled_relation(rel, rng, unit):
+    """rel with one nonzero eta_k, k < rho, scaled by unit."""
+    ks = [k for k in range(rel.rho) if not rel.eta[k].is_zero()]
+    eta = list(rel.eta)
+    k = rng.choice(ks)
+    eta[k] = eta[k] * unit
+    return Relation(rel.rho, tuple(eta))
+
+
+# the non-units of the scaled mutants, as polynomials and as coefficients
+POLY_UNITS = (Poly.const(2), Poly.const(-3), X)
+RATFUN_UNITS = tuple(RatFun(u) for u in POLY_UNITS)
+
+
 def test_mutants_of_a_known_relation():
     # theta = d/dx + 1/x on a = 1 gives theta(a) = 1/x, so the minimal
     # relation is x*theta(a) - a = 0
@@ -118,6 +135,24 @@ def test_relation_mutants_rejected(seed):
             assert not verify_relation(pmap, a, m)
 
 
+def test_relation_mutants_with_scaled_coefficient_rejected():
+    rng = random.Random(1010)
+    checked = 0
+    for k in range(9):
+        n = 1 + k % 3
+        pmap = rand_map(rng, n, num_deg=2, den_deg=2)
+        a = rand_vector(rng, n, 2)
+        rel = solve_min_relation(pmap, a)
+        assert verify_relation(pmap, a, rel)
+        if not any(not e.is_zero() for e in rel.eta[:rel.rho]):
+            continue
+        for unit in POLY_UNITS:
+            assert not verify_relation(pmap, a, scaled_relation(rel, rng,
+                                                                unit))
+            checked += 1
+    assert checked >= 18
+
+
 def test_telescoper_mutants_rejected():
     rng = random.Random(21)
     checked = 0
@@ -132,6 +167,22 @@ def test_telescoper_mutants_rejected():
     assert checked == 12
 
 
+def test_telescoper_mutants_with_scaled_coefficient_rejected():
+    rng = random.Random(26)
+    checked = 0
+    for dx, dy in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        p, q = rand_hermite_input(rng, dx, dy, generic=True)
+        inst = build_hermite(p, q)
+        L, _ = telescoper(inst)
+        assert verify_telescoper(inst, L)
+        if all(L.coeff(j).is_zero() for j in range(L.order)):
+            continue
+        for unit in RATFUN_UNITS:
+            assert not verify_telescoper(inst, scaled_mutant(L, rng, unit))
+            checked += 1
+    assert checked >= 9
+
+
 def test_resolvent_mutants_rejected():
     rng = random.Random(22)
     checked = 0
@@ -144,6 +195,22 @@ def test_resolvent_mutants_rejected():
             assert not verify_resolvent(inst, m)
             checked += 1
     assert checked == 9
+
+
+def test_resolvent_mutants_with_scaled_coefficient_rejected():
+    rng = random.Random(27)
+    checked = 0
+    for dx, dy in ((1, 2), (2, 2), (1, 3)):
+        P = rand_algebraic_input(rng, dx, dy, generic=True)
+        inst = build_algebraic(P)
+        L = resolvent(inst)
+        assert verify_resolvent(inst, L)
+        if all(L.coeff(j).is_zero() for j in range(L.order)):
+            continue
+        for unit in RATFUN_UNITS:
+            assert not verify_resolvent(inst, scaled_mutant(L, rng, unit))
+            checked += 1
+    assert checked >= 6
 
 
 def test_lclm_mutants_rejected():

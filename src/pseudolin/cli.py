@@ -418,8 +418,21 @@ def _cmd_check_props(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later one.  parse_args keeps no state between calls: each starts from
+    a fresh namespace, and ``append`` options start from a new list."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "telescoper":
             return _cmd_telescoper(args)

@@ -386,18 +386,28 @@ def _strip_poly_content(vec, evals):
     zpoly vector, with ``evals`` the entries' values at ``_PT``.
 
     A common polynomial factor g forces g(pt) to divide every evaluation,
-    so when the evaluations are coprime there is nothing to strip.  The
-    content takes one gcd per vector: the gcd of the first nonzero entry
-    with an odd-weighted sum of the others is a multiple of the content,
-    and equal to it when it divides every entry, which the strip's own
-    divisions check.  Only when one of them fails does the chain of
-    pairwise gcds run.
+    so when the evaluations are coprime there is nothing to strip.  This
+    guard only ever skips a strip, so it may serve elimination, where
+    vectors are defined up to a scalar, but never a canonical form.
     """
     g = 0
     for e in evals:
         g = gcd(g, e)
         if g == 1:
             return [1], vec
+    return _strip_exact_poly_content(vec)
+
+
+def _strip_exact_poly_content(vec):
+    """(g, vec/g) for g the polynomial content of an integer-primitive
+    zpoly vector, from exact gcds only.
+
+    The content takes one gcd per vector: the gcd of the first nonzero
+    entry with an odd-weighted sum of the others is a multiple of the
+    content, and equal to it when it divides every entry, which the
+    strip's own divisions check.  Only when one of them fails does the
+    chain of pairwise gcds run.
+    """
     live = [z for z in vec if z]
     # a nonzero constant entry leaves no polynomial content
     if not live or any(len(z) == 1 for z in live):
@@ -422,13 +432,22 @@ def _strip_poly_content(vec, evals):
     return g, [zk.zp_divexact(z, g) if z else z for z in vec]
 
 
-def zvec_content(vec):
+def zvec_content(vec, guard=True):
     """(g, vec/g) for g the content of a zpoly vector in Z[x]: its integer
-    content times its polynomial content (g = [1] for the zero vector)."""
+    content times its polynomial content (g = [1] for the zero vector).
+
+    With ``guard`` the polynomial strip is skipped when the entries'
+    values at ``_PT`` are coprime; that test is not a proof (a content g
+    with g(pt) = +-1 slips through), so a caller that needs the exact
+    content, for a canonical form, passes ``guard=False``.
+    """
     c, vec = _strip_int_content(vec)
     if c == 0:
         return [1], vec
-    g, vec = _strip_poly_content(vec, [_zp_eval(z, _PT) for z in vec])
+    if guard:
+        g, vec = _strip_poly_content(vec, [_zp_eval(z, _PT) for z in vec])
+    else:
+        g, vec = _strip_exact_poly_content(vec)
     return (zk.zp_scale(g, c) if c > 1 else g), vec
 
 
@@ -439,50 +458,37 @@ class GaussTracker:
     bookkeeping slots.  Pivots are chosen among the working slots only; a
     vector whose working slots all vanish is dependent, and its remaining
     slots (if any) certify the dependency.  Vectors are normalized up to
-    an overall nonzero scalar of Q(x) — integer content, full powers of
-    ``den`` and the polynomial content are stripped — which neither the
-    rank nor ratios of slots depend on.
+    an overall nonzero scalar of Q(x) -- integer content and polynomial
+    content are stripped -- which neither the rank nor ratios of slots
+    depend on.
+
+    Each reduction of v by a pivot w with lead = w[pr] and head = v[pr]
+    first cancels h = gcd(lead, head) when both are nonconstant, and forms
+    (lead/h)*v - (head/h)*w: the vector lead*v - head*w divided by a part
+    of its content known before the products are formed, so the products
+    are smaller and the strip has less to divide out.  As h is primitive
+    with a positive leading coefficient, the normalized vector is the same
+    as without the step.
 
     Bookkeeping slots keep the content of an offered vector in place, so a
     caller should offer content-free working slots (see ``zvec_content``):
     content carried into the elimination is multiplied through every
-    reduction and only divided out again as powers of ``den``.
+    reduction.
     """
 
-    def __init__(self, width: int, den=None):
+    def __init__(self, width: int):
         self.width = width
-        self.den = den if den is not None and len(den) > 1 else None
-        self.den_at_pt = _zp_eval(self.den, _PT) if self.den else None
         self.pivots = []  # (pivot slot, normalized vector)
 
     def _normalize(self, vec):
-        """Strip integer content, full powers of den, polynomial content.
-
-        The den-power and polynomial strips are guarded by integer
-        evaluations at a fixed point, as in ``_strip_poly_content``: when
-        den(pt) does not divide every evaluation the den strip cannot
-        succeed and is skipped.  (Skipping never affects correctness:
-        vectors are only defined up to a scalar.)
-        """
+        """Strip integer content, then polynomial content, the latter
+        guarded by integer evaluations at a fixed point as in
+        ``_strip_poly_content``.  (Skipping never affects correctness:
+        vectors are only defined up to a scalar.)"""
         c, vec = _strip_int_content(vec)
         if c == 0:
             return vec
-        evals = [_zp_eval(z, _PT) for z in vec]
-        if self.den is not None:
-            dv = self.den_at_pt
-            while True:
-                if dv and any(e % dv for e in evals):
-                    break
-                try:
-                    vec = [zk.zp_divexact(z, self.den) if z else z
-                           for z in vec]
-                except ValueError:
-                    break
-                if dv:
-                    evals = [e // dv for e in evals]
-                else:
-                    evals = [_zp_eval(z, _PT) for z in vec]
-        return _strip_poly_content(vec, evals)[1]
+        return _strip_poly_content(vec, [_zp_eval(z, _PT) for z in vec])[1]
 
     def offer(self, vec):
         """Reduce vec against the pivots; keep it as a new pivot and return
@@ -491,6 +497,11 @@ class GaussTracker:
         for pr, pvec in self.pivots:
             if vec[pr]:
                 head, lead = vec[pr], pvec[pr]
+                if len(head) > 1 and len(lead) > 1:
+                    h = zk.zp_gcd(head, lead)
+                    if len(h) > 1:
+                        head = zk.zp_divexact(head, h)
+                        lead = zk.zp_divexact(lead, h)
                 vec = [zk.zp_sub(zk.zp_mul(v, lead), zk.zp_mul(head, w))
                        for v, w in zip(vec, pvec)]
                 vec = self._normalize(vec)

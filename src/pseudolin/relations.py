@@ -17,10 +17,10 @@ coordinate slot e_i appended so the first dependent column yields the
 relation certificate directly: sum c_j p_j = 0 gives the b-coordinates
 c_j/g_j.  The coordinate slot would keep g_i in place through every
 reduction, so it is stripped before the offer; the recurrence runs on the
-unstripped b_i.  Reduced vectors are normalized by stripping integer
-content, full powers of den, and the polynomial content; for the
-structured instances in this package the stripped entries stay small
-(their denominators are powers of the realisation determinant).
+unstripped b_i.  Each reduction first cancels the gcd of the two
+entries it cross-multiplies, and reduced vectors are normalized by
+stripping integer content and the polynomial content.  The relation is
+assembled in Z[x] from the certificate and made canonical by exact gcds.
 
 Degree-bound predictors: ``bound_realisation`` (for a strictly proper T
 with a realisation T = W + X M^-1 Y, in terms of deg det M) and
@@ -30,14 +30,13 @@ with a realisation T = W + X M^-1 Y, in terms of deg det M) and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
 
 from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix,
                               det_denominator, det_fraction_free,
                               solve_rational, zvec_content)
-from pseudolin.poly import (NEG_INF, Poly, joint_primitive, poly_divides,
-                            poly_lcm)
+from pseudolin.poly import NEG_INF, Poly, poly_divides
 from pseudolin.ratfun import RatFun, common_denominator
 
 
@@ -229,12 +228,11 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
         raise ValueError("zero initial vector has no minimal relation")
     den_z, N_z = _clear_map(pmap)
     denp_z = zk.zp_deriv(den_z)
-    den_zp, _ = zk.zp_primitive(den_z)
 
     sa = lcm(*[c.d for c in a])
     b = [zk.zp_scale(c.z, sa // c.d) for c in a]
 
-    tracker = GaussTracker(n, den_zp)
+    tracker = GaussTracker(n)
     ncoord = n + 1
     contents = []
     i = 0
@@ -253,27 +251,50 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
         b = _iterate_step(den_z, denp_z, N_z, b, i)
         i += 1
 
-    # coords certify sum_j coords[j] * b_j / g_j = 0 with
-    # b_j = s den^j theta^j a (den = den_z, the per-step clearing), so
-    # nu_i = coords[i] g_rho / (coords[rho] g_i den^(rho - i)) are the
-    # theta-coordinates of theta^rho a in the earlier iterates.
-    nu = []
-    lower = coords[rho]  # coords[rho] den^(rho - i)
-    for i in range(rho - 1, -1, -1):
-        lower = zk.zp_mul(lower, den_z)
-        nu.append(RatFun(Poly.from_z(zk.zp_mul(coords[i], contents[rho])),
-                         Poly.from_z(zk.zp_mul(lower, contents[i]))))
-    nu.reverse()
+    return Relation(rho, tuple(Poly.from_z(z) for z in
+                               _relation_from_certificate(
+                                   coords[:rho + 1], contents, den_z)))
 
-    ell = Poly.one()
-    for v in nu:
-        ell = poly_lcm(ell, v.den)
-    eta = [v.num * ell.exact_div(v.den) for v in nu] + [ell]
 
-    eta = joint_primitive(eta)
-    if eta[-1].z[-1] < 0:
-        eta = [-p for p in eta]
-    return Relation(rho, tuple(eta))
+def _zp_gcd_full(a, b):
+    """gcd of two nonzero zpolys in Z[x], integer content included."""
+    c = gcd(zk.zp_content(a), zk.zp_content(b))
+    g = zk.zp_gcd(a, b) if len(a) > 1 and len(b) > 1 else [1]
+    return zk.zp_scale(g, c) if c > 1 else g
+
+
+def _relation_from_certificate(coords, contents, den_z):
+    """The canonical relation as integer zpolys eta_0, ..., eta_rho.
+
+    coords certify sum_j coords[j] * b_j / g_j = 0 with
+    b_j = s den^j theta^j a (den = den_z, the per-step clearing), so the
+    relation is eta_j = coords[j] den^j / g_j up to a factor of Q(x).  Each
+    coords[j]/g_j is reduced to num_j/dg_j, and with L the lcm of the dg_j
+    the polynomial vector num_j den^j L/dg_j is stripped of its content by
+    exact gcds and given a positive leading coefficient in eta_rho.
+    """
+    nums, dgs = [], []
+    L = [1]
+    for num, dg in zip(coords, contents):
+        if num and dg != [1]:
+            h = _zp_gcd_full(num, dg)
+            if h != [1]:
+                num, dg = zk.zp_divexact(num, h), zk.zp_divexact(dg, h)
+            if dg != [1]:
+                L = zk.zp_mul(L, zk.zp_divexact(dg, _zp_gcd_full(L, dg)))
+        nums.append(num)
+        dgs.append(dg)
+    eta = []
+    dpow = [1]
+    for j, (num, dg) in enumerate(zip(nums, dgs)):
+        if j:
+            dpow = zk.zp_mul(dpow, den_z)
+        eta.append(zk.zp_mul(zk.zp_mul(num, dpow),
+                             zk.zp_divexact(L, dg)) if num else [])
+    _, eta = zvec_content(eta, guard=False)
+    if eta[-1][-1] < 0:
+        eta = [zk.zp_neg(z) for z in eta]
+    return eta
 
 
 def _joint_clear(polys):

@@ -250,3 +250,19 @@ def test_output_independent_of_hash_seed(tmp_path, argv):
     assert b"verified: true" in out0
     assert out0 == out1
     assert rep0 == rep1
+
+
+def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys):
+    """The parser is built once and reused: two main() calls in a row give
+    the same output and report as two fresh interpreters, so no ``--op``
+    list of the first call leaks into the second."""
+    cases = [["lclm", "--op=x*Dx-1", "--op=x*Dx^2-2", "--seed", "1"],
+             ["symprod", "--op=(x+1)*Dx-2", "--op=Dx^2-x", "--seed", "4"]]
+    for k, argv in enumerate(cases):
+        report = tmp_path / f"in{k}.json"
+        assert main(argv + ["--json", str(report)]) == 0
+        out = capsys.readouterr().out.encode()
+        text = re.sub(rb'"wall_ms": [-+0-9.eE]+', b'"wall_ms": 0',
+                      report.read_bytes())
+        fresh = _run_with_hash_seed(argv, 0, tmp_path / f"fresh{k}.json")
+        assert (out, text) == fresh

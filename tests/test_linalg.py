@@ -1,6 +1,7 @@
 """Exact linear algebra: determinants, solving, rank, phi_ell, builders."""
 
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -10,7 +11,8 @@ from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, companion,
                               det_denominator, det_fraction_free,
                               det_rational, invert, kronecker, rank,
                               solve_rational, _PT, _SPLIT_MIN_LEN,
-                              _zp_eval)
+                              zvec_content, _strip_int_content,
+                              _strip_poly_content, _zp_eval)
 from pseudolin.poly import Poly, poly_divides, poly_gcd
 from pseudolin.ratfun import RatFun
 from test_poly import rand_poly
@@ -226,11 +228,24 @@ def test_invert_roundtrip():
         done += 1
 
 
+def _rand_zpoly(rng, deg):
+    z = [rng.randint(-30, 30) for _ in range(deg + 1)]
+    z[-1] = rng.choice((-1, 1)) * rng.randint(1, 30)
+    return z
+
+
+def _zprod(*factors):
+    out = [1]
+    for f in factors:
+        out = zk.zp_mul(out, f)
+    return out
+
+
 def test_normalize_matches_chained_gcd_strip(monkeypatch):
-    def chained_strip(vec, den, pt):
-        """Integer content, full powers of den, then the polynomial
-        content as a chain of pairwise gcds (skipped when the values at
-        pt are coprime, as GaussTracker does)."""
+    def chained_strip(vec, pt):
+        """Integer content, then the polynomial content as a chain of
+        pairwise gcds (skipped when the values at pt are coprime, as
+        GaussTracker does)."""
         c = 0
         for z in vec:
             for e in z:
@@ -238,11 +253,6 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
         if c == 0:
             return vec
         vec = [[e // c for e in z] for z in vec]
-        while den is not None:
-            try:
-                vec = [zk.zp_divexact(z, den) if z else z for z in vec]
-            except ValueError:
-                break
         c = 0
         for z in vec:
             c = gcd(c, sum(e * pt**i for i, e in enumerate(z)))
@@ -258,23 +268,14 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
             vec = [zk.zp_divexact(z, g) if z else z for z in vec]
         return vec
 
-    def zpoly(rng, deg):
-        z = [rng.randint(-30, 30) for _ in range(deg + 1)]
-        z[-1] = rng.choice((-1, 1)) * rng.randint(1, 30)
-        return z
-
-    def times(*factors):
-        out = [1]
-        for f in factors:
-            out = zk.zp_mul(out, f)
-        return out
-
     rng = random.Random(77)
     real_gcd = zk.zp_gcd
     paths = {"one gcd": 0, "fallback": 0}
     for trial in range(120):
-        den = zpoly(rng, rng.randint(1, 3)) if trial % 3 else None
-        g = zpoly(rng, rng.randint(0, 3))
+        # a factor planted in some entries, up to its square: the strip
+        # must find it as polynomial content
+        den = _rand_zpoly(rng, rng.randint(1, 3)) if trial % 3 else None
+        g = _rand_zpoly(rng, rng.randint(0, 3))
         c = rng.choice((1, 2, 6))
         vec = []
         for _ in range(rng.randint(1, 7)):
@@ -285,21 +286,152 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
                 vec.append([rng.randint(1, 9)])   # a constant: no content
             else:
                 part = [den] * rng.randint(0, 2) if den else []
-                vec.append(times([c * rng.randint(1, 3)], g,
-                                 zpoly(rng, rng.randint(0, 4)), *part))
+                vec.append(_zprod([c * rng.randint(1, 3)], g,
+                                  _rand_zpoly(rng, rng.randint(0, 4)),
+                                  *part))
         if trial % 5 == 0:
             # vec[1] + 3*vec[2] is a multiple of f although vec[1] is not,
             # so gcd(vec[0], odd-weighted sum) overshoots the content
-            f, w, v = zpoly(rng, 2), zpoly(rng, 1), zpoly(rng, 3)
-            vec = [times(g, f, w),
-                   times(g, zk.zp_sub(times(f, w), times([3], v))),
-                   times(g, v)]
-        want = chained_strip([list(z) for z in vec], den and list(den), _PT)
+            f, w = _rand_zpoly(rng, 2), _rand_zpoly(rng, 1)
+            v = _rand_zpoly(rng, 3)
+            vec = [_zprod(g, f, w),
+                   _zprod(g, zk.zp_sub(_zprod(f, w), _zprod([3], v))),
+                   _zprod(g, v)]
+        want = chained_strip([list(z) for z in vec], _PT)
         calls = []
         with monkeypatch.context() as m:
             m.setattr(zk, "zp_gcd",
                       lambda a, b: calls.append(1) or real_gcd(a, b))
-            assert GaussTracker(len(vec), den)._normalize(vec) == want
+            assert GaussTracker(len(vec))._normalize(vec) == want
         if calls:
             paths["one gcd" if len(calls) == 1 else "fallback"] += 1
     assert paths["one gcd"] >= 30 and paths["fallback"] >= 15
+
+
+class _PlainTracker:
+    """GaussTracker.offer without the cofactor step: each reduction forms
+    lead*v - head*w in full, and normalization strips integer content,
+    full powers of den one exact division at a time, then the polynomial
+    content."""
+
+    def __init__(self, width, den):
+        self.width = width
+        self.den = den
+        self.pivots = []
+
+    def _normalize(self, vec):
+        c, vec = _strip_int_content(vec)
+        if c == 0:
+            return vec
+        while self.den is not None:
+            try:
+                vec = [zk.zp_divexact(z, self.den) if z else z for z in vec]
+            except ValueError:
+                break
+        return _strip_poly_content(vec, [_zp_eval(z, _PT) for z in vec])[1]
+
+    def offer(self, vec):
+        vec = self._normalize(list(vec))
+        for pr, pvec in self.pivots:
+            if vec[pr]:
+                head, lead = vec[pr], pvec[pr]
+                vec = [zk.zp_sub(zk.zp_mul(v, lead), zk.zp_mul(head, w))
+                       for v, w in zip(vec, pvec)]
+                vec = self._normalize(vec)
+        if any(vec[j] for j in range(self.width)):
+            pr = min((j for j in range(self.width) if vec[j]),
+                     key=lambda j: len(vec[j]))
+            self.pivots.append((pr, vec))
+            return None
+        return vec[self.width:]
+
+
+def _tracker_sequence(rng):
+    """(den, vectors) with a factor per working slot shared by every
+    vector, so pivot leads and later heads have a common factor; with
+    zero and constant entries, den factors, and sometimes a last vector
+    that is a Z[x]-combination of the others."""
+    width = rng.randint(1, 4)
+    count = rng.randint(2, width + 1)
+    den = _rand_zpoly(rng, rng.randint(1, 2)) if rng.random() < 0.6 else None
+    slot = [_rand_zpoly(rng, rng.randint(1, 2)) if rng.random() < 0.8
+            else [1] for _ in range(width)]
+    vecs = []
+    for _ in range(count):
+        vec = []
+        for j in range(width):
+            kind = rng.random()
+            if kind < 0.15:
+                vec.append([])
+            elif kind < 0.25:
+                vec.append([rng.choice((-3, -1, 1, 2, 5))])
+            else:
+                part = [den] * rng.randint(0, 1) if den else []
+                vec.append(_zprod(slot[j],
+                                  _rand_zpoly(rng, rng.randint(0, 2)),
+                                  *part))
+        vecs.append(vec)
+    if rng.random() < 0.5:
+        last = [[] for _ in range(width)]
+        for vec in vecs[:-1]:
+            r = _rand_zpoly(rng, rng.randint(0, 1))
+            last = [zk.zp_add(acc, zk.zp_mul(r, z))
+                    for acc, z in zip(last, vec)]
+        vecs[-1] = last
+    return den, vecs
+
+
+def test_offer_matches_plain_cross_multiplication(monkeypatch):
+    """The cofactor step and the dropped den strip change only a Q(x)
+    scalar of each reduced vector: the rank, the dependent index and the
+    certificate's direction are those of plain cross-multiplication."""
+    rng = random.Random(2024)
+    real_gcd = zk.zp_gcd
+    cofactor_steps = []
+
+    def spy(a, b):
+        g = real_gcd(a, b)
+        if sys._getframe(1).f_code is GaussTracker.offer.__code__ \
+                and len(g) > 1:
+            cofactor_steps.append(len(g) - 1)
+        return g
+
+    monkeypatch.setattr(zk, "zp_gcd", spy)
+    dependent = 0
+    for _ in range(150):
+        den, vecs = _tracker_sequence(rng)
+        width, count = len(vecs[0]), len(vecs)
+        fast, plain = GaussTracker(width), _PlainTracker(width, den)
+        for i, vec in enumerate(vecs):
+            aug = vec + [[1] if k == i else [] for k in range(count)]
+            c, c2 = fast.offer(aug), plain.offer(aug)
+            assert (c is None) == (c2 is None)
+            if c is not None:
+                break
+        assert fast.rank == len(plain.pivots)
+        if c is None:
+            assert fast.rank == count
+            continue
+        dependent += 1
+        assert fast.rank == i and c[i]
+        for j in range(count):
+            for k in range(j):
+                assert zk.zp_mul(c[j], c2[k]) == zk.zp_mul(c[k], c2[j])
+        # the certificate is a relation among the offered vectors
+        for s in range(width):
+            acc = []
+            for j in range(i + 1):
+                acc = zk.zp_add(acc, zk.zp_mul(c[j], vecs[j][s]))
+            assert acc == []
+    assert dependent >= 50
+    assert len(cofactor_steps) >= 30
+
+
+def test_zvec_content_exact_finds_what_the_guard_skips():
+    """g = x - pt + 1 has g(pt) = 1, so the evaluation guard sees coprime
+    values and keeps g; the exact strip, which a canonical form relies
+    on, removes it."""
+    g = [1 - _PT, 1]
+    vec = [zk.zp_mul(g, [2, 1]), zk.zp_mul(g, [-1, 0, 3])]
+    assert zvec_content(vec) == ([1], vec)
+    assert zvec_content(vec, guard=False) == (g, [[2, 1], [-1, 0, 3]])

@@ -102,6 +102,23 @@ def test_content_free_offers_keep_the_relation():
     assert rel.eta == (Poly(), Poly(), one)
 
 
+# digests of the relations of three LCLMs of three order-3, degree-3
+# operators (the lclm_heavy benchmark shape), as computed before the
+# cofactor step in GaussTracker and the Z[x] assembly of the relation
+LCLM_HEAVY_DIGESTS = ["4330a708824931d9", "b8fa2e1f4f9f0efe",
+                      "4f261d8a45a78db1"]
+
+
+def test_lclm_heavy_relations_unchanged():
+    rng = random.Random(61)
+    for want in LCLM_HEAVY_DIGESTS:
+        inst = build_lclm([rand_operator(rng, 3, 3, regular_infinity=True)
+                           for _ in range(3)])
+        rel = solve_min_relation(inst.map, list(inst.a))
+        assert rel.rho == 9
+        assert _relation_digest(rel) == want
+
+
 def test_lclm_iterates_have_content():
     """The lclm cases above exercise the strip: some b_i has a content of
     positive degree, which the integer-evaluation guard cannot skip."""

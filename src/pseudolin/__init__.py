@@ -13,19 +13,17 @@ The hot integer-polynomial kernels are one pure-Python core in
 """
 
 from pseudolin._kernel import BACKEND
-from pseudolin.bipoly import (BiPoly, bipoly_derivative, bipoly_gcd,
-                              resultant_y, squarefree_y)
+from pseudolin.bipoly import BiPoly, bipoly_gcd, resultant_y, squarefree_y
 from pseudolin.exprparse import (ParseError, SemanticError, format_operator,
                                  parse)
 from pseudolin.linalg import (PolyMatrix, RatMatrix, companion,
                               det_denominator, det_fraction_free,
                               det_rational, invert, kronecker, rank,
                               solve_rational)
-from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, TruncSeries,
-                           from_euler, full_primitive, infinity_not_irregular,
-                           normalize_primitive, ore_apply, ore_mul,
-                           right_divide, series_apply, series_mul,
-                           series_solution, shift_operator, to_euler)
+from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, from_euler,
+                           full_primitive, infinity_not_irregular,
+                           normalize_primitive, ore_mul, right_divide,
+                           to_euler)
 from pseudolin.poly import NEG_INF, Poly, poly_divides, poly_gcd, poly_lcm
 from pseudolin.ratfun import RatFun, common_denominator
 from pseudolin.relations import (BoundReport, PseudoLinearMap, Realisation,
@@ -38,18 +36,15 @@ from pseudolin.relations import (BoundReport, PseudoLinearMap, Realisation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "BiPoly", "BoundReport", "GEN_DX", "GEN_EULER",
-    "NEG_INF", "OrePoly", "ParseError", "Poly", "PolyMatrix",
-    "PseudoLinearMap", "RatFun", "RatMatrix", "Realisation", "Relation",
-    "SemanticError", "TruncSeries", "bipoly_derivative",
-    "bipoly_gcd", "bound_direct", "bound_realisation", "common_denominator",
-    "companion", "det_denominator", "det_fraction_free", "det_rational",
-    "format_operator", "from_euler", "full_primitive",
-    "infinity_not_irregular", "invert", "kronecker",
-    "krylov_denominator_check", "krylov_matrix", "normalize_primitive",
-    "ore_apply", "ore_mul", "parse", "poly_divides", "poly_gcd", "poly_lcm",
-    "rank", "resultant_y", "right_divide", "series_apply", "series_mul",
-    "series_solution", "shift_operator", "solve_min_relation",
+    "BACKEND", "BiPoly", "BoundReport", "GEN_DX", "GEN_EULER", "NEG_INF",
+    "OrePoly", "ParseError", "Poly", "PolyMatrix", "PseudoLinearMap", "RatFun",
+    "RatMatrix", "Realisation", "Relation", "SemanticError", "bipoly_gcd",
+    "bound_direct", "bound_realisation", "common_denominator", "companion",
+    "det_denominator", "det_fraction_free", "det_rational", "format_operator",
+    "from_euler", "full_primitive", "infinity_not_irregular", "invert",
+    "kronecker", "krylov_denominator_check", "krylov_matrix",
+    "normalize_primitive", "ore_mul", "parse", "poly_divides", "poly_gcd",
+    "poly_lcm", "rank", "resultant_y", "right_divide", "solve_min_relation",
     "solve_rational", "squarefree_y", "theta_apply", "theta_iterates",
     "to_euler", "trivial_realisation", "verify_relation",
 ]

@@ -146,11 +146,6 @@ class BiPoly:
         return f"BiPoly({format_bipoly(self)!r})"
 
 
-def bipoly_derivative(p: BiPoly, var: str) -> BiPoly:
-    """Partial derivative of p with respect to the named variable."""
-    return p.deriv(var)
-
-
 def bipoly_pseudo_divmod(a: BiPoly, b: BiPoly):
     """Pseudo-division in y: returns (Q, R, k) with lc_y(b)^k a = Q b + R
     and deg_y R < deg_y b, everything staying in Q[x][y]."""

@@ -14,12 +14,14 @@ import argparse
 import random
 import sys
 import time
+from math import prod
 
 from pseudolin.bipoly import format_bipoly, resultant_y
-from pseudolin.exprparse import (MAX_BIVARIATE_DEGREE, MAX_DIMENSION,
-                                 MAX_KRYLOV_DEGREE, MAX_KRYLOV_EXPONENT,
-                                 MAX_OPERATOR_DEGREE, MAX_OPERATOR_ORDER,
-                                 MAX_TRIALS, ParseError, SemanticError,
+from pseudolin.exprparse import (MAX_BIVARIATE_DEGREE, MAX_CLOSURE_DIMENSION,
+                                 MAX_DIMENSION, MAX_KRYLOV_DEGREE,
+                                 MAX_KRYLOV_EXPONENT, MAX_OPERATOR_DEGREE,
+                                 MAX_OPERATOR_ORDER, MAX_TRIALS, ParseError,
+                                 SemanticError,
                                  format_operator, format_ratfun2, parse)
 from pseudolin.instances import (algebraic_bound_report, build_algebraic,
                                  build_hermite, build_lclm, build_symprod,
@@ -103,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="EXPR", help='operator, e.g. "x*Dx - 1" '
                        "(repeatable)")
         c.add_argument("--seed", type=int, default=0,
-                       help="seed for the series verification draws")
+                       help="ignored: the verification is deterministic")
         c.add_argument("--json", metavar="PATH")
 
     b = sub.add_parser("bounds-table",
@@ -205,6 +207,12 @@ def _cmd_resolvent(args) -> int:
 def _cmd_closure(args, kind: str) -> int:
     start = time.perf_counter()
     ops = [parse(text, "operator") for text in args.op]
+    # the zero operator (order -inf) is left for the build to reject
+    orders = [max(Li.order, 0) for Li in ops]
+    dim = sum(orders) if kind == "lclm" else prod(orders)
+    if dim > MAX_CLOSURE_DIMENSION:
+        raise ValueError(f"{kind} dimension {dim} exceeds the cap of "
+                         f"{MAX_CLOSURE_DIMENSION}")
     if kind == "lclm":
         inst = build_lclm(ops)
         L = lclm(inst)
@@ -213,18 +221,17 @@ def _cmd_closure(args, kind: str) -> int:
     else:
         inst = build_symprod(ops)
         L = symprod(inst)
-        ok = verify_symprod(inst, L, random.Random(args.seed))
-        method = "series-order-40"
+        ok = verify_symprod(inst, L)
+        method = "tensor-relation"
     report_b = closure_bound_report(inst, L)
     print(_operator_summary(kind, L))
     regular = all(infinity_not_irregular(Li) for Li in ops)
     print(f"regular-infinity: {'true' if regular else 'false'}")
     print(f"verified: {'true' if ok else 'false'}")
     wall = (time.perf_counter() - start) * 1000
-    _emit(Report(kind, {"op": list(args.op),
-                        "orders": [Li.order for Li in ops],
+    _emit(Report(kind, {"op": list(args.op), "orders": orders,
                         "regular_infinity": regular},
-                 L, report_b, method, ok, args.seed, wall), args.json)
+                 L, report_b, method, ok, None, wall), args.json)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -256,7 +263,7 @@ def _instance_report(kind: str, seed: int, args):
     else:
         inst = build_symprod(ops)
         L = symprod(inst)
-        ok = verify_symprod(inst, L, rng)
+        ok = verify_symprod(inst, L)
     return (closure_bound_report(inst, L), ok,
             f"order<={args.order};degree={args.degree}")
 

@@ -137,6 +137,12 @@ MAX_EXPONENT = 1000
 #: takes about a second, r = 5 six seconds and r = 6 more than twenty.
 MAX_OPERATOR_ORDER = 4
 
+#: Largest dimension of a closure map: the product of the factors' orders
+#: for ``symprod``, their sum for ``lclm``.  It admits the symmetric product
+#: of two operators at the order cap; three order-3 factors (dimension 27)
+#: ran for 13 s.
+MAX_CLOSURE_DIMENSION = MAX_OPERATOR_ORDER ** 2
+
 #: Largest matrix dimension (``check-props --n``).  The determinantal
 #: denominator laws take about 3 s per trial at n = 4 and 27 s at n = 5.
 MAX_DIMENSION = 4

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from pseudolin import _kernel as zk
 from pseudolin.poly import Poly, poly_lcm
@@ -566,11 +566,12 @@ def det_denominator(R: RatMatrix, ell: int) -> Poly:
 # -- structured builders ---------------------------------------------------------
 
 
-def kronecker(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
-    """Kronecker product: block (i, j) equals A[i, j] * B."""
+def kronecker(A, B):
+    """Kronecker product of two matrices of one type (``PolyMatrix`` or
+    ``RatMatrix``): block (i, j) equals A[i, j] * B."""
     rows = A.rows * B.rows
     cols = A.cols * B.cols
-    entries = [Poly()] * (rows * cols)
+    entries = list(type(A).zeros(rows, cols).entries)
     for i in range(A.rows):
         for j in range(A.cols):
             a = A.entry(i, j)
@@ -580,7 +581,21 @@ def kronecker(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
                 for q in range(B.cols):
                     entries[(i * B.rows + p) * cols + (j * B.cols + q)] = \
                         a * B.entry(p, q)
-    return PolyMatrix(rows, cols, entries)
+    return type(A)(rows, cols, entries)
+
+
+def kronecker_sum(blocks) -> RatMatrix:
+    """sum_t I @ B_t @ I for square ``RatMatrix`` blocks B_1, ..., B_s: the
+    map that acts as B_t on slot t of the lexicographic multi-index basis
+    of dimension prod dim B_t."""
+    dims = [B.rows for B in blocks]
+    n = prod(dims)
+    out = RatMatrix.zeros(n, n)
+    for t, B in enumerate(blocks):
+        left = RatMatrix.identity(prod(dims[:t]))
+        right = RatMatrix.identity(prod(dims[t + 1:]))
+        out = out.add(kronecker(kronecker(left, B), right))
+    return out
 
 
 def companion(coeffs, lead) -> RatMatrix:

@@ -20,8 +20,7 @@ polynomial coefficients (the LCLM verifier's check).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from pseudolin import _kernel as zk
 from pseudolin.poly import NEG_INF, Poly, joint_primitive
@@ -109,9 +108,6 @@ class OrePoly:
             return ore_mul(self, other)
         return NotImplemented
 
-    def apply(self, f) -> RatFun:
-        return ore_apply(self, f)
-
     def __eq__(self, other):
         if not isinstance(other, OrePoly):
             return NotImplemented
@@ -169,19 +165,6 @@ def ore_mul(a: OrePoly, b: OrePoly) -> OrePoly:
                 nxt[j] = nxt[j] + _delta(cb, gen)
             cur = nxt
     return OrePoly(out, gen)
-
-
-def ore_apply(L: OrePoly, f) -> RatFun:
-    """Apply the operator to a rational function."""
-    f = _as_ratfun(f)
-    acc = RatFun.zero()
-    g = f
-    for j, c in enumerate(L.coeffs):
-        if j:
-            g = _delta(g, L.generator)
-        if not c.is_zero():
-            acc = acc + c * g
-    return acc
 
 
 def right_divide(a: OrePoly, b: OrePoly):
@@ -384,150 +367,3 @@ def infinity_not_irregular(L: OrePoly) -> bool:
         if c.num.degree + (r - j) > dr:
             return False
     return True
-
-
-def shift_operator(L: OrePoly, c) -> OrePoly:
-    """Operator M with M(g)(x) = L(f)(x + c) for g(x) = f(x + c)."""
-    if L.generator != GEN_DX:
-        raise ValueError("expected a Dx-generator operator")
-    return OrePoly(tuple(cf.compose_shift(c) for cf in L.coeffs), GEN_DX)
-
-
-class TruncSeries:
-    """Truncated power series: coefficients c_0..c_N of x^0..x^N, stored
-    as integer numerators ``num`` over one positive denominator ``den``
-    with gcd(den, num) = 1, so equal series have equal fields."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, coeffs):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
-              for c in coeffs]
-        # clearing reduced fractions by the lcm of their denominators
-        # leaves no common factor with it
-        den = lcm(*[c.denominator for c in cs])
-        object.__setattr__(self, "num", tuple(
-            c.numerator * (den // c.denominator) for c in cs))
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        """Truncation order N (coefficients are exact through x^N)."""
-        return len(self.num) - 1
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(Fraction(c, self.den) for c in self.num)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(self.num[i], self.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
-    def __repr__(self):
-        return f"TruncSeries({[str(c) for c in self.coeffs]})"
-
-
-def _series(num, den: int) -> TruncSeries:
-    """The series num/den for a list of ints and an int den > 0."""
-    g = gcd(den, *num)
-    out = object.__new__(TruncSeries)
-    object.__setattr__(out, "num", tuple(c // g for c in num))
-    object.__setattr__(out, "den", den // g)
-    return out
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    n = min(a.order, b.order)
-    prod = zk.zp_mul(a.num[:n + 1], b.num[:n + 1])
-    return _series(prod[:n + 1], a.den * b.den)
-
-
-def series_solution(L: OrePoly, init, N: int) -> TruncSeries:
-    """Unique truncated series solution of L with prescribed derivatives.
-
-    init[j] is the j-th derivative at 0 for j < order(L), i.e. the series
-    starts sum init[j]/j! x^j; 0 must be an ordinary point (the leading
-    coefficient must not vanish there).
-
-    The recurrence runs on integer numerators over one common
-    denominator: the primitive form of L has integer coefficients, and
-    each new coefficient's divisor joins the common denominator, which
-    multiplies the numerators found so far.
-    """
-    if L.generator != GEN_DX:
-        raise ValueError("expected a Dx-generator operator")
-    prim = full_primitive(L)
-    if prim.is_zero():
-        raise ValueError("zero operator")
-    r = prim.order
-    if len(init) != r:
-        raise ValueError(f"expected {r} initial derivatives")
-    polys = [c.num.z for c in prim.coeffs]  # integer: the form is primitive
-    lead0 = polys[-1][0]
-    if lead0 == 0:
-        raise ValueError("0 is a singular point; shift the operator first")
-    first = [Fraction(init[j]) / factorial(j) for j in range(min(r, N + 1))]
-    den = lcm(*[f.denominator for f in first])
-    c = [f.numerator * (den // f.denominator) for f in first]
-    c += [0] * (N + 1 - len(c))
-    fall = [[_falling(m, j) for m in range(N + 1)] for j in range(r + 1)]
-    for t in range(N + 1 - r):
-        # (t + r)! / t! lead0 c_(t+r) = -sum of the lower terms
-        s = 0
-        for j, pj in enumerate(polys):
-            fj = fall[j]
-            for k, pk in enumerate(pj):
-                m = t - k + j
-                if pk and 0 <= m < t + r:
-                    s += pk * fj[m] * c[m]
-        q = lead0 * fall[r][t + r]
-        g = gcd(s, q)
-        s, q = s // g, q // g
-        if q < 0:
-            s, q = -s, -q
-        if q != 1:
-            for i in range(t + r):
-                c[i] *= q
-            den *= q
-        c[t + r] = -s
-    return _series(c, den)
-
-
-def series_apply(L: OrePoly, s: TruncSeries) -> TruncSeries:
-    """Apply an operator to a truncated series; the result is exact through
-    x^(N - order) when s is exact through x^N.  Runs on the integer
-    numerators of s, over its denominator."""
-    prim = full_primitive(L)
-    if prim.is_zero():
-        return TruncSeries([0] * (s.order + 1))
-    r = prim.order
-    if s.order < r:
-        raise ValueError("series too short for the operator order")
-    n_out = s.order - r
-    out = [0] * (n_out + 1)
-    d = s.num
-    for j, cf in enumerate(prim.coeffs):
-        if j:
-            d = [i * d[i] for i in range(1, len(d))]
-        for k, pk in enumerate(cf.num.z):
-            if pk:
-                for i in range(n_out + 1 - k):
-                    out[i + k] += pk * d[i]
-    return _series(out, s.den)
-
-
-def _falling(m: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= (m - i)
-    return out

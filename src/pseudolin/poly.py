@@ -237,23 +237,6 @@ class Poly:
         # acc = m^deg * z(n/m) and mp = m^(deg + 1)
         return Fraction(acc, self.d * (mp // m))
 
-    def compose(self, inner: Poly) -> Poly:
-        """Substitute ``inner`` for x: Horner in Z[x] on the numerators,
-        sum z_k zi^k di^(n-k) over d * di^n for inner = zi/di."""
-        zi, di = inner.z, inner.d
-        acc, pw = [], 1
-        for c in reversed(self.z):
-            acc = zk.zp_add(zk.zp_mul(acc, zi), [c * pw] if c else [])
-            pw *= di
-        # pw = di^(n+1) after n+1 steps; the result is over d * di^n
-        return _canon(acc, self.d * (pw // di)) if acc else _raw([], 1)
-
-    def shift(self, c) -> Poly:
-        """Return p(x + c)."""
-        c = _check_scalar(c)
-        return self.compose(_raw([c.numerator, c.denominator],
-                                 c.denominator))
-
     # -- normal forms ----------------------------------------------------
 
     def monic(self) -> Poly:

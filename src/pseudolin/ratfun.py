@@ -159,10 +159,6 @@ class RatFun:
             raise ZeroDivisionError("pole at evaluation point")
         return self.num.eval(point) / d
 
-    def compose_shift(self, c) -> RatFun:
-        """Return f(x + c)."""
-        return RatFun(self.num.shift(c), self.den.shift(c))
-
     # -- comparison / display ------------------------------------------------
 
     def __eq__(self, other):

@@ -57,9 +57,6 @@ class PseudoLinearMap:
     def n(self) -> int:
         return self.T.rows
 
-    def theta(self, v):
-        return theta_apply(self, v)
-
 
 def theta_apply(pmap: PseudoLinearMap, v):
     """theta(v) = v' + T v, componentwise exact."""

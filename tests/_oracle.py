@@ -9,15 +9,17 @@ subsystem.  No elimination, no integer kernels.
 
 The ``fl_*`` functions are the ring operations of Q[x] on plain lists of
 Fraction coefficients, the reference for the integer-backed ``Poly``;
-``poly_divmod`` is schoolbook long division in Q[x] on top of them, and
+``poly_divmod`` is schoolbook long division in Q[x] on top of them,
 ``ratfun_y_ext_gcd`` is the extended Euclidean algorithm in Q(x)[y] on
-lists of RatFun coefficients.
+lists of RatFun coefficients, and ``ore_apply`` applies an operator to a
+rational function by repeated differentiation.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+from pseudolin.ore import GEN_EULER
 from pseudolin.poly import Poly, poly_lcm
 from pseudolin.ratfun import RatFun, common_denominator
 from pseudolin.relations import Relation, theta_apply
@@ -156,14 +158,6 @@ def fl_monic(a):
     return [c / a[-1] for c in a] if a else []
 
 
-def fl_compose(a, inner):
-    """a(inner) by Horner."""
-    acc = []
-    for c in reversed(a):
-        acc = fl_add(fl_mul(acc, inner), [c])
-    return acc
-
-
 def fl_eval(a, point):
     acc = Fraction(0)
     for c in reversed(a):
@@ -247,3 +241,17 @@ def ratfun_y_ext_gcd(a, b):
         return r0, s0, t0
     inv = [RatFun.one() / r0[-1]]
     return _y_mul(r0, inv), _y_mul(s0, inv), _y_mul(t0, inv)
+
+
+def ore_apply(L, f: RatFun) -> RatFun:
+    """L(f) for a Dx- or Euler-operator L and a RatFun f: the j-th term
+    applies Dx (or x*Dx) j times to f."""
+    acc = RatFun.zero()
+    g = f
+    for j, c in enumerate(L.coeffs):
+        if j:
+            g = g.derivative()
+            if L.generator == GEN_EULER:
+                g = g * Poly.x()
+        acc = acc + c * g
+    return acc

@@ -10,10 +10,12 @@ from pseudolin.instances.algebraic import (algebraic_bound_report,
                                            cockle_iterates,
                                            empirical_curve_algebraic,
                                            resolvent, verify_resolvent)
-from pseudolin.ore import OrePoly, ore_apply
+from pseudolin.ore import OrePoly
 from pseudolin.poly import Poly
 from pseudolin.randgen import rand_algebraic_input
 from pseudolin.ratfun import RatFun
+
+from _oracle import ore_apply
 
 x = Poly.x()
 one = Poly.one()

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from pseudolin.bipoly import (BiPoly, bipoly_coprime, bipoly_derivative,
-                              bipoly_ext_prs, bipoly_gcd,
-                              bipoly_pseudo_divmod, format_bipoly,
+from pseudolin.bipoly import (BiPoly, bipoly_coprime, bipoly_ext_prs,
+                              bipoly_gcd, bipoly_pseudo_divmod, format_bipoly,
                               resultant_y, squarefree_y)
 from pseudolin.poly import Poly
 from pseudolin.ratfun import RatFun
@@ -38,10 +37,10 @@ def ratfun_lists(p: BiPoly, scale=RatFun.one()):
 
 def test_derivative_examples():
     p = BiPoly([x, Poly(), one])             # y^2 + x
-    assert bipoly_derivative(p, "y") == BiPoly([Poly(), Poly([2])])
-    assert bipoly_derivative(p, "x") == BiPoly([one])
+    assert p.deriv("y") == BiPoly([Poly(), Poly([2])])
+    assert p.deriv("x") == BiPoly([one])
     m = BiPoly([Poly(), Poly(), Poly(), x * x])   # x^2 y^3
-    assert bipoly_derivative(m, "x") == BiPoly([Poly(), Poly(), Poly(),
+    assert m.deriv("x") == BiPoly([Poly(), Poly(), Poly(),
                                                 Poly([0, 2])])
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -147,6 +148,35 @@ def test_out_of_range_flags_exit_2(argv, message, capsys):
     assert "randrange" not in captured.err
     assert "attempts" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["symprod", "--op=Dx^3-x", "--op=Dx^3-1", "--op=Dx^3-x^2"],
+     "error: symprod dimension 27 exceeds the cap of 16\n"),
+    (["lclm"] + ["--op=Dx^4-x"] * 5,
+     "error: lclm dimension 20 exceeds the cap of 16\n"),
+    (["symprod", "--op=0", "--op=0"],
+     "error: operators must be nonzero of order >= 1 in Dx\n"),
+])
+def test_closure_dimension_cap_exit_2(argv, message, capsys):
+    """A closure above MAX_CLOSURE_DIMENSION exits 2 before any build; the
+    zero operator, of order -inf, is rejected by the build instead."""
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
+def test_symprod_at_the_dimension_cap(tmp_path, capsys):
+    code, out = run_cli(capsys, "symprod", "--op=Dx^4-1", "--op=Dx^4-1",
+                        "--json", str(tmp_path / "r.json"))
+    assert code == 0 and "verified: true" in out
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["params"]["orders"] == [4, 4]
+    assert report["verification"]["method"] == "tensor-relation"
+    assert report["seed"] is None
 
 
 def test_json_report_validates(tmp_path, capsys):

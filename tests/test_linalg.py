@@ -9,8 +9,8 @@ import pytest
 from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, companion,
                               det_denominator, det_fraction_free,
-                              det_rational, invert, kronecker, rank,
-                              solve_rational, _PT, _SPLIT_MIN_LEN,
+                              det_rational, invert, kronecker, kronecker_sum,
+                              rank, solve_rational, _PT, _SPLIT_MIN_LEN,
                               zvec_content, _strip_int_content,
                               _strip_poly_content, _zp_eval)
 from pseudolin.poly import Poly, poly_divides, poly_gcd
@@ -201,6 +201,25 @@ def test_kronecker_examples():
     K = kronecker(swap, I2)
     assert K.entry(0, 2) == Poly.one() and K.entry(2, 0) == Poly.one()
     assert K.entry(0, 0).is_zero()
+
+
+def test_kronecker_keeps_the_operand_type():
+    A = RatMatrix.from_rows([[RatFun(1, x), 0], [0, 2]])
+    B = RatMatrix.from_rows([[x]])
+    assert kronecker(A, B) == RatMatrix.from_rows([[1, 0], [0, 2 * x]])
+    assert kronecker(PolyMatrix.identity(1), PolyMatrix.identity(2)) \
+        == PolyMatrix.identity(2)
+
+
+def test_kronecker_sum_example():
+    # A @ I + I @ B for A = [[a]] and B = [[0, b], [1, 0]]
+    a, b = RatFun(1, x), RatFun(x)
+    A = RatMatrix.from_rows([[a]])
+    B = RatMatrix.from_rows([[0, b], [1, 0]])
+    assert kronecker_sum([A, B]) == RatMatrix.from_rows([[a, b], [1, a]])
+    C = RatMatrix.from_rows([[1, 2], [3, 4]])
+    assert kronecker_sum([C, C]) == RatMatrix.from_rows(
+        [[2, 2, 2, 0], [3, 5, 0, 2], [3, 0, 5, 2], [0, 3, 3, 8]])
 
 
 def test_companion_examples():

@@ -10,8 +10,8 @@ import pytest
 from pseudolin.poly import (NEG_INF, Poly, format_poly, poly_divides,
                             poly_gcd, poly_lcm)
 
-from _oracle import (fl_add, fl_compose, fl_deriv, fl_divmod, fl_eval,
-                     fl_monic, fl_mul, fl_neg, fl_trim, poly_divmod)
+from _oracle import (fl_add, fl_deriv, fl_divmod, fl_eval, fl_monic, fl_mul,
+                     fl_neg, poly_divmod)
 
 x = Poly.x()
 
@@ -134,13 +134,6 @@ def test_exact_paths_match_divmod_reference():
             (True, False, True)} <= outcomes
 
 
-def test_compose_shift_eval():
-    p = x**2 - 2 * x + 2
-    assert p.shift(1) == x**2 + 1
-    assert p.eval(3) == 5
-    assert p.compose(x**2) == x**4 - 2 * x**2 + 2
-
-
 def test_pow_and_lcm():
     assert (x + 1)**3 == x**3 + 3 * x**2 + 3 * x + 1
     assert poly_lcm(x * (x - 1), x) == (x * (x - 1)).monic()
@@ -174,8 +167,8 @@ def rand_scalar(rng):
 
 
 def test_ring_ops_match_fraction_reference():
-    """Every ring operation and composition gives a canonical (z, d)
-    whose coefficients match the Fraction-list reference of ``_oracle``."""
+    """Every ring operation gives a canonical (z, d) whose coefficients
+    match the Fraction-list reference of ``_oracle``."""
     rng = random.Random(91)
     for _ in range(300):
         a, b = rand_q_poly(rng, 6), rand_q_poly(rng, 6)
@@ -187,9 +180,7 @@ def test_ring_ops_match_fraction_reference():
                  (k * a, fl_mul(fa, [Fraction(k)] if k else [])),
                  (a + k, fl_add(fa, [Fraction(k)] if k else [])),
                  (a**3, fl_mul(fa, fl_mul(fa, fa))),
-                 (a.derivative(), fl_deriv(fa)), (a.monic(), fl_monic(fa)),
-                 (a.compose(b), fl_compose(fa, fb)),
-                 (a.shift(k), fl_compose(fa, fl_trim([k, 1])))]
+                 (a.derivative(), fl_deriv(fa)), (a.monic(), fl_monic(fa))]
         if not b.is_zero():
             c = a * b
             cases.append((c.exact_div(b), fl_divmod(list(c.coeffs), fb)[0]))
@@ -224,7 +215,7 @@ def test_from_z_canonical_form():
 
 def test_ring_ops_create_no_fraction(monkeypatch):
     """+, -, *, powers, derivative, monic, exact_div, gcd, lcm,
-    divisibility, composition, == and hash run on ints only."""
+    divisibility, == and hash run on ints only."""
     rng = random.Random(93)
     pairs = [(rand_q_poly(rng, 5), rand_q_poly(rng, 5)) for _ in range(40)]
     scalars = [rand_scalar(rng) for _ in range(40)]
@@ -240,7 +231,7 @@ def test_ring_ops_create_no_fraction(monkeypatch):
         c = a * b
         _ = (a + b, a - b, -a, a * k, k * a, a + k, a**2, a.derivative(),
              a.monic(), poly_gcd(a, b), poly_lcm(a, b), poly_divides(a, c),
-             a.compose(b), a == b, a == k, hash(a))
+             a == b, a == k, hash(a))
         if not b.is_zero():
             _ = c.exact_div(b)
     monkeypatch.undo()

@@ -89,8 +89,3 @@ def test_strictly_proper():
 def test_common_denominator():
     vals = [RatFun(1, x), RatFun(1, x - 1), RatFun(1, x * x)]
     assert common_denominator(vals) == (x * x * (x - 1)).monic()
-
-
-def test_compose_shift():
-    f = RatFun(1, x)
-    assert f.compose_shift(1) == RatFun(1, x + 1)

@@ -248,20 +248,29 @@ def test_lclm_mutants_with_scaled_coefficient_rejected():
 
 def test_symprod_mutants_rejected():
     rng = random.Random(25)
+    cases = [[rand_operator(rng, rng.randint(1, 2), rng.randint(1, 2),
+                            regular_infinity=True) for _ in range(2)]
+             for _ in range(4)]
+    # the symmetric square of Dx^2 - 1 (solutions exp(x), exp(-x)) is
+    # Dx^3 - 4 Dx, of order 3 below the dimension 4; its dropped mutant is
+    # the truncation below Dx^3
+    square = [OrePoly([-1, 0, 1])] * 2
+    # a factor whose leading coefficient x(x - 1) vanishes at 0 and at 1
+    singular = [OrePoly([-1, RatFun(X * (X - 1))]), OrePoly([-2, RatFun(X)])]
     checked = 0
-    for k in range(4):
-        ops = [rand_operator(rng, rng.randint(1, 2), rng.randint(1, 2),
-                             regular_infinity=True) for _ in range(2)]
+    for ops in cases + [square, singular]:
         inst = build_symprod(ops)
         L = symprod(inst)
-        assert verify_symprod(inst, L, random.Random(k))
+        if ops is square:
+            assert L == OrePoly([0, -4, 0, 1])
+        assert verify_symprod(inst, L)
         mutants = operator_mutants(L)
         if any(not L.coeff(j).is_zero() for j in range(L.order)):
-            mutants.append(scaled_mutant(L, rng, RatFun(2)))
+            mutants += [scaled_mutant(L, rng, u) for u in RATFUN_UNITS]
         for m in mutants:
-            assert not verify_symprod(inst, m, random.Random(k))
+            assert not verify_symprod(inst, m)
             checked += 1
-    assert checked >= 12
+    assert checked >= 30
 
 
 def _rand_ratfun(rng, deg):

@@ -9,7 +9,9 @@ pseudo-linear map theta = d/dx + T with
 and the minimal relation of (T, y) is an operator annihilating every root
 of P (the differential resolvent).  T is realised through the Sylvester
 system of (P, P_y): solving U P + V P_y = -da/dy * P_x gives T a = V, so
-M is the Sylvester matrix and det M = res_y(P, P_y) up to sign.
+M is the Sylvester matrix and det M = res_y(P, P_y) up to sign.  As for
+the telescoper, the map comes in cleared form from the one elimination of
+[M | Y] in ``relations.Realisation``.
 
 The verifier does not use T: ``cockle_iterates`` differentiates y modulo
 P as fractions C_i/d_i in Q[x][y], with the inverse of P_y modulo P taken
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from pseudolin.bipoly import BiPoly, bipoly_pseudo_divmod, squarefree_y
-from pseudolin.linalg import PolyMatrix, RatMatrix, solve_rational
+from pseudolin.linalg import PolyMatrix
 from pseudolin.ore import GEN_DX, OrePoly, normalize_primitive
 from pseudolin.poly import Poly, poly_gcd, poly_lcm
 from pseudolin.ratfun import RatFun
@@ -38,7 +40,6 @@ class AlgebraicInstance:
     P: BiPoly
     dx: int
     dy: int
-    T: RatMatrix
     map: PseudoLinearMap
     realisation: Realisation
 
@@ -77,15 +78,7 @@ def build_algebraic(P: BiPoly) -> AlgebraicInstance:
     real = Realisation(W, X, M, Y)
     if real.delta_degree > (2 * dy - 1) * dx:
         raise AssertionError("det M exceeds the (2dy-1)dx degree bound")
-
-    Mrat = M.to_rat()
-    tcols = []
-    for j in range(dy):
-        rhs = [RatFun(Y.entry(i, j)) for i in range(m)]
-        sol = solve_rational(Mrat, rhs)
-        tcols.append([sol[(dy - 1) + i] for i in range(dy)])
-    T = RatMatrix(dy, dy, [tcols[j][i] for i in range(dy) for j in range(dy)])
-    return AlgebraicInstance(P, dx, dy, T, PseudoLinearMap(T), real)
+    return AlgebraicInstance(P, dx, dy, real.map, real)
 
 
 def resolvent(inst: AlgebraicInstance) -> OrePoly:

@@ -19,7 +19,8 @@ leading coefficients.  For the symmetric product of two operators,
 T = 1/x (D_1 @ I + I @ D_2) with Kronecker-product realisation
 X = [X_1 @ I | I @ X_2], M = diag(M_1 @ I, I @ M_2), Y = [I; I], and the
 s-factor case stacks one Kronecker slot per operator (multi-indices in
-lexicographic order).
+lexicographic order).  The builds assemble only the realisation; its one
+elimination (``relations.Realisation``) gives the map in cleared form.
 
 Both results are checked exactly and without the solver: ``verify_lclm``
 by right division by every input, ``verify_symprod`` by the relation of
@@ -31,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from pseudolin.linalg import (PolyMatrix, RatMatrix, block_diag, companion,
-                              hstack_poly, kronecker, kronecker_sum,
-                              vstack_poly)
+from pseudolin.linalg import (PolyMatrix, block_diag, companion, hstack_poly,
+                              kronecker, kronecker_sum, vstack_poly)
 from pseudolin.ore import (GEN_DX, OrePoly, infinity_not_irregular,
                            is_right_multiple, normalize_primitive, to_euler)
 from pseudolin.poly import Poly
@@ -53,7 +53,6 @@ class ClosureInstance:
     kind: str
     operators: tuple
     euler_forms: tuple
-    T: RatMatrix
     a: tuple
     map: PseudoLinearMap
     realisation: Realisation
@@ -98,9 +97,7 @@ def build_lclm(ops) -> ClosureInstance:
     """Euler-basis sum construction: T = 1/x diag(D_1, ..., D_s)."""
     ops, eulers, blocks = _euler_data(ops)
     x = Poly.x()
-    dblocks = [companion(lower, lead) for _, lead, lower in blocks]
-    T = block_diag(dblocks, RatFun.zero()).scale(RatFun(1, x))
-    R = T.rows
+    R = sum(r for r, _, _ in blocks)
     a = []
     for r, _, _ in blocks:
         a.extend([Poly.one()] + [Poly()] * (r - 1))
@@ -115,8 +112,7 @@ def build_lclm(ops) -> ClosureInstance:
     d = max(operator_degree(L) for L in ops)
     if real.delta_degree > len(ops) * d + R:
         raise AssertionError("det M exceeds the s*d + R degree bound")
-    return ClosureInstance(KIND_LCLM, ops, eulers, T, tuple(a),
-                           PseudoLinearMap(T), real)
+    return ClosureInstance(KIND_LCLM, ops, eulers, tuple(a), real.map, real)
 
 
 def lclm(inst: ClosureInstance) -> OrePoly:
@@ -159,8 +155,6 @@ def build_symprod(ops) -> ClosureInstance:
     x = Poly.x()
     orders = [r for r, _, _ in blocks]
     R = prod(orders)
-    T = kronecker_sum([companion(lower, lead)
-                       for _, lead, lower in blocks]).scale(RatFun(1, x))
     a = tuple(Poly.one() if i == 0 else Poly() for i in range(R))
 
     xparts = []
@@ -186,8 +180,7 @@ def build_symprod(ops) -> ClosureInstance:
               for i in range(s))
     if real.delta_degree > cap:
         raise AssertionError("det M exceeds the Kronecker degree bound")
-    return ClosureInstance(KIND_SYMPROD, ops, eulers, T, a,
-                           PseudoLinearMap(T), real)
+    return ClosureInstance(KIND_SYMPROD, ops, eulers, a, real.map, real)
 
 
 def symprod(inst: ClosureInstance) -> OrePoly:
@@ -211,10 +204,10 @@ def verify_symprod(inst: ClosureInstance, L: OrePoly) -> bool:
     L's coefficients holds for (theta, e_0), which ``verify_relation``
     decides exactly.
 
-    It shares only the companion and Kronecker constructors of ``linalg``
-    with ``build_symprod``: T is built in the Dx basis straight from the
-    operators (no ``to_euler``, no 1/x scaling), and there is no
-    elimination (no ``solve_min_relation``).
+    It shares only ``linalg.kronecker`` with ``build_symprod``: T is built
+    in the Dx basis straight from the operators (no ``to_euler``, no 1/x
+    scaling, no realisation), and there is no elimination (no
+    ``solve_min_relation``).
     """
     if L.is_zero():
         return False

@@ -12,7 +12,9 @@ and a minimal telescoper of f is the minimal relation of (T, p).
 T is realised as X M^-1 Y where M is the 2d_y x 2d_y matrix of the map
 (A, r) |-> q dA/dy - q_y A + q r, Y is multiplication by -q_x and X the
 projection onto the last d_y coordinates; det M has degree at most
-2 d_x d_y and equals lc_y(q) res_y(q, q_y) up to sign.
+2 d_x d_y and equals lc_y(q) res_y(q, q_y) up to sign.  The build
+assembles only (W, X, M, Y): one fraction-free elimination of [M | Y] in
+``relations.Realisation`` gives det M and the map in cleared form.
 
 ``hermite_reduce`` works on fractions (BiPoly numerator, Poly
 denominator) with pseudo-division by q, so the inner loop is polynomial
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 from pseudolin.bipoly import (BiPoly, bipoly_coprime, bipoly_ext_prs,
                               bipoly_pseudo_divmod, squarefree_y)
-from pseudolin.linalg import PolyMatrix, RatMatrix, solve_rational
+from pseudolin.linalg import PolyMatrix
 from pseudolin.ore import GEN_DX, OrePoly
 from pseudolin.poly import Poly, poly_gcd, poly_lcm
 from pseudolin.ratfun import RatFun
@@ -120,7 +122,6 @@ class HermiteInstance:
     q: BiPoly
     dx: int
     dy: int
-    T: RatMatrix
     map: PseudoLinearMap
     realisation: Realisation
     a: tuple  # coefficient vector of p in the basis 1, y, ..., y^(dy-1)
@@ -179,17 +180,8 @@ def build_hermite(p: BiPoly, q: BiPoly) -> HermiteInstance:
     real = Realisation(W, X, M, Y)
     if real.delta_degree > 2 * dx * dy:
         raise AssertionError("det M exceeds the 2*dx*dy degree bound")
-
-    Mrat = M.to_rat()
-    tcols = []
-    for j in range(dy):
-        rhs = [RatFun(Y.entry(i, j)) for i in range(rows)]
-        sol = solve_rational(Mrat, rhs)
-        tcols.append([sol[dy + i] for i in range(dy)])
-    T = RatMatrix(dy, dy,
-                  [tcols[j][i] for i in range(dy) for j in range(dy)])
     a = tuple(p.ycoeff(j) for j in range(dy))
-    return HermiteInstance(p, q, dx, dy, T, PseudoLinearMap(T), real, a)
+    return HermiteInstance(p, q, dx, dy, real.map, real, a)
 
 
 def telescoper(inst: HermiteInstance, want_certificate: bool = False):

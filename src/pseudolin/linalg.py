@@ -1,11 +1,14 @@
 """Dense exact linear algebra over Q[x] and Q(x).
 
 Two thin immutable matrix types (:class:`PolyMatrix`, :class:`RatMatrix`)
-plus the operations the rest of the package needs: a fraction-free
-(Bareiss) determinant, linear solving with columnwise denominator
-clearing, exact rank, determinantal denominators (the monic least common
-denominator of all minors up to a given order), Kronecker products and
-companion matrices.
+plus the operations the rest of the package needs.  One fraction-free
+(Bareiss) elimination over Z[x], ``_bareiss``, runs on row-cleared
+augmented matrices [A | B] and returns det-scaled solutions; it serves
+the determinant, linear solving, inversion and the cleared map of a
+realisation (``relations.Realisation``).  Besides it: exact rank through
+the incremental ``GaussTracker``, determinantal denominators (the monic
+least common denominator of all minors up to a given order), Kronecker
+products and companion matrices.
 
 Determinantal denominators are computed by exhaustive minor enumeration,
 which is combinatorial in the dimensions; they are meant for matrices of
@@ -91,14 +94,6 @@ class PolyMatrix(_Matrix):
     def zeros(rows: int, cols: int) -> PolyMatrix:
         return PolyMatrix(rows, cols, [Poly()] * (rows * cols))
 
-    def to_rat(self) -> RatMatrix:
-        return RatMatrix(self.rows, self.cols,
-                         [RatFun(e) for e in self.entries])
-
-    def scale(self, f) -> PolyMatrix:
-        return PolyMatrix(self.rows, self.cols,
-                          [e * f for e in self.entries])
-
 
 class RatMatrix(_Matrix):
     """Dense matrix with RatFun entries."""
@@ -119,9 +114,6 @@ class RatMatrix(_Matrix):
     @staticmethod
     def zeros(rows: int, cols: int) -> RatMatrix:
         return RatMatrix(rows, cols, [RatFun.zero()] * (rows * cols))
-
-    def scale(self, f) -> RatMatrix:
-        return RatMatrix(self.rows, self.cols, [e * f for e in self.entries])
 
     def add(self, other: RatMatrix) -> RatMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -193,39 +185,95 @@ def vstack_poly(blocks) -> PolyMatrix:
     return PolyMatrix(sum(b.rows for b in blocks), cols, out)
 
 
-# -- fraction-free determinant ------------------------------------------------
+# -- fraction-free elimination ------------------------------------------------
 
 
-def _bareiss_z(m):
-    """Bareiss determinant of a square matrix of zpolys (destructive)."""
-    n = len(m)
-    if n == 0:
-        return [1]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        piv = -1
-        best = None
+def _zrow(polys):
+    """(s, [s*p for p in polys]) for s > 0 the least integer scale that
+    makes every entry an integer zpoly."""
+    s = lcm(*[p.d for p in polys])
+    return s, [zk.zp_scale(p.z, s // p.d) for p in polys]
+
+
+def _zrows(rows):
+    """(s, zrows): each row of Poly entries cleared by ``_zrow``, and s
+    the product of the row scales."""
+    scale, out = 1, []
+    for row in rows:
+        s, zrow = _zrow(row)
+        scale *= s
+        out.append(zrow)
+    return scale, out
+
+
+def _clear_rows(rows):
+    """(s, zrows) for rows of RatFun entries: each row times the common
+    denominator of its entries, then cleared by ``_zrows``; s is the
+    product of all the row factors.  Scaling a row of a linear system
+    leaves its solutions unchanged."""
+    dens = [common_denominator(row) for row in rows]
+    scale, zrows = _zrows([[e.num * d.exact_div(e.den) for e in row]
+                           for row, d in zip(rows, dens)])
+    return prod(dens, start=Poly.one()) * scale, zrows
+
+
+def _bareiss(rows, m):
+    """Fraction-free (Bareiss) elimination of the integer zpoly rows
+    [A | B], A the first m columns (destructive).
+
+    The pivot of each column is its shortest nonzero entry.  After step k
+    every entry below row k is a minor of order k + 1, so each division by
+    the previous pivot is exact in Z[x], and the last pivot is the minor
+    of the m pivot rows: delta below is that minor, signed so that it is
+    det A when A is square.
+
+    Returns (delta, Z) with Z = delta * A^-1 B (m rows of zpolys) from a
+    fraction-free back-substitution: with U the eliminated rows and b'
+    their right-hand sides, delta*x_i = (delta*b'_i - sum_j U_ij delta*x_j)
+    / U_ii, a division that is exact in Z[x] by Cramer's rule.  delta is
+    [] (and Z None) when A lacks full column rank; Z is None when the
+    system is inconsistent.
+    """
+    n = len(rows)
+    sign, prev = 1, [1]
+    for k in range(m):
+        piv, best = -1, None
         for i in range(k, n):
-            e = m[i][k]
+            e = rows[i][k]
             if e and (best is None or len(e) < best):
                 piv, best = i, len(e)
         if piv < 0:
-            return []
+            return [], None
         if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+            rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            head = m[i][k]
-            for j in range(k + 1, n):
-                t = zk.zp_sub(zk.zp_mul(m[i][j], pivot),
-                              zk.zp_mul(head, m[k][j]))
-                m[i][j] = zk.zp_divexact(t, prev) if prev != [1] else t
-            m[i][k] = []
+        prow = rows[k]
+        pivot = prow[k]
+        divide = prev != [1]
+        for row in rows[k + 1:]:
+            head = row[k]
+            for j in range(k + 1, len(row)):
+                t = zk.zp_mul(row[j], pivot)
+                if head and prow[j]:
+                    t = zk.zp_sub(t, zk.zp_mul(head, prow[j]))
+                row[j] = zk.zp_divexact(t, prev) if t and divide else t
+            row[k] = []
         prev = pivot
-    det = m[n - 1][n - 1]
-    return zk.zp_neg(det) if sign < 0 else det
+    if any(any(row[m:]) for row in rows[m:]):
+        return prev, None
+    delta = zk.zp_neg(prev) if sign < 0 else prev
+    Z = [None] * m
+    for i in range(m - 1, -1, -1):
+        row = rows[i]
+        out = []
+        for c in range(len(row) - m):
+            t = zk.zp_mul(delta, row[m + c])
+            for j in range(i + 1, m):
+                if row[j] and Z[j][c]:
+                    t = zk.zp_sub(t, zk.zp_mul(row[j], Z[j][c]))
+            out.append(zk.zp_divexact(t, row[i]))
+        Z[i] = out
+    return delta, Z
 
 
 def det_fraction_free(m: PolyMatrix) -> Poly:
@@ -236,15 +284,8 @@ def det_fraction_free(m: PolyMatrix) -> Poly:
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    scale = 1
-    zrows = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den_row = lcm(*[e.d for e in row])
-        scale *= den_row
-        zrows.append([zk.zp_scale(e.z, den_row // e.d) for e in row])
-    det = _bareiss_z(zrows)
-    return Poly.from_z(det, scale)
+    scale, zrows = _zrows([m.row(i) for i in range(m.rows)])
+    return Poly.from_z(_bareiss(zrows, m.cols)[0], scale)
 
 
 # from this length on, _zp_eval splits pairwise instead of running Horner
@@ -280,88 +321,31 @@ def det_rational(R: RatMatrix) -> RatFun:
 
 def _rat_det(rows) -> RatFun:
     """Determinant of a small square grid of RatFun entries."""
-    n = len(rows)
-    scale = RatFun.one()
-    zrows = []
-    for row in rows:
-        rden = common_denominator(row)
-        scale = scale * RatFun(1, rden)
-        prow = []
-        for e in row:
-            prow.append((e * rden).num)
-        zrows.append(prow)
-    det = det_fraction_free(PolyMatrix.from_rows(zrows))
-    return scale * det
+    scale, zrows = _clear_rows(rows)
+    return RatFun(Poly.from_z(_bareiss(zrows, len(rows))[0]), scale)
 
 
 # -- solving and rank ----------------------------------------------------------
 
 
-def _clear_columns(A: RatMatrix):
-    """Scale each column by the monic lcm of its denominators.
-
-    Returns (polynomial columns, column denominators); the solution of the
-    scaled system recovers the original one via nu_j = colden_j * y_j.
-    """
-    cols = []
-    dens = []
-    for j in range(A.cols):
-        col = A.col(j)
-        d = common_denominator(col)
-        dens.append(d)
-        cols.append([(e * d).num for e in col])
-    return cols, dens
-
-
 def solve_rational(A: RatMatrix, b):
     """Solve A nu = b for a full-column-rank A over Q(x).
 
-    Each column of A and the right-hand side are multiplied by their own
-    least common denominator, so the elimination runs entirely in Q[x];
-    the scaling is undone on the reduced solution.  Returns None when the
-    system is inconsistent; raises ValueError when A does not have full
-    column rank.
+    Each row of [A | b] is cleared to integer polynomials and the system
+    is solved by one fraction-free elimination (``_bareiss``), which gives
+    delta * nu in Z[x].  Returns None when the system is inconsistent;
+    raises ValueError when A does not have full column rank.
     """
     if len(b) != A.rows:
         raise ValueError("right-hand side length mismatch")
-    cols, dens = _clear_columns(A)
-    bden = common_denominator(b)
-    brhs = [(e * bden).num for e in b]
-    # augmented rows over Q[x]
-    rows = [[cols[j][i] for j in range(A.cols)] + [brhs[i]]
-            for i in range(A.rows)]
-    n, m = A.rows, A.cols
-    piv_rows = []
-    r = 0
-    for c in range(m):
-        piv = -1
-        best = None
-        for i in range(r, n):
-            e = rows[i][c]
-            if not e.is_zero() and (best is None or e.degree < best):
-                piv, best = i, e.degree
-        if piv < 0:
-            raise ValueError("matrix does not have full column rank")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, n):
-            if not rows[i][c].is_zero():
-                head, lead = rows[i][c], rows[r][c]
-                rows[i] = [rj * lead - rr * head
-                           for rj, rr in zip(rows[i], rows[r])]
-        piv_rows.append(r)
-        r += 1
-    for i in range(r, n):
-        if not rows[i][m].is_zero():
-            return None
-    # back-substitution over Q(x)
-    y = [RatFun.zero()] * m
-    for c in range(m - 1, -1, -1):
-        i = piv_rows[c]
-        acc = RatFun(rows[i][m])
-        for j in range(c + 1, m):
-            acc = acc - RatFun(rows[i][j]) * y[j]
-        y[c] = acc / RatFun(rows[i][c])
-    return [dens[j] * y[j] / RatFun(bden) for j in range(m)]
+    _, rows = _clear_rows([A.row(i) + [b[i]] for i in range(A.rows)])
+    delta, Z = _bareiss(rows, A.cols)
+    if not delta:
+        raise ValueError("matrix does not have full column rank")
+    if Z is None:
+        return None
+    d = Poly.from_z(delta)
+    return [RatFun(Poly.from_z(row[0]), d) for row in Z]
 
 
 #: evaluation point for the content prechecks below
@@ -458,9 +442,9 @@ class GaussTracker:
     bookkeeping slots.  Pivots are chosen among the working slots only; a
     vector whose working slots all vanish is dependent, and its remaining
     slots (if any) certify the dependency.  Vectors are normalized up to
-    an overall nonzero scalar of Q(x) -- integer content and polynomial
-    content are stripped -- which neither the rank nor ratios of slots
-    depend on.
+    an overall nonzero scalar of Q(x) -- ``zvec_content`` strips integer
+    content and the guarded polynomial content -- which neither the rank
+    nor ratios of slots depend on.
 
     Each reduction of v by a pivot w with lead = w[pr] and head = v[pr]
     first cancels h = gcd(lead, head) when both are nonconstant, and forms
@@ -480,20 +464,10 @@ class GaussTracker:
         self.width = width
         self.pivots = []  # (pivot slot, normalized vector)
 
-    def _normalize(self, vec):
-        """Strip integer content, then polynomial content, the latter
-        guarded by integer evaluations at a fixed point as in
-        ``_strip_poly_content``.  (Skipping never affects correctness:
-        vectors are only defined up to a scalar.)"""
-        c, vec = _strip_int_content(vec)
-        if c == 0:
-            return vec
-        return _strip_poly_content(vec, [_zp_eval(z, _PT) for z in vec])[1]
-
     def offer(self, vec):
         """Reduce vec against the pivots; keep it as a new pivot and return
         None when independent, else return the bookkeeping slots."""
-        vec = self._normalize(list(vec))
+        vec = zvec_content(list(vec))[1]
         for pr, pvec in self.pivots:
             if vec[pr]:
                 head, lead = vec[pr], pvec[pr]
@@ -504,7 +478,7 @@ class GaussTracker:
                         lead = zk.zp_divexact(lead, h)
                 vec = [zk.zp_sub(zk.zp_mul(v, lead), zk.zp_mul(head, w))
                        for v, w in zip(vec, pvec)]
-                vec = self._normalize(vec)
+                vec = zvec_content(vec)[1]
         if any(vec[j] for j in range(self.width)):
             pr = min((j for j in range(self.width) if vec[j]),
                      key=lambda j: len(vec[j]))
@@ -518,28 +492,28 @@ class GaussTracker:
 
 
 def rank(A: RatMatrix) -> int:
-    """Exact rank over Q(x), via columnwise denominator clearing."""
-    cols, _ = _clear_columns(A)
+    """Exact rank over Q(x): each column is cleared to integer polynomials
+    by its own common denominator, which leaves the rank unchanged."""
     tracker = GaussTracker(A.rows)
-    for col in cols:
-        dd = lcm(*[e.d for e in col])
-        tracker.offer([zk.zp_scale(e.z, dd // e.d) for e in col])
+    for col in _clear_rows([A.col(j) for j in range(A.cols)])[1]:
+        tracker.offer(col)
     return tracker.rank
 
 
 def invert(A: RatMatrix) -> RatMatrix:
-    """Inverse of a square non-singular RatMatrix (column-by-column solve)."""
+    """Inverse of a square non-singular RatMatrix: one fraction-free
+    elimination of [A | I]."""
     if A.rows != A.cols:
         raise ValueError("inverse of a non-square matrix")
     n = A.rows
-    cols = []
-    for j in range(n):
-        e = [RatFun.one() if i == j else RatFun.zero() for i in range(n)]
-        sol = solve_rational(A, e)
-        if sol is None:
-            raise ValueError("singular matrix")
-        cols.append(sol)
-    return RatMatrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+    eye = RatMatrix.identity(n)
+    _, rows = _clear_rows([A.row(i) + eye.row(i) for i in range(n)])
+    delta, Z = _bareiss(rows, n)
+    if not delta:
+        raise ValueError("singular matrix")
+    d = Poly.from_z(delta)
+    return RatMatrix(n, n, [RatFun(Poly.from_z(z), d) for row in Z
+                            for z in row])
 
 
 # -- determinantal denominators ------------------------------------------------

@@ -4,8 +4,11 @@ Given a square rational matrix T and a polynomial vector a, the solver
 finds the shortest linear relation with polynomial coefficients among the
 iterates a, theta(a), theta^2(a), ...  where theta(v) = v' + T v.
 
-The implementation never forms the rational iterates directly.  With den a
-common denominator of T and N = den*T, the iterates satisfy
+The solver runs on the cleared pair (den, N = den*T) in Z[x], never on T.
+A map made from a realisation T = W + X M^-1 Y carries that pair from the
+realisation's single fraction-free elimination of [M | Y]; a map made from
+T is cleared when it is solved.  The rational iterates are never formed:
+the iterates satisfy
 
     theta^i(a) = b_i / den^i,
     b_{i+1}    = den*b_i' - i*den'*b_i + N*b_i,
@@ -33,29 +36,67 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from pseudolin import _kernel as zk
-from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix,
-                              det_denominator, det_fraction_free,
-                              solve_rational, zvec_content)
+from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, _bareiss,
+                              _zrow, _zrows, det_denominator, zvec_content)
 from pseudolin.poly import NEG_INF, Poly, poly_divides
 from pseudolin.ratfun import RatFun, common_denominator
 
 
 class PseudoLinearMap:
-    """theta = d/dx + T for a square T over Q(x)."""
+    """theta = d/dx + T for a square T over Q(x).
 
-    __slots__ = ("T",)
+    A map is made either from T or, by ``from_cleared``, from a cleared
+    pair (den, N) with T = N/den, which is how a realisation hands over its
+    map.  Each form is derived from the other only when it is read:
+    ``cleared()`` clears a map made from T on every call, and T of a map
+    made from the pair is built on first access.
+    """
+
+    __slots__ = ("_T", "_cleared")
 
     def __init__(self, T: RatMatrix):
         if T.rows != T.cols:
             raise ValueError("T must be square")
-        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "_T", T)
+        object.__setattr__(self, "_cleared", None)
+
+    @classmethod
+    def from_cleared(cls, den_z, N_z) -> PseudoLinearMap:
+        """The map T = N/den for integer zpolys den != 0 and N (n rows of n
+        entries), given as ``cleared()`` returns them."""
+        pmap = object.__new__(cls)
+        object.__setattr__(pmap, "_T", None)
+        object.__setattr__(pmap, "_cleared", (den_z, N_z))
+        return pmap
 
     def __setattr__(self, name, value):
         raise AttributeError("PseudoLinearMap is immutable")
 
     @property
     def n(self) -> int:
-        return self.T.rows
+        return self._T.rows if self._cleared is None else len(self._cleared[1])
+
+    @property
+    def T(self) -> RatMatrix:
+        if self._T is None:
+            den_z, N_z = self._cleared
+            den = Poly.from_z(list(den_z))
+            object.__setattr__(self, "_T", RatMatrix(
+                self.n, self.n, [RatFun(Poly.from_z(list(z)), den)
+                                 for row in N_z for z in row]))
+        return self._T
+
+    def cleared(self):
+        """Integer-cleared (den, N = den*T) pair driving the b_i recurrence:
+        den has a positive leading coefficient and (den, N) no common
+        content in Z[x], so den is the least common denominator of T up to
+        an integer.  For a map made from T this clears T on each call."""
+        if self._cleared is not None:
+            return self._cleared
+        n, entries = self.n, self._T.entries
+        den = common_denominator(entries)
+        _, z = _zrow([den] + [e.num * den.exact_div(e.den) for e in entries])
+        return z[0], [z[1 + i * n:1 + (i + 1) * n] for i in range(n)]
 
 
 def theta_apply(pmap: PseudoLinearMap, v):
@@ -102,13 +143,23 @@ class Relation:
 
 @dataclass(frozen=True)
 class Realisation:
-    """Quadruple (W, X, M, Y) with T = W + X M^-1 Y and Delta = det M."""
+    """Quadruple (W, X, M, Y) with T = W + X M^-1 Y and Delta = det M.
+
+    Construction runs one fraction-free elimination of the row-cleared
+    [M | Y] (``linalg._bareiss``), which yields both derived fields:
+    ``delta`` = Delta, from the last pivot, and ``map``, the map in
+    cleared form.  With D the scaled determinant the elimination returns
+    and Z = D M^-1 Y, the pair is den = D and N = X Z + D W, divided by
+    their joint content in Z[x] (with X and W cleared by one integer
+    scale).
+    """
 
     W: PolyMatrix
     X: PolyMatrix
     M: PolyMatrix
     Y: PolyMatrix
-    delta: Poly = field(default=None)  # type: ignore[assignment]
+    delta: Poly = field(init=False)
+    map: PseudoLinearMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = self.X.rows, self.X.cols
@@ -118,38 +169,41 @@ class Realisation:
             raise ValueError("M must be m x m")
         if self.Y.rows != m or self.Y.cols != n:
             raise ValueError("Y must be m x n")
-        if self.delta is None:
-            object.__setattr__(self, "delta", det_fraction_free(self.M))
-        if self.delta.is_zero():
+        scale, rows = _zrows([self.M.row(i) + self.Y.row(i)
+                              for i in range(m)])
+        D, Z = _bareiss(rows, m)
+        if not D:
             raise ValueError("singular M in realisation")
+        object.__setattr__(self, "delta", Poly.from_z(D, scale))
+        s, xw = _zrow(self.X.entries + self.W.entries)
+        X, W = xw[:n * m], xw[n * m:]
+        cleared = [zk.zp_scale(D, s)]
+        for i in range(n):
+            for j in range(n):
+                t = zk.zp_mul(D, W[i * n + j])
+                for k in range(m):
+                    if X[i * m + k] and Z[k][j]:
+                        t = zk.zp_add(t, zk.zp_mul(X[i * m + k], Z[k][j]))
+                cleared.append(t)
+        _, cleared = zvec_content(cleared, guard=False)
+        if cleared[0][-1] < 0:
+            cleared = [zk.zp_neg(z) for z in cleared]
+        object.__setattr__(self, "map", PseudoLinearMap.from_cleared(
+            cleared[0], [cleared[1 + i * n:1 + (i + 1) * n]
+                         for i in range(n)]))
 
     @property
     def delta_degree(self) -> int:
         return self.delta.degree
 
     def reconstruct(self) -> RatMatrix:
-        """W + X M^-1 Y, for validating a realisation against its map."""
-        n, m = self.X.rows, self.M.rows
-        Mrat = self.M.to_rat()
-        cols = []
-        for j in range(n):
-            rhs = [RatFun(self.Y.entry(i, j)) for i in range(m)]
-            sol = solve_rational(Mrat, rhs)
-            if sol is None:
-                raise ValueError("inconsistent realisation solve")
-            cols.append(sol)
-        entries = []
-        for i in range(n):
-            for j in range(n):
-                acc = RatFun(self.W.entry(i, j))
-                for k in range(m):
-                    acc = acc + RatFun(self.X.entry(i, k)) * cols[j][k]
-                entries.append(acc)
-        return RatMatrix(n, n, entries)
+        """W + X M^-1 Y, read from the cleared form of ``map``."""
+        return self.map.T
 
 
 def trivial_realisation(pmap: PseudoLinearMap) -> Realisation:
-    """T = (den*T)(den*I)^(-1) for den the monic lcm of the denominators."""
+    """T = (den*T)(den*I)^(-1) for den the monic lcm of the denominators;
+    its Delta is den^n."""
     n = pmap.n
     den = common_denominator(pmap.T.entries)
     X = PolyMatrix(n, n, [(e * den).num for e in pmap.T.entries])
@@ -157,7 +211,7 @@ def trivial_realisation(pmap: PseudoLinearMap) -> Realisation:
     M = PolyMatrix(n, n, [den if i == j else Poly()
                           for i in range(n) for j in range(n)])
     Y = PolyMatrix.identity(n)
-    return Realisation(W, X, M, Y, delta=den**n)
+    return Realisation(W, X, M, Y)
 
 
 # -- degree-bound predictors ---------------------------------------------------
@@ -183,17 +237,6 @@ def bound_direct(rho: int, d_a: int, d: int, D: int, i: int):
 
 
 # -- iterate clearing and elimination ---------------------------------------------
-
-
-def _clear_map(pmap: PseudoLinearMap):
-    """Integer-cleared (den, N = den*T) pair driving the b_i recurrence."""
-    den_q = common_denominator(pmap.T.entries)
-    N_q = [[(pmap.T.entry(i, j) * den_q).num for j in range(pmap.n)]
-           for i in range(pmap.n)]
-    scale = lcm(den_q.d, *[p.d for row in N_q for p in row])
-    den_z = zk.zp_scale(den_q.z, scale // den_q.d)
-    N_z = [[zk.zp_scale(p.z, scale // p.d) for p in row] for row in N_q]
-    return den_z, N_z
 
 
 def _iterate_step(den_z, denp_z, N_z, b, i):
@@ -223,7 +266,7 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
         raise ValueError("vector dimension mismatch")
     if all(c.is_zero() for c in a):
         raise ValueError("zero initial vector has no minimal relation")
-    den_z, N_z = _clear_map(pmap)
+    den_z, N_z = pmap.cleared()
     denp_z = zk.zp_deriv(den_z)
 
     sa = lcm(*[c.d for c in a])
@@ -316,10 +359,10 @@ def verify_relation(pmap: PseudoLinearMap, a, rel: Relation) -> bool:
     factor sa * se * D^rho.  Every step is an exact integer-polynomial ring
     operation, so the check is exact.
 
-    It shares no code with the solver: it clears the map itself instead of
-    calling ``_clear_map``, never calls ``_iterate_step``, and does no
-    elimination (no ``GaussTracker`` or ``linalg``); it only multiplies and
-    adds through ``_kernel``.
+    It shares no code with the solver: it clears T itself instead of
+    calling ``PseudoLinearMap.cleared``, never calls ``_iterate_step``, and
+    does no elimination (no ``GaussTracker`` or ``linalg``); it only
+    multiplies and adds through ``_kernel``.
     """
     n = pmap.n
     a = [c if isinstance(c, Poly) else Poly.const(c) for c in a]

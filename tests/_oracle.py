@@ -13,12 +13,19 @@ Fraction coefficients, the reference for the integer-backed ``Poly``;
 ``ratfun_y_ext_gcd`` is the extended Euclidean algorithm in Q(x)[y] on
 lists of RatFun coefficients, and ``ore_apply`` applies an operator to a
 rational function by repeated differentiation.
+
+``solve_columns`` and ``realisation_map`` are the reference for the
+fraction-free elimination behind ``Realisation``: one Q[x]
+cross-multiplication elimination per right-hand side over columnwise
+cleared denominators, a back-substitution in Q(x), and T = W + X M^-1 Y
+summed entry by entry in ``RatFun``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+from pseudolin.linalg import RatMatrix
 from pseudolin.ore import GEN_EULER
 from pseudolin.poly import Poly, poly_lcm
 from pseudolin.ratfun import RatFun, common_denominator
@@ -255,3 +262,60 @@ def ore_apply(L, f: RatFun) -> RatFun:
                 g = g * Poly.x()
         acc = acc + c * g
     return acc
+
+
+def solve_columns(A: RatMatrix, b):
+    """Solve A nu = b for a full-column-rank A over Q(x): each column and
+    b are scaled by their least common denominators, the scaled system is
+    eliminated over Q[x] by plain cross-multiplication, and the scaling is
+    undone on the back-substituted solution.  None when inconsistent;
+    ValueError when A does not have full column rank."""
+    cols, dens = [], []
+    for j in range(A.cols):
+        col = A.col(j)
+        d = common_denominator(col)
+        dens.append(d)
+        cols.append([(e * d).num for e in col])
+    bden = common_denominator(b)
+    rows = [[cols[j][i] for j in range(A.cols)] + [(b[i] * bden).num]
+            for i in range(A.rows)]
+    n, m = A.rows, A.cols
+    for c in range(m):
+        piv = next((i for i in range(c, n) if not rows[i][c].is_zero()), -1)
+        if piv < 0:
+            raise ValueError("matrix does not have full column rank")
+        rows[c], rows[piv] = rows[piv], rows[c]
+        for i in range(c + 1, n):
+            if not rows[i][c].is_zero():
+                head, lead = rows[i][c], rows[c][c]
+                rows[i] = [rj * lead - rr * head
+                           for rj, rr in zip(rows[i], rows[c])]
+    if any(not rows[i][m].is_zero() for i in range(m, n)):
+        return None
+    y = [RatFun.zero()] * m
+    for c in range(m - 1, -1, -1):
+        acc = RatFun(rows[c][m])
+        for j in range(c + 1, m):
+            acc = acc - RatFun(rows[c][j]) * y[j]
+        y[c] = acc / RatFun(rows[c][c])
+    return [dens[j] * y[j] / RatFun(bden) for j in range(m)]
+
+
+def realisation_map(W, X, M, Y) -> RatMatrix:
+    """W + X M^-1 Y from one ``solve_columns`` call per column of Y."""
+    n, m = X.rows, M.rows
+    Mrat = RatMatrix(m, m, [RatFun(e) for e in M.entries])
+    cols = []
+    for j in range(n):
+        sol = solve_columns(Mrat, [RatFun(Y.entry(i, j)) for i in range(m)])
+        if sol is None:
+            raise ValueError("inconsistent realisation solve")
+        cols.append(sol)
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            acc = RatFun(W.entry(i, j))
+            for k in range(m):
+                acc = acc + RatFun(X.entry(i, k)) * cols[j][k]
+            entries.append(acc)
+    return RatMatrix(n, n, entries)

@@ -300,12 +300,12 @@ def test_criterion_09_determinantal_denominator_laws(instance_suite):
     sampled = 0
     for kind in ("hermite", "algebraic", "lclm", "symprod"):
         for inst, _, _ in instance_suite[kind]:
-            n = inst.T.rows
+            n = inst.map.T.rows
             if n > 4 or sampled >= 8:
                 continue
             real = inst.realisation
             for ell in range(n + 1):
-                if not poly_divides(det_denominator(inst.T, ell),
+                if not poly_divides(det_denominator(inst.map.T, ell),
                                     real.delta):
                     violations += 1
             sampled += 1

@@ -15,7 +15,7 @@ from pseudolin.poly import Poly
 from pseudolin.randgen import rand_algebraic_input
 from pseudolin.ratfun import RatFun
 
-from _oracle import ore_apply
+from _oracle import ore_apply, realisation_map
 
 x = Poly.x()
 one = Poly.one()
@@ -24,12 +24,14 @@ P_SQRT = BiPoly([-x, Poly(), one])          # y^2 - x
 
 def test_build_example():
     inst = build_algebraic(P_SQRT)
-    assert inst.T.entry(1, 1) == RatFun(1, 2 * x)
-    assert inst.T.entry(0, 0).is_zero()
-    assert inst.T.entry(0, 1).is_zero() and inst.T.entry(1, 0).is_zero()
+    T = inst.map.T
+    assert T.entry(1, 1) == RatFun(1, 2 * x)
+    assert T.entry(0, 0).is_zero()
+    assert T.entry(0, 1).is_zero() and T.entry(1, 0).is_zero()
     res = resultant_y(P_SQRT, P_SQRT.deriv("y"))
     assert inst.realisation.delta in (res, -res)
-    assert inst.realisation.reconstruct() == inst.T
+    real = inst.realisation
+    assert T == realisation_map(real.W, real.X, real.M, real.Y)
 
 
 def test_build_rejects_bad_inputs():
@@ -79,7 +81,7 @@ def test_genericity_gates_strict_properness():
     for _ in range(8):
         P = rand_algebraic_input(rng, 2, 2, generic=True)
         inst = build_algebraic(P)
-        assert inst.T.is_strictly_proper()
+        assert inst.map.T.is_strictly_proper()
         assert inst.realisation.delta_degree \
             <= (2 * inst.dy - 1) * inst.dx
 

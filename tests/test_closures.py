@@ -11,8 +11,10 @@ from pseudolin.instances.closures import (bound_lclm, bound_symprod,
                                           operator_degree, symprod,
                                           symprod_conjecture_curve,
                                           verify_lclm, verify_symprod)
-from pseudolin.linalg import det_fraction_free
-from pseudolin.ore import OrePoly, infinity_not_irregular, right_divide
+from pseudolin.linalg import (RatMatrix, block_diag, companion,
+                              det_fraction_free, kronecker_sum)
+from pseudolin.ore import (OrePoly, infinity_not_irregular, right_divide,
+                           to_euler)
 from pseudolin.poly import Poly
 from pseudolin.randgen import rand_operator
 from pseudolin.ratfun import RatFun
@@ -24,21 +26,59 @@ D1 = OrePoly([-1, 1])                                # Dx - 1
 CAUCHY = OrePoly([2, RatFun(-2 * x), RatFun(x * x)])
 
 
+def _euler_companions(ops):
+    """The companion matrix of each operator's Euler form."""
+    blocks = []
+    for L in ops:
+        E = to_euler(L)
+        blocks.append(companion([c.num for c in E.coeffs[:-1]],
+                                E.coeffs[-1].num))
+    return blocks
+
+
+def _over_x(R):
+    return RatMatrix(R.rows, R.cols, [e / RatFun(x) for e in R.entries])
+
+
+def _reference_T(inst):
+    """T assembled from companion blocks, independently of the
+    realisation: 1/x diag(D_i) for the LCLM, 1/x sum_i I @ D_i @ I for
+    the symmetric product."""
+    blocks = _euler_companions(inst.operators)
+    if inst.kind == "lclm":
+        return _over_x(block_diag(blocks, RatFun.zero()))
+    return _over_x(kronecker_sum(blocks))
+
+
 def test_build_lclm_example():
     inst = build_lclm([XD1, XD2])
-    assert inst.T.entry(0, 0) == RatFun(1, x)
-    assert inst.T.entry(1, 1) == RatFun(2, x)
-    assert inst.T.entry(0, 1).is_zero() and inst.T.entry(1, 0).is_zero()
+    T = inst.map.T
+    assert T.entry(0, 0) == RatFun(1, x)
+    assert T.entry(1, 1) == RatFun(2, x)
+    assert T.entry(0, 1).is_zero() and T.entry(1, 0).is_zero()
     assert list(inst.a) == [Poly.one(), Poly.one()]
     assert inst.realisation.delta in (x * x, -(x * x))
-    assert inst.realisation.reconstruct() == inst.T
-    assert inst.T.is_strictly_proper()
+    assert T == _reference_T(inst)
+    assert T.is_strictly_proper()
+
+
+def test_closure_maps_match_companion_reference():
+    """The map a build takes from its realisation is the T of the
+    companion, block_diag and kronecker_sum construction."""
+    rng = random.Random(84)
+    for _ in range(8):
+        for build in (build_lclm, build_symprod):
+            ops = [rand_operator(rng, rng.randint(1, 2), rng.randint(1, 2),
+                                 regular_infinity=rng.random() < 0.5)
+                   for _ in range(rng.choice((2, 2, 3)))]
+            inst = build(ops)
+            assert inst.map.T == _reference_T(inst)
 
 
 def test_build_lclm_irregular_still_builds():
     inst = build_lclm([D1, XD2])
     assert not infinity_not_irregular(D1)
-    assert not inst.T.is_strictly_proper()   # Euler form of Dx-1 is E - x
+    assert not inst.map.T.is_strictly_proper()  # Euler form of Dx-1: E - x
     L = lclm(inst)
     assert verify_lclm(inst, L)
 
@@ -88,15 +128,15 @@ def test_lclm_delta_degree_bound():
         R = sum(op.order for op in ops)
         d = max(operator_degree(op) for op in ops)
         assert inst.realisation.delta_degree <= s * d + R
-        assert inst.T.is_strictly_proper()
+        assert inst.map.T.is_strictly_proper()
 
 
 def test_build_symprod_example():
     inst = build_symprod([XD1, XD2])
-    assert inst.T.entry(0, 0) == RatFun(3, x)
+    assert inst.map.T.entry(0, 0) == RatFun(3, x)
     assert list(inst.a) == [Poly.one()]
     assert inst.realisation.delta in (x * x, -(x * x))
-    assert inst.realisation.reconstruct() == inst.T
+    assert inst.map.T == _reference_T(inst)
     # det M_i = -x^(r_i) q_(i, r_i) blockwise
     M = inst.realisation.M
     blk1 = det_fraction_free(
@@ -118,9 +158,9 @@ def test_symprod_closed_forms():
 
 def test_symprod_strict_properness_iff_regular():
     inst = build_symprod([XD1, XD2])
-    assert inst.T.is_strictly_proper()
+    assert inst.map.T.is_strictly_proper()
     inst2 = build_symprod([D1, XD1])
-    assert not inst2.T.is_strictly_proper()
+    assert not inst2.map.T.is_strictly_proper()
 
 
 def test_symprod_delta_degree():

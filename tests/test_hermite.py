@@ -20,7 +20,7 @@ from pseudolin.ratfun import RatFun
 
 import sys
 sys.path.insert(0, "tests")
-from _oracle import oracle_min_relation, ratfun_y_ext_gcd
+from _oracle import oracle_min_relation, ratfun_y_ext_gcd, realisation_map
 
 x = Poly.x()
 one = Poly.one()
@@ -94,13 +94,15 @@ def test_bezout_cleared_is_minimal():
 
 def test_build_example_matrix():
     inst = build_hermite(P_ONE, Q_SHIFTED)
-    assert inst.T.entry(0, 0) == RatFun(Poly([Fraction(-1, 2)]), x)
-    assert inst.T.entry(1, 0).is_zero()
-    assert inst.T.entry(0, 1).is_zero() and inst.T.entry(1, 1).is_zero()
+    T = inst.map.T
+    assert T.entry(0, 0) == RatFun(Poly([Fraction(-1, 2)]), x)
+    assert T.entry(1, 0).is_zero()
+    assert T.entry(0, 1).is_zero() and T.entry(1, 1).is_zero()
     # determinant shape: Delta = +- lc(q) res_y(q, q_y)
     target = Q_SHIFTED.lc_y * resultant_y(Q_SHIFTED, Q_SHIFTED.deriv("y"))
     assert inst.realisation.delta in (target, -target)
-    assert inst.realisation.reconstruct() == inst.T
+    real = inst.realisation
+    assert T == realisation_map(real.W, real.X, real.M, real.Y)
 
 
 def test_build_validates_inputs():
@@ -131,7 +133,7 @@ def test_telescoper_generic_instance_against_oracle():
     assert genericity_check(q)
     p = BiPoly([Poly(), one])                        # y
     inst = build_hermite(p, q)
-    assert inst.T.is_strictly_proper()
+    assert inst.map.T.is_strictly_proper()
     L, _ = telescoper(inst)
     assert 1 <= L.order <= 2
     ref = oracle_min_relation(inst.map, list(inst.a))
@@ -156,7 +158,7 @@ def test_generic_implies_strictly_proper():
     for _ in range(10):
         p, q = rand_hermite_input(rng, 2, 2, generic=True)
         inst = build_hermite(p, q)
-        assert inst.T.is_strictly_proper()
+        assert inst.map.T.is_strictly_proper()
 
 
 def test_bound_hermite_values():

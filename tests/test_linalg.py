@@ -263,8 +263,8 @@ def _zprod(*factors):
 def test_normalize_matches_chained_gcd_strip(monkeypatch):
     def chained_strip(vec, pt):
         """Integer content, then the polynomial content as a chain of
-        pairwise gcds (skipped when the values at pt are coprime, as
-        GaussTracker does)."""
+        pairwise gcds (skipped when the values at pt are coprime, as the
+        guarded ``zvec_content`` that GaussTracker.offer calls does)."""
         c = 0
         for z in vec:
             for e in z:
@@ -321,7 +321,7 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(zk, "zp_gcd",
                       lambda a, b: calls.append(1) or real_gcd(a, b))
-            assert GaussTracker(len(vec))._normalize(vec) == want
+            assert zvec_content(vec)[1] == want
         if calls:
             paths["one gcd" if len(calls) == 1 else "fallback"] += 1
     assert paths["one gcd"] >= 30 and paths["fallback"] >= 15

@@ -17,7 +17,7 @@ from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  krylov_matrix, solve_min_relation,
                                  theta_apply, theta_iterates,
                                  trivial_realisation, vector_degree,
-                                 verify_relation, _clear_map, _iterate_step)
+                                 verify_relation, _iterate_step)
 from pseudolin.randgen import (rand_map, rand_operator,
                                rand_strictly_proper_map, rand_vector)
 from _oracle import oracle_min_relation
@@ -126,7 +126,7 @@ def test_lclm_iterates_have_content():
     for name, pmap, a in _content_cases():
         if not name.startswith("lclm"):
             continue
-        den_z, N_z = _clear_map(pmap)
+        den_z, N_z = pmap.cleared()
         b = [[int(c) for c in p.coeffs] for p in a]
         for i in range(pmap.n):
             g, p = zvec_content(b)

@@ -18,19 +18,16 @@ from pseudolin.exprparse import (ParseError, SemanticError, format_operator,
                                  parse)
 from pseudolin.linalg import (PolyMatrix, RatMatrix, companion,
                               det_denominator, det_fraction_free,
-                              det_rational, invert, kronecker, rank,
-                              solve_rational)
-from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, from_euler,
-                           full_primitive, infinity_not_irregular,
-                           normalize_primitive, ore_mul, right_divide,
-                           to_euler)
+                              det_rational, invert, kronecker, rank)
+from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, full_primitive,
+                           infinity_not_irregular, normalize_primitive,
+                           ore_mul, to_euler)
 from pseudolin.poly import NEG_INF, Poly, poly_divides, poly_gcd, poly_lcm
 from pseudolin.ratfun import RatFun, common_denominator
 from pseudolin.relations import (BoundReport, PseudoLinearMap, Realisation,
                                  Relation, bound_direct, bound_realisation,
                                  krylov_denominator_check,
                                  krylov_matrix, solve_min_relation,
-                                 theta_apply, theta_iterates,
                                  trivial_realisation, verify_relation)
 
 __version__ = "0.1.0"
@@ -41,10 +38,9 @@ __all__ = [
     "RatMatrix", "Realisation", "Relation", "SemanticError", "bipoly_gcd",
     "bound_direct", "bound_realisation", "common_denominator", "companion",
     "det_denominator", "det_fraction_free", "det_rational", "format_operator",
-    "from_euler", "full_primitive", "infinity_not_irregular", "invert",
-    "kronecker", "krylov_denominator_check", "krylov_matrix",
-    "normalize_primitive", "ore_mul", "parse", "poly_divides", "poly_gcd",
-    "poly_lcm", "rank", "resultant_y", "right_divide", "solve_min_relation",
-    "solve_rational", "squarefree_y", "theta_apply", "theta_iterates",
-    "to_euler", "trivial_realisation", "verify_relation",
+    "full_primitive", "infinity_not_irregular", "invert", "kronecker",
+    "krylov_denominator_check", "krylov_matrix", "normalize_primitive",
+    "ore_mul", "parse", "poly_divides", "poly_gcd", "poly_lcm", "rank",
+    "resultant_y", "solve_min_relation", "squarefree_y", "to_euler",
+    "trivial_realisation", "verify_relation",
 ]

@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from pseudolin.linalg import PolyMatrix, det_fraction_free
-from pseudolin.poly import NEG_INF, Poly, joint_primitive, poly_gcd
+from pseudolin.poly import (NEG_INF, Poly, format_terms, joint_primitive,
+                            poly_gcd)
 
 _ZERO = Poly.zero()
 
@@ -277,29 +278,4 @@ def _normalize_bipoly(p: BiPoly) -> BiPoly:
 
 def format_bipoly(p: BiPoly) -> str:
     """Render with descending y powers, e.g. ``y^2 + x``."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for j in range(len(p.ycoeffs) - 1, -1, -1):
-        c = p.ycoeffs[j]
-        if c.is_zero():
-            continue
-        cs = c.coeffs
-        for i in range(len(cs) - 1, -1, -1):
-            f = cs[i]
-            if f == 0:
-                continue
-            mag = abs(f)
-            factors = []
-            if mag != 1 or (i == 0 and j == 0):
-                factors.append(str(mag))
-            if i >= 1:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j >= 1:
-                factors.append("y" if j == 1 else f"y^{j}")
-            term = "*".join(factors)
-            if not parts:
-                parts.append(term if f > 0 else "-" + term)
-            else:
-                parts.append((" + " if f > 0 else " - ") + term)
-    return "".join(parts)
+    return format_terms(p.ycoeffs, "y")

@@ -29,7 +29,7 @@ from fractions import Fraction
 from pseudolin.bipoly import (BiPoly, _normalize_bipoly, bipoly_gcd,
                               bipoly_pseudo_divmod, format_bipoly)
 from pseudolin.ore import GEN_DX, OrePoly, ore_mul
-from pseudolin.poly import Poly
+from pseudolin.poly import Poly, format_terms
 from pseudolin.ratfun import RatFun
 
 
@@ -412,34 +412,9 @@ def format_operator(L: OrePoly) -> str:
     """
     if L.generator != GEN_DX:
         raise ValueError("can only format Dx-generator operators")
-    if L.is_zero():
-        return "0"
-    parts = []
-    for j in range(len(L.coeffs) - 1, -1, -1):
-        c = L.coeffs[j]
-        if c.is_zero():
-            continue
-        if not c.is_poly():
-            raise ValueError("operator has non-polynomial coefficients")
-        p = c.num
-        for i in range(len(p.coeffs) - 1, -1, -1):
-            f = p.coeffs[i]
-            if f == 0:
-                continue
-            mag = abs(f)
-            factors = []
-            if mag != 1 or (i == 0 and j == 0):
-                factors.append(str(mag))
-            if i >= 1:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j >= 1:
-                factors.append("Dx" if j == 1 else f"Dx^{j}")
-            term = "*".join(factors)
-            if not parts:
-                parts.append(term if f > 0 else "-" + term)
-            else:
-                parts.append((" + " if f > 0 else " - ") + term)
-    return "".join(parts)
+    if not all(c.is_poly() for c in L.coeffs):
+        raise ValueError("operator has non-polynomial coefficients")
+    return format_terms([c.num for c in L.coeffs], "Dx")
 
 
 def format_ratfun2(num: BiPoly, den: BiPoly) -> str:

@@ -1,14 +1,16 @@
 """Dense exact linear algebra over Q[x] and Q(x).
 
 Two thin immutable matrix types (:class:`PolyMatrix`, :class:`RatMatrix`)
-plus the operations the rest of the package needs.  One fraction-free
-(Bareiss) elimination over Z[x], ``_bareiss``, runs on row-cleared
-augmented matrices [A | B] and returns det-scaled solutions; it serves
-the determinant, linear solving, inversion and the cleared map of a
-realisation (``relations.Realisation``).  Besides it: exact rank through
-the incremental ``GaussTracker``, determinantal denominators (the monic
-least common denominator of all minors up to a given order), Kronecker
-products and companion matrices.
+plus the operations the rest of the package needs.  Rows enter Z[x]
+through the two clearing helpers, ``poly.zclear`` for Poly rows and
+``ratfun.zclear_ratfuns`` for RatFun rows.  One fraction-free (Bareiss)
+elimination over Z[x], ``_bareiss``, runs on row-cleared augmented
+matrices [A | B] with A square and returns det-scaled solutions; it
+serves the determinant, inversion and the cleared map of a realisation
+(``relations.Realisation``).  Besides it: exact rank through the
+incremental ``GaussTracker``, determinantal denominators (the monic least
+common denominator of all minors up to a given order), Kronecker products
+and companion matrices.
 
 Determinantal denominators are computed by exhaustive minor enumeration,
 which is combinatorial in the dimensions; they are meant for matrices of
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from pseudolin import _kernel as zk
-from pseudolin.poly import Poly, poly_lcm
-from pseudolin.ratfun import RatFun, common_denominator
+from pseudolin.poly import Poly, poly_lcm, zclear, zvec_int_content
+from pseudolin.ratfun import RatFun, zclear_ratfuns
 
 
 class _Matrix:
@@ -133,17 +135,6 @@ class RatMatrix(_Matrix):
                 out.append(acc)
         return RatMatrix(self.rows, other.cols, out)
 
-    def matvec(self, v) -> list[RatFun]:
-        if self.cols != len(v):
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = RatFun.zero()
-            for k in range(self.cols):
-                acc = acc + self.entry(i, k) * v[k]
-            out.append(acc)
-        return out
-
     def is_strictly_proper(self) -> bool:
         return all(e.is_strictly_proper() for e in self.entries)
 
@@ -188,51 +179,32 @@ def vstack_poly(blocks) -> PolyMatrix:
 # -- fraction-free elimination ------------------------------------------------
 
 
-def _zrow(polys):
-    """(s, [s*p for p in polys]) for s > 0 the least integer scale that
-    makes every entry an integer zpoly."""
-    s = lcm(*[p.d for p in polys])
-    return s, [zk.zp_scale(p.z, s // p.d) for p in polys]
-
-
 def _zrows(rows):
-    """(s, zrows): each row of Poly entries cleared by ``_zrow``, and s
-    the product of the row scales."""
+    """(s, zrows): each row of Poly entries cleared by ``poly.zclear``,
+    and s the product of the row scales."""
     scale, out = 1, []
     for row in rows:
-        s, zrow = _zrow(row)
+        s, zrow = zclear(row)
         scale *= s
         out.append(zrow)
     return scale, out
 
 
-def _clear_rows(rows):
-    """(s, zrows) for rows of RatFun entries: each row times the common
-    denominator of its entries, then cleared by ``_zrows``; s is the
-    product of all the row factors.  Scaling a row of a linear system
-    leaves its solutions unchanged."""
-    dens = [common_denominator(row) for row in rows]
-    scale, zrows = _zrows([[e.num * d.exact_div(e.den) for e in row]
-                           for row, d in zip(rows, dens)])
-    return prod(dens, start=Poly.one()) * scale, zrows
-
-
 def _bareiss(rows, m):
     """Fraction-free (Bareiss) elimination of the integer zpoly rows
-    [A | B], A the first m columns (destructive).
+    [A | B], A the first m columns of the m rows (destructive).
 
     The pivot of each column is its shortest nonzero entry.  After step k
     every entry below row k is a minor of order k + 1, so each division by
     the previous pivot is exact in Z[x], and the last pivot is the minor
     of the m pivot rows: delta below is that minor, signed so that it is
-    det A when A is square.
+    det A.
 
     Returns (delta, Z) with Z = delta * A^-1 B (m rows of zpolys) from a
     fraction-free back-substitution: with U the eliminated rows and b'
     their right-hand sides, delta*x_i = (delta*b'_i - sum_j U_ij delta*x_j)
     / U_ii, a division that is exact in Z[x] by Cramer's rule.  delta is
-    [] (and Z None) when A lacks full column rank; Z is None when the
-    system is inconsistent.
+    [] (and Z None) when A is singular.
     """
     n = len(rows)
     sign, prev = 1, [1]
@@ -259,8 +231,6 @@ def _bareiss(rows, m):
                 row[j] = zk.zp_divexact(t, prev) if t and divide else t
             row[k] = []
         prev = pivot
-    if any(any(row[m:]) for row in rows[m:]):
-        return prev, None
     delta = zk.zp_neg(prev) if sign < 0 else prev
     Z = [None] * m
     for i in range(m - 1, -1, -1):
@@ -320,49 +290,23 @@ def det_rational(R: RatMatrix) -> RatFun:
 
 
 def _rat_det(rows) -> RatFun:
-    """Determinant of a small square grid of RatFun entries."""
-    scale, zrows = _clear_rows(rows)
-    return RatFun(Poly.from_z(_bareiss(zrows, len(rows))[0]), scale)
+    """Determinant of a small square grid of RatFun entries: each row is
+    cleared by ``zclear_ratfuns``, and the product of the rows' D is the
+    denominator."""
+    scale, zrows = [1], []
+    for row in rows:
+        D, N = zclear_ratfuns(row)
+        scale = zk.zp_mul(scale, D)
+        zrows.append(N)
+    return RatFun(Poly.from_z(_bareiss(zrows, len(rows))[0]),
+                  Poly.from_z(scale))
 
 
 # -- solving and rank ----------------------------------------------------------
 
 
-def solve_rational(A: RatMatrix, b):
-    """Solve A nu = b for a full-column-rank A over Q(x).
-
-    Each row of [A | b] is cleared to integer polynomials and the system
-    is solved by one fraction-free elimination (``_bareiss``), which gives
-    delta * nu in Z[x].  Returns None when the system is inconsistent;
-    raises ValueError when A does not have full column rank.
-    """
-    if len(b) != A.rows:
-        raise ValueError("right-hand side length mismatch")
-    _, rows = _clear_rows([A.row(i) + [b[i]] for i in range(A.rows)])
-    delta, Z = _bareiss(rows, A.cols)
-    if not delta:
-        raise ValueError("matrix does not have full column rank")
-    if Z is None:
-        return None
-    d = Poly.from_z(delta)
-    return [RatFun(Poly.from_z(row[0]), d) for row in Z]
-
-
 #: evaluation point for the content prechecks below
 _PT = 1048583
-
-
-def _strip_int_content(vec):
-    """(c, vec/c) for c >= 0 the integer content of a zpoly vector; c = 0
-    (and vec unchanged) when every entry is zero."""
-    c = 0
-    for z in vec:
-        c = gcd(c, zk.zp_content(z))
-        if c == 1:
-            return 1, vec
-    if c > 1:
-        vec = [[e // c for e in z] for z in vec]
-    return c, vec
 
 
 def _strip_poly_content(vec, evals):
@@ -425,7 +369,7 @@ def zvec_content(vec, guard=True):
     with g(pt) = +-1 slips through), so a caller that needs the exact
     content, for a canonical form, passes ``guard=False``.
     """
-    c, vec = _strip_int_content(vec)
+    c, vec = zvec_int_content(vec)
     if c == 0:
         return [1], vec
     if guard:
@@ -495,8 +439,8 @@ def rank(A: RatMatrix) -> int:
     """Exact rank over Q(x): each column is cleared to integer polynomials
     by its own common denominator, which leaves the rank unchanged."""
     tracker = GaussTracker(A.rows)
-    for col in _clear_rows([A.col(j) for j in range(A.cols)])[1]:
-        tracker.offer(col)
+    for j in range(A.cols):
+        tracker.offer(zclear_ratfuns(A.col(j))[1])
     return tracker.rank
 
 
@@ -507,8 +451,8 @@ def invert(A: RatMatrix) -> RatMatrix:
         raise ValueError("inverse of a non-square matrix")
     n = A.rows
     eye = RatMatrix.identity(n)
-    _, rows = _clear_rows([A.row(i) + eye.row(i) for i in range(n)])
-    delta, Z = _bareiss(rows, n)
+    delta, Z = _bareiss([zclear_ratfuns(A.row(i) + eye.row(i))[1]
+                         for i in range(n)], n)
     if not delta:
         raise ValueError("singular matrix")
     d = Poly.from_z(delta)

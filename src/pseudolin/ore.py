@@ -12,19 +12,16 @@ polynomial coefficients and the same solution set.  Canonical outputs are
 "primitive": polynomial coefficients, jointly integer-primitive, with a
 positive leading rational in the leading coefficient.
 
-Right division comes twice: ``right_divide`` returns quotient and
-remainder over ``RatFun`` coefficients, and ``is_right_multiple`` only
-decides divisibility, by a fraction-free right pseudo-division on integer
-polynomial coefficients (the LCLM verifier's check).
+Right division only decides divisibility: ``is_right_multiple`` runs a
+fraction-free right pseudo-division on integer polynomial coefficients
+(the LCLM verifier's check).
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-
 from pseudolin import _kernel as zk
-from pseudolin.poly import NEG_INF, Poly, joint_primitive
-from pseudolin.ratfun import RatFun, common_denominator
+from pseudolin.poly import NEG_INF, Poly, zvec_int_content
+from pseudolin.ratfun import RatFun, zclear_ratfuns
 
 GEN_DX = "Dx"
 GEN_EULER = "Euler"
@@ -167,53 +164,14 @@ def ore_mul(a: OrePoly, b: OrePoly) -> OrePoly:
     return OrePoly(out, gen)
 
 
-def right_divide(a: OrePoly, b: OrePoly):
-    """Right division a = q*b + r with order(r) < order(b)."""
-    a._check_gen(b)
-    if b.is_zero():
-        raise ZeroDivisionError("right division by the zero operator")
-    gen = a.generator
-    q = OrePoly.zero(gen)
-    r = a
-    while not r.is_zero() and r.order >= b.order:
-        k = r.order - b.order
-        factor = r.lc / b.lc
-        mono = OrePoly((RatFun.zero(),) * k + (factor,), gen)
-        q = q + mono
-        r = r - ore_mul(mono, b)
-    return q, r
-
-
-def _cleared_z(L: OrePoly):
-    """Integer zpoly coefficients of f*L for one nonzero f in Q[x]: the
-    product of the distinct integer-cleared denominators and one integer
-    scale."""
-    pairs = []
-    scale = 1
-    for c in L.coeffs:
-        pairs.append((zk.zp_scale(c.num.z, c.den.d), c.num.d, c.den.z))
-        scale = lcm(scale, c.num.d)
-    dens = []
-    for _, _, zd in pairs:
-        if zd != [1] and zd not in dens:
-            dens.append(zd)
-    out = []
-    for p, dn, zd in pairs:
-        p = zk.zp_scale(p, scale // dn)
-        for d in dens:
-            if d != zd:
-                p = zk.zp_mul(p, d)
-        out.append(p)
-    return out
-
-
 def is_right_multiple(a: OrePoly, b: OrePoly) -> bool:
     """True when b right-divides a, i.e. a = q*b for an operator q over
     Q(x), by fraction-free right pseudo-division.
 
     Both operators are first cleared to integer polynomial coefficients
-    by a left scalar, which does not change right divisibility.  Each step
-    then cancels the top coefficient of the remainder r with
+    by a left scalar (``zclear_ratfuns``), which does not change right
+    divisibility.  Each step then cancels the top coefficient of the
+    remainder r with
 
         r <- (lc_b/g) r - (lc_r/g) gen^k b,    g = gcd(lc_b, lc_r),
 
@@ -228,8 +186,8 @@ def is_right_multiple(a: OrePoly, b: OrePoly) -> bool:
     if b.is_zero():
         raise ZeroDivisionError("right division by the zero operator")
     euler = a.generator == GEN_EULER
-    r = _cleared_z(a)
-    shifted = [_cleared_z(b)]  # shifted[k] = gen^k * b
+    r = zclear_ratfuns(a.coeffs)[1]
+    shifted = [zclear_ratfuns(b.coeffs)[1]]  # shifted[k] = gen^k * b
     m = len(shifted[0]) - 1
     lb = shifted[0][-1]
     while len(r) - 1 >= m:
@@ -250,13 +208,7 @@ def is_right_multiple(a: OrePoly, b: OrePoly) -> bool:
              for c, s in zip(r[:-1], shifted[k])]
         while r and not r[-1]:
             r.pop()
-        content = 0
-        for c in r:
-            content = gcd(content, zk.zp_content(c))
-            if content == 1:
-                break
-        if content > 1:
-            r = [[e // content for e in c] for c in r]
+        r = zvec_int_content(r)[1]
     return not r
 
 
@@ -269,11 +221,10 @@ def normalize_primitive(L: OrePoly) -> OrePoly:
     """
     if L.is_zero():
         return L
-    den = common_denominator(L.coeffs)
-    polys = joint_primitive([c.num * den.exact_div(c.den) for c in L.coeffs])
-    if polys[-1].z[-1] < 0:
-        polys = [-p for p in polys]
-    return OrePoly(tuple(RatFun(p) for p in polys), L.generator)
+    _, zs = zvec_int_content(zclear_ratfuns(L.coeffs)[1])
+    if zs[-1][-1] < 0:
+        zs = [zk.zp_neg(z) for z in zs]
+    return OrePoly(tuple(RatFun(Poly.from_z(z)) for z in zs), L.generator)
 
 
 def full_primitive(L: OrePoly) -> OrePoly:
@@ -303,8 +254,7 @@ def _euler_raw(L: OrePoly) -> OrePoly:
         raise ValueError("expected a Dx-generator operator")
     if L.is_zero():
         raise ValueError("cannot convert the zero operator")
-    den = common_denominator(L.coeffs)
-    polys = [(c * den).num for c in L.coeffs]
+    polys = [Poly.from_z(z) for z in zclear_ratfuns(L.coeffs)[1]]
     r = len(polys) - 1
     x = Poly.x()
     out = [Poly() for _ in range(r + 1)]
@@ -334,23 +284,6 @@ def to_euler(L: OrePoly) -> OrePoly:
     x^j Dx^j = E(E-1)...(E-j+1).
     """
     return full_primitive(_euler_raw(L))
-
-
-def from_euler(L: OrePoly) -> OrePoly:
-    """Substitute E = x*Dx and expand back to the derivation basis."""
-    if L.generator != GEN_EULER:
-        raise ValueError("expected an Euler-generator operator")
-    if L.is_zero():
-        raise ValueError("cannot convert the zero operator")
-    xdx = OrePoly((RatFun.zero(), RatFun(Poly.x())), GEN_DX)
-    acc = OrePoly.zero(GEN_DX)
-    power = OrePoly.from_scalar(1, GEN_DX)
-    for j, c in enumerate(L.coeffs):
-        if j:
-            power = ore_mul(power, xdx)
-        if not c.is_zero():
-            acc = acc + power.scale(c)
-    return normalize_primitive(acc)
 
 
 def infinity_not_irregular(L: OrePoly) -> bool:

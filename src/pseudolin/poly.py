@@ -16,6 +16,11 @@ reduced rational with positive denominator) or ``int``.  ``coeffs`` gives
 the coefficients as a read-only tuple of ``Fraction``, built on first use,
 for printing, parsing and reports.  The only division is the exact one,
 ``exact_div``.
+
+Clearing lives here too: ``zclear`` takes a list of polynomials to Z[x]
+by their least integer scale, and ``zvec_int_content`` strips the integer
+content of a vector of integer polynomials.  ``format_terms`` prints
+every polynomial, bivariate polynomial and operator of the package.
 """
 
 from __future__ import annotations
@@ -284,38 +289,61 @@ def _coerce(value):
     return NotImplemented
 
 
+def zclear(polys):
+    """(s, [s*p for p in polys]) as integer zpolys, for s > 0 the least
+    integer scale that makes every entry integer."""
+    s = lcm(*[p.d for p in polys])
+    return s, [zk.zp_scale(p.z, s // p.d) for p in polys]
+
+
+def zvec_int_content(vec):
+    """(c, vec/c) for c >= 0 the integer content of a zpoly vector; c = 0
+    (and vec unchanged) when every entry is zero."""
+    c = 0
+    for z in vec:
+        c = gcd(c, zk.zp_content(z))
+        if c == 1:
+            return 1, vec
+    if c > 1:
+        vec = [[e // c for e in z] for z in vec]
+    return c, vec
+
+
 def joint_primitive(polys) -> list:
     """The integer polynomials c*p, for the one positive rational c that
     makes them jointly primitive (gcd of all coefficients 1).  At least
     one of the polys must be nonzero."""
-    den = lcm(*[p.d for p in polys])
-    zs = [zk.zp_scale(p.z, den // p.d) for p in polys]
-    g = gcd(*[c for z in zs for c in z])
-    return [_raw([c // g for c in z] if g != 1 else z, 1) for z in zs]
+    return [_raw(z, 1) for z in zvec_int_content(zclear(polys)[1])[1]]
 
 
-def format_poly(p: Poly, var: str = "x") -> str:
-    """Render with descending powers, explicit '*', e.g. ``x^2 - 2*x + 2``."""
-    if p.is_zero():
-        return "0"
+def format_terms(rows, sym="") -> str:
+    """Render sum_j rows[j] * sym^j for Poly rows with descending powers of
+    sym, then of x, and explicit '*', e.g. ``x^2*Dx - 2*x + 2``; a single
+    row is a plain polynomial."""
     parts = []
-    cs = p.coeffs
-    for i in range(len(cs) - 1, -1, -1):
-        c = cs[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        factors = []
-        if mag != 1 or i == 0:
-            factors.append(str(mag))
-        if i >= 1:
-            factors.append(var if i == 1 else f"{var}^{i}")
-        term = "*".join(factors)
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append((" + " if c > 0 else " - ") + term)
-    return "".join(parts)
+    for j in range(len(rows) - 1, -1, -1):
+        cs = rows[j].coeffs
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
+            if c == 0:
+                continue
+            mag = abs(c)
+            factors = [str(mag)] if mag != 1 or i == j == 0 else []
+            if i >= 1:
+                factors.append("x" if i == 1 else f"x^{i}")
+            if j >= 1:
+                factors.append(sym if j == 1 else f"{sym}^{j}")
+            term = "*".join(factors)
+            if not parts:
+                parts.append(term if c > 0 else "-" + term)
+            else:
+                parts.append((" + " if c > 0 else " - ") + term)
+    return "".join(parts) or "0"
+
+
+def format_poly(p: Poly) -> str:
+    """Render with descending powers, explicit '*', e.g. ``x^2 - 2*x + 2``."""
+    return format_terms([p])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -7,6 +7,9 @@ computed in Z[x]); when the gcd is nontrivial or ``den`` is not monic, it
 cancels the gcd from the integer numerators of ``num`` and ``den`` with
 exact Z[x] divisions and rebuilds both sides once, with the scale that
 makes ``den`` monic folded in.
+
+``zclear_ratfuns`` takes a list of them to Z[x]: one common denominator
+and the cleared numerators, each with one least integer scale.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from pseudolin import _kernel as zk
-from pseudolin.poly import NEG_INF, Poly, format_poly, poly_gcd, poly_lcm
+from pseudolin.poly import Poly, format_poly, poly_gcd, poly_lcm, zclear
 
 _ZERO = Poly.zero()
 _ONE = Poly.one()
@@ -204,4 +207,14 @@ def common_denominator(values) -> Poly:
     return out
 
 
-__all__ = ["RatFun", "common_denominator", "NEG_INF"]
+def zclear_ratfuns(values):
+    """(D, N): integer zpolys with D = s*den and N[i]/D = values[i], for
+    den the common denominator of a list of RatFun and s > 0 the least
+    integer scale that makes den and every den*values[i] integer.  D has a
+    positive leading coefficient and (D, N) no common content in Z[x]."""
+    den = common_denominator(values)
+    _, z = zclear([den] + [v.num * den.exact_div(v.den) for v in values])
+    return z[0], z[1:]
+
+
+__all__ = ["RatFun", "common_denominator", "zclear_ratfuns"]

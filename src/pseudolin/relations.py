@@ -7,10 +7,11 @@ iterates a, theta(a), theta^2(a), ...  where theta(v) = v' + T v.
 The solver runs on the cleared pair (den, N = den*T) in Z[x], never on T.
 A map made from a realisation T = W + X M^-1 Y carries that pair from the
 realisation's single fraction-free elimination of [M | Y]; a map made from
-T is cleared when it is solved.  The rational iterates are never formed:
-the iterates satisfy
+T is cleared when it is solved (``ratfun.zclear_ratfuns``).  The rational
+iterates are never formed, here or in ``krylov_matrix``: with a cleared
+to b_0 = sa*a by one integer scale sa, the iterates satisfy
 
-    theta^i(a) = b_i / den^i,
+    theta^i(a) = b_i / (sa*den^i),
     b_{i+1}    = den*b_i' - i*den'*b_i + N*b_i,
 
 so the b_i stay polynomial vectors (integer-cleared).  Rank growth is
@@ -33,13 +34,13 @@ with a realisation T = W + X M^-1 Y, in terms of deg det M) and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 
 from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, _bareiss,
-                              _zrow, _zrows, det_denominator, zvec_content)
-from pseudolin.poly import NEG_INF, Poly, poly_divides
-from pseudolin.ratfun import RatFun, common_denominator
+                              _zrows, det_denominator, zvec_content)
+from pseudolin.poly import NEG_INF, Poly, poly_divides, zclear
+from pseudolin.ratfun import RatFun, common_denominator, zclear_ratfuns
 
 
 class PseudoLinearMap:
@@ -93,27 +94,9 @@ class PseudoLinearMap:
         an integer.  For a map made from T this clears T on each call."""
         if self._cleared is not None:
             return self._cleared
-        n, entries = self.n, self._T.entries
-        den = common_denominator(entries)
-        _, z = _zrow([den] + [e.num * den.exact_div(e.den) for e in entries])
-        return z[0], [z[1 + i * n:1 + (i + 1) * n] for i in range(n)]
-
-
-def theta_apply(pmap: PseudoLinearMap, v):
-    """theta(v) = v' + T v, componentwise exact."""
-    if len(v) != pmap.n:
-        raise ValueError("vector dimension mismatch")
-    v = [c if isinstance(c, RatFun) else RatFun(c) for c in v]
-    Tv = pmap.T.matvec(v)
-    return [c.derivative() + w for c, w in zip(v, Tv)]
-
-
-def theta_iterates(pmap: PseudoLinearMap, a, count: int):
-    """[a, theta a, ..., theta^(count-1) a] as RatFun vectors."""
-    vecs = [[RatFun(c) for c in a]]
-    for _ in range(count - 1):
-        vecs.append(theta_apply(pmap, vecs[-1]))
-    return vecs
+        n = self.n
+        den_z, N = zclear_ratfuns(self._T.entries)
+        return den_z, [N[i * n:(i + 1) * n] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -175,7 +158,7 @@ class Realisation:
         if not D:
             raise ValueError("singular M in realisation")
         object.__setattr__(self, "delta", Poly.from_z(D, scale))
-        s, xw = _zrow(self.X.entries + self.W.entries)
+        s, xw = zclear(self.X.entries + self.W.entries)
         X, W = xw[:n * m], xw[n * m:]
         cleared = [zk.zp_scale(D, s)]
         for i in range(n):
@@ -195,10 +178,6 @@ class Realisation:
     @property
     def delta_degree(self) -> int:
         return self.delta.degree
-
-    def reconstruct(self) -> RatMatrix:
-        """W + X M^-1 Y, read from the cleared form of ``map``."""
-        return self.map.T
 
 
 def trivial_realisation(pmap: PseudoLinearMap) -> Realisation:
@@ -268,9 +247,7 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
         raise ValueError("zero initial vector has no minimal relation")
     den_z, N_z = pmap.cleared()
     denp_z = zk.zp_deriv(den_z)
-
-    sa = lcm(*[c.d for c in a])
-    b = [zk.zp_scale(c.z, sa // c.d) for c in a]
+    _, b = zclear(a)
 
     tracker = GaussTracker(n)
     ncoord = n + 1
@@ -337,12 +314,6 @@ def _relation_from_certificate(coords, contents, den_z):
     return eta
 
 
-def _joint_clear(polys):
-    """Integer zpolys s*p for one common scale s > 0 over all of polys."""
-    s = lcm(*[p.d for p in polys])
-    return [zk.zp_scale(p.z, s // p.d) for p in polys]
-
-
 def verify_relation(pmap: PseudoLinearMap, a, rel: Relation) -> bool:
     """Check sum eta_i theta^i(a) = 0 exactly, in Z[x] over one fixed
     denominator.
@@ -359,10 +330,11 @@ def verify_relation(pmap: PseudoLinearMap, a, rel: Relation) -> bool:
     factor sa * se * D^rho.  Every step is an exact integer-polynomial ring
     operation, so the check is exact.
 
-    It shares no code with the solver: it clears T itself instead of
-    calling ``PseudoLinearMap.cleared``, never calls ``_iterate_step``, and
-    does no elimination (no ``GaussTracker`` or ``linalg``); it only
-    multiplies and adds through ``_kernel``.
+    It shares no code with the solver: it clears T itself, with
+    ``common_denominator`` and ``poly.zclear``, instead of calling
+    ``PseudoLinearMap.cleared`` or ``ratfun.zclear_ratfuns``, never calls
+    ``_iterate_step``, and does no elimination (no ``GaussTracker`` or
+    ``linalg``); it only multiplies and adds through ``_kernel``.
     """
     n = pmap.n
     a = [c if isinstance(c, Poly) else Poly.const(c) for c in a]
@@ -370,14 +342,14 @@ def verify_relation(pmap: PseudoLinearMap, a, rel: Relation) -> bool:
         raise ValueError("vector dimension mismatch")
     entries = pmap.T.entries
     den = common_denominator(entries)
-    cleared = _joint_clear([den] + [e.num * den.exact_div(e.den)
-                                    for e in entries])
+    _, cleared = zclear([den] + [e.num * den.exact_div(e.den)
+                                 for e in entries])
     D = cleared[0]
     N = [cleared[1 + j * n:1 + (j + 1) * n] for j in range(n)]
     Dp = zk.zp_deriv(D)
-    c = _joint_clear(a)
+    _, c = zclear(a)
     acc = [[] for _ in range(n)]
-    for i, e in enumerate(_joint_clear(rel.eta)):
+    for i, e in enumerate(zclear(rel.eta)[1]):
         if i:
             # c <- D c' - (i - 1) D' c + N c
             nxt = []
@@ -403,16 +375,33 @@ def verify_relation(pmap: PseudoLinearMap, a, rel: Relation) -> bool:
 
 
 def krylov_matrix(pmap: PseudoLinearMap, a, s_list) -> RatMatrix:
-    """K = [theta^{s_1} a | ... | theta^{s_r} a] for nondecreasing s."""
+    """K = [theta^{s_1} a | ... | theta^{s_r} a] for nondecreasing s.
+
+    Column s is b_s/(sa*den^s), with b_s from the solver's recurrence
+    (``_iterate_step``) on the cleared map and sa the clearing scale of
+    the polynomial vector a."""
     if any(s2 < s1 for s1, s2 in zip(s_list, s_list[1:])):
         raise ValueError("exponent list must be nondecreasing")
     if s_list and s_list[0] < 0:
         raise ValueError("exponents must be nonnegative")
-    vecs = theta_iterates(pmap, a, (max(s_list) if s_list else 0) + 1)
-    cols = [vecs[s] for s in s_list]
-    return RatMatrix(pmap.n, len(cols),
-                     [cols[j][i] for i in range(pmap.n)
-                      for j in range(len(cols))])
+    n = pmap.n
+    a = [c if isinstance(c, Poly) else Poly.const(c) for c in a]
+    if len(a) != n:
+        raise ValueError("vector dimension mismatch")
+    den_z, N_z = pmap.cleared()
+    denp_z = zk.zp_deriv(den_z)
+    sa, b = zclear(a)
+    scale, i = [sa], 0
+    cols = []
+    for s in s_list:
+        while i < s:
+            b = _iterate_step(den_z, denp_z, N_z, b, i)
+            scale = zk.zp_mul(scale, den_z)
+            i += 1
+        d = Poly.from_z(list(scale))
+        cols.append([RatFun(Poly.from_z(list(z)), d) for z in b])
+    return RatMatrix(n, len(cols), [cols[j][k] for k in range(n)
+                                    for j in range(len(cols))])
 
 
 def krylov_denominator_check(pmap: PseudoLinearMap, real: Realisation, a,

@@ -12,7 +12,12 @@ Fraction coefficients, the reference for the integer-backed ``Poly``;
 ``poly_divmod`` is schoolbook long division in Q[x] on top of them,
 ``ratfun_y_ext_gcd`` is the extended Euclidean algorithm in Q(x)[y] on
 lists of RatFun coefficients, and ``ore_apply`` applies an operator to a
-rational function by repeated differentiation.
+rational function by repeated differentiation.  ``right_divide`` is right
+division of operators over ``RatFun`` coefficients, the reference for
+``ore.is_right_multiple``, and ``from_euler`` expands an Euler operator
+back to the Dx basis.  ``theta_iterates`` forms the rational iterates
+theta^i(a) with ``matvec``, the reference for the solver's cleared
+recurrence.
 
 ``solve_columns`` and ``realisation_map`` are the reference for the
 fraction-free elimination behind ``Realisation``: one Q[x]
@@ -26,10 +31,40 @@ from itertools import combinations
 from math import gcd, lcm
 
 from pseudolin.linalg import RatMatrix
-from pseudolin.ore import GEN_EULER
+from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, normalize_primitive,
+                           ore_mul)
 from pseudolin.poly import Poly, poly_lcm
 from pseudolin.ratfun import RatFun, common_denominator
-from pseudolin.relations import Relation, theta_apply
+from pseudolin.relations import Relation
+
+
+def matvec(A: RatMatrix, v):
+    """A v for a RatMatrix A and a list of RatFun."""
+    if A.cols != len(v):
+        raise ValueError("dimension mismatch")
+    out = []
+    for i in range(A.rows):
+        acc = RatFun.zero()
+        for k in range(A.cols):
+            acc = acc + A.entry(i, k) * v[k]
+        out.append(acc)
+    return out
+
+
+def theta_apply(pmap, v):
+    """theta(v) = v' + T v, componentwise over RatFun."""
+    if len(v) != pmap.n:
+        raise ValueError("vector dimension mismatch")
+    v = [c if isinstance(c, RatFun) else RatFun(c) for c in v]
+    return [c.derivative() + w for c, w in zip(v, matvec(pmap.T, v))]
+
+
+def theta_iterates(pmap, a, count: int):
+    """[a, theta a, ..., theta^(count-1) a] as RatFun vectors."""
+    vecs = [[RatFun(c) for c in a]]
+    for _ in range(count - 1):
+        vecs.append(theta_apply(pmap, vecs[-1]))
+    return vecs
 
 
 def cofactor_det(rows):
@@ -262,6 +297,40 @@ def ore_apply(L, f: RatFun) -> RatFun:
                 g = g * Poly.x()
         acc = acc + c * g
     return acc
+
+
+def right_divide(a, b):
+    """Right division a = q*b + r with order(r) < order(b)."""
+    a._check_gen(b)
+    if b.is_zero():
+        raise ZeroDivisionError("right division by the zero operator")
+    gen = a.generator
+    q = OrePoly.zero(gen)
+    r = a
+    while not r.is_zero() and r.order >= b.order:
+        k = r.order - b.order
+        factor = r.lc / b.lc
+        mono = OrePoly((RatFun.zero(),) * k + (factor,), gen)
+        q = q + mono
+        r = r - ore_mul(mono, b)
+    return q, r
+
+
+def from_euler(L):
+    """Substitute E = x*Dx and expand back to the derivation basis."""
+    if L.generator != GEN_EULER:
+        raise ValueError("expected an Euler-generator operator")
+    if L.is_zero():
+        raise ValueError("cannot convert the zero operator")
+    xdx = OrePoly((RatFun.zero(), RatFun(Poly.x())), GEN_DX)
+    acc = OrePoly.zero(GEN_DX)
+    power = OrePoly.from_scalar(1, GEN_DX)
+    for j, c in enumerate(L.coeffs):
+        if j:
+            power = ore_mul(power, xdx)
+        if not c.is_zero():
+            acc = acc + power.scale(c)
+    return normalize_primitive(acc)
 
 
 def solve_columns(A: RatMatrix, b):

@@ -24,7 +24,7 @@ from pseudolin.instances import (algebraic_bound_report, bound_algebraic,
                                  verify_resolvent, verify_symprod,
                                  verify_telescoper)
 from pseudolin.linalg import det_denominator, det_rational, invert
-from pseudolin.ore import OrePoly, right_divide
+from pseudolin.ore import OrePoly
 from pseudolin.poly import Poly, poly_divides, poly_gcd, poly_lcm
 from pseudolin.randgen import (rand_algebraic_input, rand_hermite_input,
                                rand_map, rand_operator, rand_ratmatrix,
@@ -35,7 +35,7 @@ from pseudolin.relations import (bound_realisation, krylov_denominator_check,
                                  vector_degree, verify_relation)
 from pseudolin.reports import load_schema
 
-from _oracle import oracle_min_relation
+from _oracle import oracle_min_relation, right_divide
 
 x = Poly.x()
 

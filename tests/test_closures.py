@@ -13,11 +13,12 @@ from pseudolin.instances.closures import (bound_lclm, bound_symprod,
                                           verify_lclm, verify_symprod)
 from pseudolin.linalg import (RatMatrix, block_diag, companion,
                               det_fraction_free, kronecker_sum)
-from pseudolin.ore import (OrePoly, infinity_not_irregular, right_divide,
-                           to_euler)
+from pseudolin.ore import OrePoly, infinity_not_irregular, to_euler
 from pseudolin.poly import Poly
 from pseudolin.randgen import rand_operator
 from pseudolin.ratfun import RatFun
+
+from _oracle import right_divide
 
 x = Poly.x()
 XD1 = OrePoly([-1, RatFun(x)])                       # x Dx - 1

@@ -10,10 +10,9 @@ from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, companion,
                               det_denominator, det_fraction_free,
                               det_rational, invert, kronecker, kronecker_sum,
-                              rank, solve_rational, _PT, _SPLIT_MIN_LEN,
-                              zvec_content, _strip_int_content,
+                              rank, _PT, _SPLIT_MIN_LEN, zvec_content,
                               _strip_poly_content, _zp_eval)
-from pseudolin.poly import Poly, poly_divides, poly_gcd
+from pseudolin.poly import Poly, poly_divides, poly_gcd, zvec_int_content
 from pseudolin.ratfun import RatFun
 from test_poly import rand_poly
 from test_ratfun import rand_ratfun
@@ -85,39 +84,6 @@ def test_det_matches_cofactor_expansion():
         rows = [[rand_poly(rng, 2) for _ in range(n)] for _ in range(n)]
         assert det_fraction_free(PolyMatrix.from_rows(rows)) \
             == _cofactor_poly(rows)
-
-
-def test_solve_examples():
-    A = RatMatrix(1, 1, [RatFun(1)])
-    assert solve_rational(A, [RatFun(1, x)]) == [RatFun(1, x)]
-    A = RatMatrix(2, 2, [RatFun(x), RatFun(0), RatFun(0), RatFun(1)])
-    assert solve_rational(A, [RatFun(1), RatFun(1, x)]) \
-        == [RatFun(1, x), RatFun(1, x)]
-    A = RatMatrix(2, 2, [RatFun(1, x), RatFun(1), RatFun(0), RatFun(x)])
-    assert solve_rational(A, [RatFun(0), RatFun(x * x)]) \
-        == [RatFun(-(x * x)), RatFun(x)]
-
-
-def test_solve_inconsistent_and_rank_deficient():
-    # 2 equations, 1 unknown, incompatible
-    A = RatMatrix(2, 1, [RatFun(1), RatFun(1)])
-    assert solve_rational(A, [RatFun(0), RatFun(1)]) is None
-    # rank-deficient columns
-    A = RatMatrix(2, 2, [RatFun(1), RatFun(1), RatFun(1), RatFun(1)])
-    with pytest.raises(ValueError):
-        solve_rational(A, [RatFun(1), RatFun(1)])
-
-
-def test_solve_random_consistency():
-    rng = random.Random(31)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        A = rand_ratmatrix(rng, n)
-        if rank(A) < n:
-            continue
-        sol = [rand_ratfun(rng) for _ in range(n)]
-        b = A.matvec(sol)
-        assert solve_rational(A, b) == sol
 
 
 def test_rank_examples():
@@ -339,7 +305,7 @@ class _PlainTracker:
         self.pivots = []
 
     def _normalize(self, vec):
-        c, vec = _strip_int_content(vec)
+        c, vec = zvec_int_content(vec)
         if c == 0:
             return vec
         while self.den is not None:

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, _euler_raw,
-                           from_euler, full_primitive, infinity_not_irregular,
+                           full_primitive, infinity_not_irregular,
                            is_right_multiple, normalize_primitive, ore_mul,
-                           right_divide, to_euler)
+                           to_euler)
 from pseudolin.poly import Poly
 from pseudolin.ratfun import RatFun
 from test_ratfun import rand_ratfun
 
-from _oracle import ore_apply
+from _oracle import from_euler, ore_apply, right_divide
 
 x = Poly.x()
 L_CAUCHY = OrePoly([2, RatFun(-2 * x), RatFun(x * x)])  # x^2 Dx^2 - 2x Dx + 2

@@ -3,6 +3,7 @@ denominator property."""
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,12 +16,11 @@ from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  bound_direct, bound_realisation,
                                  krylov_denominator_check,
                                  krylov_matrix, solve_min_relation,
-                                 theta_apply, theta_iterates,
                                  trivial_realisation, vector_degree,
                                  verify_relation, _iterate_step)
 from pseudolin.randgen import (rand_map, rand_operator,
                                rand_strictly_proper_map, rand_vector)
-from _oracle import oracle_min_relation
+from _oracle import oracle_min_relation, theta_apply, theta_iterates
 
 x = Poly.x()
 one = Poly.one()
@@ -212,7 +212,7 @@ def test_trivial_realisation_examples():
     diag = _map([RatFun(1, x), RatFun(0), RatFun(0), RatFun(1, x - 1)], 2)
     reald = trivial_realisation(diag)
     assert reald.delta == (x * (x - 1)) ** 2
-    assert reald.reconstruct() == diag.T
+    assert reald.map.T == diag.T
 
 
 def test_realisation_validation():
@@ -306,6 +306,26 @@ def test_krylov_matrix_and_check_examples():
                                  [one], [0, 1], 1)
     with pytest.raises(ValueError):
         krylov_matrix(M_1OVERX, [one], [2, 1])
+
+
+def test_krylov_matrix_matches_rational_iterates():
+    """Columns from the cleared recurrence equal the RatFun iterates of
+    ``_oracle.theta_iterates``, for proper and improper maps and vectors
+    with Fraction coefficients."""
+    rng = random.Random(56)
+    for k in range(60):
+        n = 1 + k % 4
+        if k % 2:
+            pmap = rand_strictly_proper_map(rng, n, rng.randint(1, 2))
+        else:
+            pmap = rand_map(rng, n)
+        a = [c * Fraction(rng.randint(1, 5), rng.randint(1, 7))
+             for c in rand_vector(rng, n, 2)]
+        s_list = sorted(rng.randint(0, 4) for _ in range(rng.randint(0, 4)))
+        vecs = theta_iterates(pmap, a, (max(s_list) if s_list else 0) + 1)
+        want = RatMatrix(n, len(s_list), [vecs[s][i] for i in range(n)
+                                          for s in s_list])
+        assert krylov_matrix(pmap, a, s_list) == want
 
 
 def test_krylov_check_randomized():

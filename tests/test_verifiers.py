@@ -32,14 +32,15 @@ from pseudolin.instances import (build_algebraic, build_hermite, build_lclm,
                                  verify_symprod, verify_telescoper)
 from pseudolin.linalg import RatMatrix
 from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, is_right_multiple,
-                           ore_mul, right_divide)
+                           ore_mul)
 from pseudolin.poly import Poly
 from pseudolin.randgen import (rand_algebraic_input, rand_hermite_input,
                                rand_map, rand_operator, rand_vector)
 from pseudolin.ratfun import RatFun
 from pseudolin.relations import (PseudoLinearMap, Relation,
-                                 solve_min_relation, theta_iterates,
-                                 verify_relation)
+                                 solve_min_relation, verify_relation)
+
+from _oracle import right_divide, theta_iterates
 
 X = Poly.x()
 
@@ -310,6 +311,22 @@ def test_is_right_multiple_matches_right_divide():
             assert want
         verdicts[want] += 1
     assert verdicts[True] >= 32 and verdicts[False] >= 25
+    # coefficients over denominators that share factors, where clearing by
+    # their lcm and by the product of the distinct ones differ
+    dens = [X, X * X, X * (X + 1), 3 * X - 2]
+
+    def shared(order):
+        return OrePoly([RatFun(_rand_fraction(rng) * X + 1, rng.choice(dens))
+                        for _ in range(order)] + [RatFun(1, X)], GEN_DX)
+
+    for k in range(16):
+        b, q = shared(rng.randint(1, 2)), shared(rng.randint(0, 1))
+        a = ore_mul(q, b)
+        if k % 2:
+            a = a + OrePoly([RatFun(1, rng.choice(dens))])
+        want = right_divide(a, b)[1].is_zero()
+        assert is_right_multiple(a, b) is want
+        assert want is (k % 2 == 0)
     # a lower order than b, the zero operator, and b = 0
     b = _rand_ore(rng, 3, GEN_DX)
     assert not is_right_multiple(_rand_ore(rng, 2, GEN_DX), b)

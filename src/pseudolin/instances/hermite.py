@@ -16,20 +16,23 @@ projection onto the last d_y coordinates; det M has degree at most
 assembles only (W, X, M, Y): one fraction-free elimination of [M | Y] in
 ``relations.Realisation`` gives det M and the map in cleared form.
 
-``hermite_reduce`` works on fractions (BiPoly numerator, Poly
-denominator) with pseudo-division by q, so the inner loop is polynomial
-multiplication only.  The Bezout cofactors of (q, q_y) it needs come from
-the fraction-free pseudo-remainder sequence ``bipoly_ext_prs``.
-Certificates are lists of (numerator, denominator, j) terms meaning
-sum num/(den * q^j).
+``hermite_reduce`` is the exact Hermite reduction behind the verifier
+and the certificate.  It runs on the q-adic digits of the numerator
+modulo q~(z) = l^(d_y - 1) q(z/l), l = lc_y(q), which is monic in
+z = l y: every division by q~ is exact, each level's numerator stays
+below y-degree 2 d_y and no power of l accumulates.  The Bezout cofactors
+of (q~, q~_z) come from the fraction-free pseudo-remainder sequence
+``bipoly_ext_prs``.  Certificates are lists of (numerator, denominator, j)
+terms meaning sum num/(den * q^j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from pseudolin.bipoly import (BiPoly, bipoly_coprime, bipoly_ext_prs,
-                              bipoly_pseudo_divmod, squarefree_y)
+                              squarefree_y)
 from pseudolin.linalg import PolyMatrix
 from pseudolin.ore import GEN_DX, OrePoly
 from pseudolin.poly import Poly, poly_gcd, poly_lcm
@@ -56,41 +59,138 @@ def _bezout_cleared(q: BiPoly):
 
 
 def hermite_reduce(num: BiPoly, den: Poly, power: int, q: BiPoly,
-                   want_certificate: bool = False, bezout=None):
+                   want_certificate: bool = False):
     """Hermite-reduce num/(den * q^power) to (r_num, r_den, cert).
 
     r = r_num/r_den has deg_y r < deg_y q and num/(den * q^power) =
-    d/dy(h) + r/q.  The certificate is a list of (BiPoly, Poly, j) terms
-    meaning h = sum num_j/(den_j * q^j); None unless requested.  ``bezout``
-    is ``_bezout_cleared(q)`` when the caller already has it.
+    d/dy(h) + r/q.  For q square-free in y this r is unique, so r = 0
+    exactly when num/(den * q^power) is the y-derivative of a rational
+    function.  The certificate is a list of (BiPoly, Poly, j) terms
+    meaning h = sum num_j/(den_j * q^j), a proper rational part plus a
+    polynomial with no constant term; None unless requested.
 
-    The loop pseudo-divides by q, so it is polynomial multiplication
-    only.  Raises ValueError when power < 1 or q is not square-free in y.
+    The reduction runs on q~(z) = l^(dy-1) q(z/l), l = lc_y(q), which is
+    monic in z, so every division is exact and no power of l builds up:
+
+    1. Transform.  With N~(z) = l^n num(z/l), n = deg_y num, the input at
+       y = z/l is l^((dy-1) power - n) N~ / (den q~^power).  Since
+       d/dz = (1/l) d/dy and l does not depend on z, g(y) is a
+       y-derivative exactly when g(z/l) is a z-derivative, and a nonzero
+       factor in Q(x) does not change whether the remainder is zero.
+    2. Digits.  N~ = sum c_j q~^j with deg_z c_j < dy; digit c_j sits at
+       level power - j.  The digits at levels <= 0 make a polynomial,
+       the derivative of its antiderivative.
+    3. Cascade, from level k = power down to 2, with sigma q~ + tau q~_z
+       = w and A the numerator at level k (deg_z A < dy):
+       A tau = v q~ + u with deg_z u < dy, and
+
+           A / q~^k = d/dz(-u / ((k-1) w q~^(k-1))) + B / ((k-1) w q~^(k-1)),
+           B = (k-1)(A sigma + v q~_z) + u_z.
+
+       At z = infinity A / q~^k and the derivative both vanish to order
+       at least (k-1) dy - dy + 2, so deg_z B <= dy - 2: B joins the
+       digit of level k-1, scaled by the running denominator, with no
+       division.
+    4. Level 1 holds the remainder.  The remainder and the certificate
+       go back to y through z = l y.
+
+    Raises ValueError when power < 1 or q is not square-free in y.
     """
-    if power < 1:
+    return _reduce_terms([(Poly.one(), num, power)], den, q,
+                         want_certificate)
+
+
+def _reduce_terms(terms, den: Poly, q: BiPoly, want_certificate: bool):
+    """``hermite_reduce`` of sum c num/(den q^power) over the (c, num,
+    power) in terms, c in Q[x].  Each term goes to z on its own, so the
+    digits of num are taken before it is multiplied by c."""
+    if any(power < 1 for _, _, power in terms):
         raise ValueError("power must be at least 1")
-    sigma, tau, w = bezout if bezout is not None else _bezout_cleared(q)
+    dy, lc = q.degree_y, q.lc_y
+    terms = [(c, num, power, (dy - 1) * power - num.degree_y)
+             for c, num, power in terms
+             if not (c.is_zero() or num.is_zero())]
+    # num/q^power at y = z/l is l^e N~/q~^power, e = (dy-1) power - n;
+    # the sum is l^E times sum c l^(e-E) N~/q~^power with E = min e
+    E = min((e for *_, e in terms), default=0)
+    pw = [Poly.one()]
+    for _ in range(max([dy] + [max(num.degree_y, e - E)
+                               for _, num, _, e in terms])):
+        pw.append(pw[-1] * lc)
+    qt = BiPoly(_scale_y(q.ycoeffs[:-1], pw, dy - 1) + [Poly.one()])
+    sigma, tau, w = _bezout_cleared(qt)
+    qtz = qt.deriv("y")
     cert = [] if want_certificate else None
-    cur, d, m = num, den, power
-    qy = q.deriv("y")
-    lc = q.lc_y
-    while m >= 2:
-        Q, R, k = bipoly_pseudo_divmod(cur * tau, q)
-        lck = lc**k
-        if cert is not None and not R.is_zero():
-            cert.append((-R, d * w * lck * (m - 1), m - 1))
-        cur = (cur * sigma * lck + Q * qy) * (m - 1) + R.deriv("y")
-        d = d * w * lck * (m - 1)
-        m -= 1
-    Q, R, k = bipoly_pseudo_divmod(cur, q)
-    lck = lc**k
-    if cert is not None and not Q.is_zero():
-        cert.append((_antideriv_y(Q), d * lck, 0))
-    return R, d * lck, cert
+    m = max((power for _, _, power, _ in terms), default=1)
+    # digits[k] is the numerator over qt^k; poly the polynomial part
+    digits = [BiPoly.zero()] * (m + 1)
+    poly = BiPoly.zero()
+    for c, num, power, e in terms:
+        c = c * pw[e - E]
+        rest = BiPoly(_scale_y(num.ycoeffs, pw, num.degree_y))
+        for k in range(power, 0, -1):
+            rest, digit = _divmod_monic(rest, qt)
+            digits[k] = digits[k] + digit * c
+        poly = poly + rest * c
+    D = Poly.one()
+    parts = []                        # t / (c * qt^j), in z
+    if cert is not None and not poly.is_zero():
+        parts.append((_antideriv_y(poly), D, 0))
+    a = digits[m]                     # the numerator over D * qt^k
+    for k in range(m, 1, -1):
+        v, u = _divmod_monic(a * tau, qt)
+        s = w * (k - 1)
+        if cert is not None and not u.is_zero():
+            parts.append((-u, D * s, k - 1))
+        D = D * s
+        a = (digits[k - 1] * D + (a * sigma + v * qtz) * (k - 1)
+             + u.deriv("y"))
+    # back to y: the remainder is l^(E+1-dy) a(l y)/(den D), and h is
+    # l^(E-1-(dy-1)j) t(l y)/(den c q^j) summed over the parts
+    r_num, r_den = _unscale(a, den * D, pw, lc, E + 1 - dy)
+    if cert is not None:
+        for t, c, j in parts:
+            cert.append(_unscale(t, den * c, pw, lc,
+                                 E - 1 - (dy - 1) * j) + (j,))
+    return r_num, r_den, cert
+
+
+def _scale_y(cs, pw, top=None) -> list:
+    """The y-coefficients cs with c_j times pw[j], or times pw[top - j]
+    when top is given; pw[k] = s^k, so this is p(s y), or s^top p(y/s)."""
+    if top is None:
+        return [c * pw[j] for j, c in enumerate(cs)]
+    return [c * pw[top - j] for j, c in enumerate(cs)]
+
+
+def _unscale(p: BiPoly, den: Poly, pw, lc: Poly, e: int):
+    """(l^e p(l y), den) as a fraction (numerator, denominator)."""
+    while len(pw) < len(p.ycoeffs):
+        pw.append(pw[-1] * lc)
+    p = BiPoly(_scale_y(p.ycoeffs, pw))
+    if e >= 0:
+        return p * lc**e, den
+    return p, den * lc**(-e)
+
+
+def _divmod_monic(a: BiPoly, b: BiPoly):
+    """(Q, R) with a = Q b + R and deg_y R < deg_y b, for b monic in y."""
+    db = b.degree_y
+    r = list(a.ycoeffs)
+    if len(r) <= db:
+        return BiPoly.zero(), a
+    low = b.ycoeffs[:-1]
+    quo = [None] * (len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = quo[k] = r[k + db]
+        if not c.is_zero():
+            for i, bi in enumerate(low):
+                if not bi.is_zero():
+                    r[k + i] = r[k + i] - c * bi
+    return BiPoly(quo), BiPoly(r[:db])
 
 
 def _antideriv_y(p: BiPoly) -> BiPoly:
-    from fractions import Fraction
     return BiPoly((Poly(),) + tuple(c * Fraction(1, i + 1)
                                     for i, c in enumerate(p.ycoeffs)))
 
@@ -191,15 +291,8 @@ def telescoper(inst: HermiteInstance, want_certificate: bool = False):
     L = OrePoly([RatFun(e) for e in rel.eta], GEN_DX)
     if not want_certificate:
         return L, None
-    cert = []
-    bezout = _bezout_cleared(inst.q)
-    for i, (num, power) in enumerate(_x_derivative_numerators(inst, rel.rho)):
-        eta = rel.eta[i]
-        if eta.is_zero():
-            continue
-        _, _, ci = hermite_reduce(num * eta, Poly.one(), power, inst.q, True,
-                                  bezout)
-        cert.extend(ci)
+    _, _, cert = _reduce_terms(_applied_terms(inst, L), Poly.one(), inst.q,
+                               want_certificate=True)
     return L, cert
 
 
@@ -214,26 +307,38 @@ def _x_derivative_numerators(inst: HermiteInstance, rho: int):
     return out
 
 
-def _applied_numerator(inst: HermiteInstance, L: OrePoly):
-    """The numerator N of L(f) = N / q^(rho + 1), rho = order of L:
+def _applied_terms(inst: HermiteInstance, L: OrePoly):
+    """The terms (eta_i, f_i, i + 1) of
 
-        N = sum eta_i f_i q^(rho - i)  with  d^i f/dx^i = f_i / q^(i+1).
+        L(f) = sum eta_i f_i / q^(i+1)  with  d^i f/dx^i = f_i / q^(i+1),
 
-    Returns None when a coefficient of L is not a polynomial.
-    """
-    num = BiPoly.zero()
-    for i, (fi, _) in enumerate(_x_derivative_numerators(inst, L.order)):
+    or None when a coefficient of L is not a polynomial."""
+    terms = []
+    for i, (fi, power) in enumerate(_x_derivative_numerators(inst, L.order)):
         c = L.coeff(i)
         if not c.is_poly():
             return None
+        terms.append((c.num, fi, power))
+    return terms
+
+
+def _applied_numerator(inst: HermiteInstance, L: OrePoly):
+    """The numerator N = sum eta_i f_i q^(rho - i) of L(f) = N / q^(rho+1),
+    rho = order of L (see ``_applied_terms``); None when a coefficient of
+    L is not a polynomial."""
+    terms = _applied_terms(inst, L)
+    if terms is None:
+        return None
+    num = BiPoly.zero()
+    for c, fi, _ in terms:
         # Horner in q: term i ends up multiplied by q^(rho - i)
-        num = num * inst.q + fi * c.num
+        num = num * inst.q + fi * c
     return num
 
 
 def verify_telescoper(inst: HermiteInstance, L: OrePoly) -> bool:
     """Check herm(L(f)) = 0 with a single Hermite reduction of
-    L(f) = N / q^(rho + 1) (see ``_applied_numerator``).
+    L(f) = sum eta_i f_i / q^(i+1) (see ``_applied_terms``).
 
     The check is exact: for q square-free in y, the remainder r of
     g = d/dy(h) + r/q with deg_y r < deg_y q is unique, and r = 0 exactly
@@ -245,10 +350,10 @@ def verify_telescoper(inst: HermiteInstance, L: OrePoly) -> bool:
     """
     if L.is_zero() or L.generator != GEN_DX:
         return False
-    num = _applied_numerator(inst, L)
-    if num is None:
+    terms = _applied_terms(inst, L)
+    if terms is None:
         return False
-    rb, _, _ = hermite_reduce(num, Poly.one(), L.order + 1, inst.q)
+    rb, _, _ = _reduce_terms(terms, Poly.one(), inst.q, False)
     return rb.is_zero()
 
 

@@ -24,12 +24,18 @@ fraction-free elimination behind ``Realisation``: one Q[x]
 cross-multiplication elimination per right-hand side over columnwise
 cleared denominators, a back-substitution in Q(x), and T = W + X M^-1 Y
 summed entry by entry in ``RatFun``.
+
+``hermite_reduce_pseudo`` is the reference for ``hermite.hermite_reduce``:
+the classical Hermite loop on q itself, pseudo-dividing the whole running
+numerator by q at every level.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+from pseudolin.bipoly import BiPoly, bipoly_pseudo_divmod
+from pseudolin.instances.hermite import _bezout_cleared
 from pseudolin.linalg import RatMatrix
 from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, normalize_primitive,
                            ore_mul)
@@ -388,3 +394,38 @@ def realisation_map(W, X, M, Y) -> RatMatrix:
                 acc = acc + RatFun(X.entry(i, k)) * cols[j][k]
             entries.append(acc)
     return RatMatrix(n, n, entries)
+
+
+def _antideriv_y(p: BiPoly) -> BiPoly:
+    return BiPoly((Poly(),) + tuple(c * Fraction(1, i + 1)
+                                    for i, c in enumerate(p.ycoeffs)))
+
+
+def hermite_reduce_pseudo(num: BiPoly, den: Poly, power: int, q: BiPoly,
+                          want_certificate: bool = False):
+    """(r_num, r_den, cert) with num/(den q^power) = d/dy(h) + r/q and
+    deg_y r < deg_y q, h = sum of the certificate terms t/(c q^j).
+
+    Each level pseudo-divides cur * tau by q, with sigma q + tau q_y = w:
+    lc_y(q)^k cur tau = Q q + R, so the level sheds d/dy(-R/((m-1) q^(m-1)))
+    and everything is scaled by lc_y(q)^k w (m - 1)."""
+    if power < 1:
+        raise ValueError("power must be at least 1")
+    sigma, tau, w = _bezout_cleared(q)
+    cert = [] if want_certificate else None
+    cur, d, m = num, den, power
+    qy = q.deriv("y")
+    lc = q.lc_y
+    while m >= 2:
+        Q, R, k = bipoly_pseudo_divmod(cur * tau, q)
+        lck = lc**k
+        if cert is not None and not R.is_zero():
+            cert.append((-R, d * w * lck * (m - 1), m - 1))
+        cur = (cur * sigma * lck + Q * qy) * (m - 1) + R.deriv("y")
+        d = d * w * lck * (m - 1)
+        m -= 1
+    Q, R, k = bipoly_pseudo_divmod(cur, q)
+    lck = lc**k
+    if cert is not None and not Q.is_zero():
+        cert.append((_antideriv_y(Q), d * lck, 0))
+    return R, d * lck, cert

@@ -28,6 +28,14 @@ def test_telescoper_golden(capsys):
     assert "verified: true" in out
 
 
+def test_telescoper_certificate_dy3(capsys):
+    code, out = run_cli(capsys, "telescoper", "--f=1/(x*y^3+y+x^2)",
+                        "--certificate")
+    assert code == 0
+    assert "verified: true" in out
+    assert "certificate: (" in out and "*q^2" in out
+
+
 def test_lclm_golden(capsys):
     code, out = run_cli(capsys, "lclm", "--op", "x*Dx-1", "--op", "x*Dx-2")
     assert code == 0

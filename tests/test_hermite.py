@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from pseudolin.bipoly import BiPoly, resultant_y
-from pseudolin.instances.hermite import (_bezout_cleared, bound_hermite,
+from pseudolin.bipoly import BiPoly, resultant_y, squarefree_y
+from pseudolin.instances.hermite import (_bezout_cleared,
+                                         _x_derivative_numerators,
+                                         bound_hermite,
                                          build_hermite,
                                          certificate_fraction,
                                          certificate_matches,
@@ -15,12 +17,14 @@ from pseudolin.instances.hermite import (_bezout_cleared, bound_hermite,
                                          telescoper, verify_telescoper)
 from pseudolin.ore import OrePoly
 from pseudolin.poly import Poly, poly_gcd
-from pseudolin.randgen import rand_bipoly, rand_hermite_input
+from pseudolin.randgen import (rand_bipoly, rand_hermite_input,
+                               rand_nonzero_poly)
 from pseudolin.ratfun import RatFun
 
 import sys
 sys.path.insert(0, "tests")
-from _oracle import oracle_min_relation, ratfun_y_ext_gcd, realisation_map
+from _oracle import (hermite_reduce_pseudo, oracle_min_relation,
+                     ratfun_y_ext_gcd, realisation_map)
 
 x = Poly.x()
 one = Poly.one()
@@ -71,6 +75,64 @@ def test_hermite_reduce_rejects_non_squarefree():
         hermite_reduce(BiPoly.one(), Poly.one(), 2, sq)
     with pytest.raises(ValueError):
         hermite_reduce(BiPoly.one(), Poly.one(), 0, Q_SHIFTED)
+
+
+def same_certificate(c1, c2, q):
+    """The two certificates are the same rational function h."""
+    H1, D1, J1 = certificate_fraction(c1, q)
+    H2, D2, J2 = certificate_fraction(c2, q)
+    lhs, rhs = H1 * D2, H2 * D1
+    for _ in range(J2 - J1):
+        lhs = lhs * q
+    for _ in range(J1 - J2):
+        rhs = rhs * q
+    return lhs == rhs
+
+
+def assert_matches_pseudo(num, den, power, q):
+    rb, rd, cert = hermite_reduce(num, den, power, q, want_certificate=True)
+    ob, od, ocert = hermite_reduce_pseudo(num, den, power, q, True)
+    assert rb.degree_y < q.degree_y
+    assert fraction(rb, rd) == fraction(ob, od)
+    assert same_certificate(cert, ocert, q)
+
+
+def _lc_with_square(rng, dx, dy):
+    """A square-free q whose lc_y is x^2 (x + c), a repeated x-factor."""
+    while True:
+        q = rand_bipoly(rng, dx, dy - 1, exact=False)
+        lead = Poly([0, 0, rng.choice((1, -2)), 1])
+        q = BiPoly(list(q.ycoeffs) + [Poly()] * (dy - len(q.ycoeffs))
+                   + [lead])
+        if squarefree_y(q):
+            return q
+
+
+def test_hermite_reduce_matches_pseudo_division_loop():
+    """The q-adic reduction gives the same remainder, as a Q(x)-fraction,
+    and the same h as the classical loop that pseudo-divides by q."""
+    for num, den, power in ((BiPoly([x, Poly([2])]), one, 1),
+                            (BiPoly.one(), one, 2),
+                            (BiPoly([Poly(), Poly([-2])]), one, 2)):
+        assert_matches_pseudo(num, den, power, Q_SHIFTED)
+    rng = random.Random(66)
+    shapes = [(dx, dy, power) for dx in (1, 2) for dy in (1, 2, 3)
+              for power in (1, 2, 3)]
+    for dx, dy, power in shapes:
+        for kind in range(2):
+            if kind:
+                q = _lc_with_square(rng, dx, dy)
+            else:
+                _, q = rand_hermite_input(rng, dx, dy)
+            # deg_y num up to power*dy + 1 leaves a polynomial part
+            deg = rng.randint(0, power * dy + 1)
+            num = rand_bipoly(rng, dx, deg, exact=False)
+            den = rand_nonzero_poly(rng, rng.randint(0, 1))
+            assert_matches_pseudo(num, den, power, q)
+            assert_matches_pseudo(BiPoly.zero(), den, power, q)
+    # a polynomial part next to the fractional levels
+    num = rand_bipoly(rng, 1, 3 * 2 + 2)
+    assert_matches_pseudo(num, one, 3, _lc_with_square(rng, 1, 2))
 
 
 def test_bezout_cleared_is_minimal():
@@ -187,7 +249,6 @@ def test_genericity_iff_maximal_resultant_degree():
     for _ in range(30):
         dx, dy = rng.randint(1, 2), rng.randint(1, 3)
         q = rand_bipoly(rng, dx, dy)
-        from pseudolin.bipoly import squarefree_y
         if not squarefree_y(q) or q.degree_y < 1:
             continue
         res = resultant_y(q, q.deriv("y"))
@@ -212,3 +273,22 @@ def test_delta_bound_and_report():
         assert certificate_matches(inst, L, cert)
         rep = hermite_bound_report(inst, L)
         assert rep.holds()
+
+
+def test_certificate_dy3_is_the_per_coefficient_h():
+    """One reduction of L(f) gives the same h as reducing each
+    eta_i d^i f/dx^i on its own with the pseudo-division loop, and the
+    certificate checks exactly, on dy = 3."""
+    rng = random.Random(67)
+    for dx, dy in ((1, 3), (2, 3), (3, 3)):
+        p, q = rand_hermite_input(rng, dx, dy, generic=True)
+        inst = build_hermite(p, q)
+        L, cert = telescoper(inst, want_certificate=True)
+        assert certificate_matches(inst, L, cert)
+        ref = []
+        for i, (num, power) in enumerate(
+                _x_derivative_numerators(inst, L.order)):
+            if not L.coeff(i).is_zero():
+                ref += hermite_reduce_pseudo(num * L.coeff(i).num, one,
+                                             power, q, True)[2]
+        assert same_certificate(cert, ref, q)

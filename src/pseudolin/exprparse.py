@@ -274,6 +274,9 @@ def _check_order(order, pos: int):
                             f"{MAX_OPERATOR_ORDER}", pos)
 
 
+_DX = OrePoly.gen(GEN_DX)
+
+
 def _eval_operator(node) -> OrePoly:
     if isinstance(node, Num):
         return OrePoly.from_scalar(node.value, GEN_DX)
@@ -291,6 +294,8 @@ def _eval_operator(node) -> OrePoly:
             # a scalar: one RatFun power, not exp operator products
             return OrePoly.from_scalar(base.coeff(0) ** node.exp, GEN_DX)
         _check_order(base.order * node.exp, node.pos)
+        if base == _DX:
+            return OrePoly((0,) * node.exp + (1,), GEN_DX)
         out = OrePoly.from_scalar(1, GEN_DX)
         for _ in range(node.exp):
             out = ore_mul(out, base)
@@ -304,6 +309,9 @@ def _eval_operator(node) -> OrePoly:
             return lhs - rhs
         if node.op == "*":
             _check_order(lhs.order + rhs.order, node.pos)
+            if lhs.order == 0:
+                # a scalar on the left only scales the coefficients
+                return rhs.scale(lhs.coeff(0))
             return ore_mul(lhs, rhs)
         if rhs.is_zero():
             raise SemanticError("division by zero", node.pos)
@@ -314,15 +322,30 @@ def _eval_operator(node) -> OrePoly:
     raise TypeError(f"unknown node {node!r}")
 
 
+#: The unit denominator of every polynomial subexpression.  ``_mul`` skips
+#: products with this object, and ``parse`` skips the gcd of a pair whose
+#: denominator is still this object.
+_UNIT = BiPoly.one()
+
+
+def _mul(a: BiPoly, b: BiPoly) -> BiPoly:
+    if a is _UNIT:
+        return b
+    if b is _UNIT:
+        return a
+    return a * b
+
+
 def _eval_birat(node):
-    """Evaluate to an unreduced pair (numerator, denominator) of BiPoly."""
+    """Evaluate to an unreduced pair (numerator, denominator) of BiPoly;
+    the denominator of a polynomial is ``_UNIT`` itself."""
     if isinstance(node, Num):
-        return BiPoly([Poly.const(node.value)]), BiPoly.one()
+        return BiPoly([Poly.const(node.value)]), _UNIT
     if isinstance(node, Var):
         if node.name == "x":
-            return BiPoly([Poly.x()]), BiPoly.one()
+            return BiPoly([Poly.x()]), _UNIT
         if node.name == "y":
-            return BiPoly.y(), BiPoly.one()
+            return BiPoly.y(), _UNIT
         raise SemanticError("Dx is not allowed in a rational expression",
                             node.pos)
     if isinstance(node, Neg):
@@ -330,22 +353,22 @@ def _eval_birat(node):
         return -n, d
     if isinstance(node, Pow):
         n, d = _eval_birat(node.base)
-        nn, dd = BiPoly.one(), BiPoly.one()
+        nn, dd = _UNIT, _UNIT
         for _ in range(node.exp):
-            nn, dd = nn * n, dd * d
+            nn, dd = _mul(nn, n), _mul(dd, d)
         return nn, dd
     if isinstance(node, Bin):
         n1, d1 = _eval_birat(node.left)
         n2, d2 = _eval_birat(node.right)
         if node.op == "+":
-            return n1 * d2 + n2 * d1, d1 * d2
+            return _mul(n1, d2) + _mul(n2, d1), _mul(d1, d2)
         if node.op == "-":
-            return n1 * d2 - n2 * d1, d1 * d2
+            return _mul(n1, d2) - _mul(n2, d1), _mul(d1, d2)
         if node.op == "*":
-            return n1 * n2, d1 * d2
+            return _mul(n1, n2), _mul(d1, d2)
         if n2.is_zero():
             raise SemanticError("division by zero", node.pos)
-        return n1 * d2, d1 * n2
+        return _mul(n1, d2), _mul(d1, n2)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -392,7 +415,9 @@ def parse(text: str, kind: str):
                     "operator coefficients must be polynomial in x", 0)
         return op
     if kind in ("ratfun2", "bipoly"):
-        num, den = _reduce_pair(*_eval_birat(node))
+        num, den = _eval_birat(node)
+        if den is not _UNIT:
+            num, den = _reduce_pair(num, den)
         if kind == "ratfun2":
             return num, den
         if den.degree_y > 0 or den.ycoeff(0).degree > 0:

@@ -13,24 +13,31 @@ M is the Sylvester matrix and det M = res_y(P, P_y) up to sign.  As for
 the telescoper, the map comes in cleared form from the one elimination of
 [M | Y] in ``relations.Realisation``.
 
-The verifier does not use T: ``cockle_iterates`` differentiates y modulo
-P as fractions C_i/d_i in Q[x][y], with the inverse of P_y modulo P taken
-from the Bezout identity of (P, P_y).
+The verifier does not use T.  It differentiates the root modulo P over
+one known denominator (Bostan, Chyzak, Lecerf, Salvy and Schost, ISSAC
+2007): with l = lc_y(P), the substitution y = z/l makes
+P~ = l^(dy-1) P(z/l) monic in z, and the Bezout identity
+sigma P~ + tau P~_z = w gives z' = S/w with S = -P~_x tau mod P~.  The
+i-th derivative of y is then C_i / (l^(i+1) w^i) with C_i in Q[x][z] of
+z-degree below dy, each step one exact division by P~, no gcd and no
+pseudo-division (``_cockle_z``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pseudolin.bipoly import BiPoly, bipoly_pseudo_divmod, squarefree_y
+from pseudolin.bipoly import BiPoly, squarefree_y
 from pseudolin.linalg import PolyMatrix
 from pseudolin.ore import GEN_DX, OrePoly, normalize_primitive
-from pseudolin.poly import Poly, poly_gcd, poly_lcm
+from pseudolin.poly import Poly
 from pseudolin.ratfun import RatFun
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  realisation_bound_report, solve_min_relation)
 
-from pseudolin.instances.hermite import _bezout_cleared, genericity_check
+from pseudolin.instances.hermite import (_bezout_cleared, _divmod_monic,
+                                         _monic_transform, _scale_y,
+                                         genericity_check)
 
 
 @dataclass(frozen=True)
@@ -98,66 +105,77 @@ def resolvent(inst: AlgebraicInstance) -> OrePoly:
     return OrePoly([RatFun(e) for e in rel.eta], GEN_DX)
 
 
-def cockle_iterates(inst: AlgebraicInstance, count: int):
-    """Fraction-form Cockle recursion: pairs (C_i, d_i) with D_i = C_i/d_i,
-    D_0 = y mod P and D_{i+1} = D_i' - dD_i/dy * P_x / P_y mod P.
+def _cockle_z(P: BiPoly, count: int):
+    """The numerators C_0, ..., C_(count-1) of the Cockle recursion in
+    z = l y, l = lc_y(P), with the data (l, l w, pw) that maps them back.
 
-    Runs entirely in Q[x][y] with pseudo-division by P, independently of
-    the matrix T used by the solver: 1/P_y mod P is tau/w from the Bezout
-    identity sigma P + tau P_y = w.  After every step C and d are divided
-    by gcd(content_x(C), d), so d does not square at each step.
+    With P~ = l^(dy-1) P(z/l) monic in z, sigma P~ + tau P~_z = w and
+    S = -P~_x tau mod P~, a root z = l y of P~ has z' = S/w modulo P~,
+    and the k-th derivative of y is C_k / (l^(k+1) w^k):
+
+        C_0 = z mod P~,
+        C_(k+1) = l (w dC_k/dx + (dC_k/dz S mod P~))
+                  - C_k ((k+1) l' w + k l w').
+
+    Every reduction is an exact division by the monic P~, and no
+    fraction is ever reduced.  pw[j] = l^j for j <= dy.
     """
-    P = inst.P
-    Px = P.deriv("x")
-    _, tb, w = _bezout_cleared(P)
+    qt, pw = _monic_transform(P)
+    _, tau, w = _bezout_cleared(qt)
     lc = P.lc_y
-    _, C, k0 = bipoly_pseudo_divmod(BiPoly.y(), P)
-    d = lc**k0
-    out = [(C, d)]
-    for _ in range(count - 1):
-        _, R, k = bipoly_pseudo_divmod(C.deriv("y") * Px * tb, P)
-        lck = lc**k
-        num = (C.deriv("x") * d - C * d.derivative()) * (w * lck) - R * d
-        den = d * d * w * lck
-        _, num, k2 = bipoly_pseudo_divmod(num, P)
-        C, d = num, den * lc**k2
-        g = d
-        for c in C.ycoeffs:
-            g = poly_gcd(g, c)
-            if g.degree == 0:
-                break
-        if g.degree > 0:
-            C = BiPoly(tuple(c.exact_div(g) for c in C.ycoeffs))
-            d = d.exact_div(g)
-        out.append((C, d))
+    _, S = _divmod_monic(-(qt.deriv("x") * tau), qt)
+    lw = lc * w
+    dlw, dlc_w = lw.derivative(), lc.derivative() * w
+    _, C = _divmod_monic(BiPoly.y(), qt)
+    out = [C]
+    for k in range(count - 1):
+        _, CS = _divmod_monic(C.deriv("y") * S, qt)
+        C = C.deriv("x") * lw + CS * lc - C * (dlc_w + dlw * k)
+        out.append(C)
+    return out, lc, lw, pw
+
+
+def cockle_iterates(inst: AlgebraicInstance, count: int):
+    """Pairs (C_i, d_i) in Q[x][y] with D_i = C_i/d_i = the i-th
+    derivative of y modulo P, for i < count: D_0 = y mod P and
+    D_(i+1) = D_i' - dD_i/dy * P_x / P_y mod P.
+
+    Runs the fraction-free recursion of ``_cockle_z`` in z = l y and maps
+    each C_i back through z = l y, so d_i = l^(i+1) w^i with w the
+    Bezout denominator of (P~, P~_z).  Independent of the matrix T used
+    by the solver.
+    """
+    cs, d, lw, pw = _cockle_z(inst.P, count)
+    out = []
+    for C in cs:
+        out.append((BiPoly(_scale_y(C.ycoeffs, pw)), d))
+        d = d * lw
     return out
 
 
 def verify_resolvent(inst: AlgebraicInstance, L: OrePoly) -> bool:
-    """Check sum eta_i D_i = 0 in Q(x)[y]/(P) with Cockle-recursed D_i.
+    """Check sum eta_i D_i = 0 in Q(x)[y]/(P) for the i-th derivatives
+    D_i = C_i/(l^(i+1) w^i) of the root y, in z = l y (``_cockle_z``).
 
-    The D_i = C_i/d_i come from ``cockle_iterates``, which differentiates y
-    modulo P directly and shares no code with the solver (no matrix T,
-    realisation or ``solve_min_relation``).  The sum is taken exactly over
-    the lcm of the d_i: each C_i has y-degree below deg_y P, so the sum
-    vanishes modulo P iff its numerator is the zero polynomial.
+    Over the common denominator l^(rho+1) w^rho the check is
+    sum eta_i (l w)^(rho-i) C_i = 0, formed by Horner in l w.  Each C_i
+    has z-degree below deg_y P, so the sum vanishes modulo P~ iff it is
+    the zero polynomial: the check is exact, and past the one Bezout
+    identity it takes no gcd and no pseudo-division.  It shares no code
+    with the solver (no matrix T, realisation, ``solve_min_relation`` or
+    ``linalg``).
     """
     if L.is_zero() or L.generator != GEN_DX:
         return False
-    terms = []
-    for i, (C, d) in enumerate(cockle_iterates(inst, L.order + 1)):
-        c = L.coeff(i)
-        if c.is_zero():
-            continue
-        if not c.is_poly():
-            return False
-        terms.append((C * c.num, d))
-    D = Poly.one()
-    for _, d in terms:
-        D = poly_lcm(D, d)
+    if not all(c.is_poly() for c in L.coeffs):
+        return False
+    cs, _, lw, _ = _cockle_z(inst.P, L.order + 1)
     acc = BiPoly.zero()
-    for C, d in terms:
-        acc = acc + C * D.exact_div(d)
+    for i, C in enumerate(cs):
+        acc = acc * lw
+        c = L.coeff(i)
+        if not c.is_zero():
+            acc = acc + C * c.num
     return acc.is_zero()
 
 

@@ -113,11 +113,8 @@ def _reduce_terms(terms, den: Poly, q: BiPoly, want_certificate: bool):
     # num/q^power at y = z/l is l^e N~/q~^power, e = (dy-1) power - n;
     # the sum is l^E times sum c l^(e-E) N~/q~^power with E = min e
     E = min((e for *_, e in terms), default=0)
-    pw = [Poly.one()]
-    for _ in range(max([dy] + [max(num.degree_y, e - E)
-                               for _, num, _, e in terms])):
-        pw.append(pw[-1] * lc)
-    qt = BiPoly(_scale_y(q.ycoeffs[:-1], pw, dy - 1) + [Poly.one()])
+    qt, pw = _monic_transform(q, max((max(num.degree_y, e - E)
+                                      for _, num, _, e in terms), default=0))
     sigma, tau, w = _bezout_cleared(qt)
     qtz = qt.deriv("y")
     cert = [] if want_certificate else None
@@ -153,6 +150,19 @@ def _reduce_terms(terms, den: Poly, q: BiPoly, want_certificate: bool):
             cert.append(_unscale(t, den * c, pw, lc,
                                  E - 1 - (dy - 1) * j) + (j,))
     return r_num, r_den, cert
+
+
+def _monic_transform(q: BiPoly, top: int = 0):
+    """(q~, pw) with q~ = l^(dy-1) q(z/l) monic in z, l = lc_y(q) and
+    dy = deg_y q, and the power table pw[k] = l^k for k <= max(dy, top).
+
+    A root y of q gives the root z = l y of q~, so z = l y maps
+    Q(x)[y]/(q) onto Q(x)[z]/(q~), and division by q~ is exact."""
+    dy, lc = q.degree_y, q.lc_y
+    pw = [Poly.one()]
+    for _ in range(max(dy, top)):
+        pw.append(pw[-1] * lc)
+    return BiPoly(_scale_y(q.ycoeffs[:-1], pw, dy - 1) + [Poly.one()]), pw
 
 
 def _scale_y(cs, pw, top=None) -> list:
@@ -197,7 +207,7 @@ def _antideriv_y(p: BiPoly) -> BiPoly:
 
 def certificate_fraction(cert, q: BiPoly):
     """Collapse a certificate term list into one fraction (H, D, J) with
-    h = H / (D * q^J)."""
+    h = H / (D * q^J), D monic and gcd(content_x(H), D) = 1."""
     if not cert:
         return BiPoly.zero(), Poly.one(), 0
     J = max(j for _, _, j in cert)
@@ -211,6 +221,10 @@ def certificate_fraction(cert, q: BiPoly):
         for _ in range(J - j):
             term = term * q
         H = H + term
+    g = poly_gcd(H.content_x(), D)
+    if g.degree > 0:
+        H = BiPoly(tuple(c.exact_div(g) for c in H.ycoeffs))
+        D = D.exact_div(g)
     return H, D, J
 
 

@@ -27,7 +27,16 @@ summed entry by entry in ``RatFun``.
 
 ``hermite_reduce_pseudo`` is the reference for ``hermite.hermite_reduce``:
 the classical Hermite loop on q itself, pseudo-dividing the whole running
-numerator by q at every level.
+numerator by q at every level.  ``cockle_iterates_frac`` and
+``verify_resolvent_frac`` are the reference for the resolvent verifier:
+the Cockle recursion on P itself, as reduced fractions C_i/d_i with two
+pseudo-divisions by P and a content gcd per step, summed over the lcm of
+the d_i.
+
+``eval_operator_ref`` and ``eval_birat_ref`` are the reference for the
+expression evaluators of ``exprparse``: every product is formed, the
+unit denominators and the order-0 left factors included, and a power is
+one product per unit of the exponent.
 """
 
 from fractions import Fraction
@@ -35,11 +44,13 @@ from itertools import combinations
 from math import gcd, lcm
 
 from pseudolin.bipoly import BiPoly, bipoly_pseudo_divmod
+from pseudolin.exprparse import (Bin, Neg, Num, Pow, SemanticError, Var,
+                                 _check_order)
 from pseudolin.instances.hermite import _bezout_cleared
 from pseudolin.linalg import RatMatrix
 from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, normalize_primitive,
                            ore_mul)
-from pseudolin.poly import Poly, poly_lcm
+from pseudolin.poly import Poly, poly_gcd, poly_lcm
 from pseudolin.ratfun import RatFun, common_denominator
 from pseudolin.relations import Relation
 
@@ -429,3 +440,132 @@ def hermite_reduce_pseudo(num: BiPoly, den: Poly, power: int, q: BiPoly,
     if cert is not None and not Q.is_zero():
         cert.append((_antideriv_y(Q), d * lck, 0))
     return R, d * lck, cert
+
+
+def cockle_iterates_frac(P: BiPoly, count: int):
+    """Pairs (C_i, d_i) with D_i = C_i/d_i, D_0 = y mod P and
+    D_(i+1) = D_i' - dD_i/dy * P_x / P_y mod P, in Q[x][y] by
+    pseudo-division by P; 1/P_y mod P is tau/w from the Bezout identity
+    sigma P + tau P_y = w.  After every step C and d are divided by
+    gcd(content_x(C), d)."""
+    Px = P.deriv("x")
+    _, tb, w = _bezout_cleared(P)
+    lc = P.lc_y
+    _, C, k0 = bipoly_pseudo_divmod(BiPoly.y(), P)
+    d = lc**k0
+    out = [(C, d)]
+    for _ in range(count - 1):
+        _, R, k = bipoly_pseudo_divmod(C.deriv("y") * Px * tb, P)
+        lck = lc**k
+        num = (C.deriv("x") * d - C * d.derivative()) * (w * lck) - R * d
+        den = d * d * w * lck
+        _, num, k2 = bipoly_pseudo_divmod(num, P)
+        C, d = num, den * lc**k2
+        g = d
+        for c in C.ycoeffs:
+            g = poly_gcd(g, c)
+            if g.degree == 0:
+                break
+        if g.degree > 0:
+            C = BiPoly(tuple(c.exact_div(g) for c in C.ycoeffs))
+            d = d.exact_div(g)
+        out.append((C, d))
+    return out
+
+
+def verify_resolvent_frac(P: BiPoly, L) -> bool:
+    """sum eta_i D_i = 0 modulo P over the lcm of the d_i of
+    ``cockle_iterates_frac``."""
+    if L.is_zero() or L.generator != GEN_DX:
+        return False
+    terms = []
+    for i, (C, d) in enumerate(cockle_iterates_frac(P, L.order + 1)):
+        c = L.coeff(i)
+        if c.is_zero():
+            continue
+        if not c.is_poly():
+            return False
+        terms.append((C * c.num, d))
+    D = Poly.one()
+    for _, d in terms:
+        D = poly_lcm(D, d)
+    acc = BiPoly.zero()
+    for C, d in terms:
+        acc = acc + C * D.exact_div(d)
+    return acc.is_zero()
+
+
+def eval_operator_ref(node) -> OrePoly:
+    """An expression tree as an operator, every product by ``ore_mul``."""
+    if isinstance(node, Num):
+        return OrePoly.from_scalar(node.value, GEN_DX)
+    if isinstance(node, Var):
+        if node.name == "x":
+            return OrePoly.from_scalar(RatFun(Poly.x()), GEN_DX)
+        if node.name == "Dx":
+            return OrePoly.gen(GEN_DX)
+        raise SemanticError("y is not allowed in an operator", node.pos)
+    if isinstance(node, Neg):
+        return -eval_operator_ref(node.operand)
+    if isinstance(node, Pow):
+        base = eval_operator_ref(node.base)
+        if base.order <= 0:
+            return OrePoly.from_scalar(base.coeff(0) ** node.exp, GEN_DX)
+        _check_order(base.order * node.exp, node.pos)
+        out = OrePoly.from_scalar(1, GEN_DX)
+        for _ in range(node.exp):
+            out = ore_mul(out, base)
+        return out
+    if isinstance(node, Bin):
+        lhs = eval_operator_ref(node.left)
+        rhs = eval_operator_ref(node.right)
+        if node.op == "+":
+            return lhs + rhs
+        if node.op == "-":
+            return lhs - rhs
+        if node.op == "*":
+            _check_order(lhs.order + rhs.order, node.pos)
+            return ore_mul(lhs, rhs)
+        if rhs.is_zero():
+            raise SemanticError("division by zero", node.pos)
+        if rhs.order > 0:
+            raise SemanticError("Dx cannot appear in a denominator",
+                                node.pos)
+        return lhs.scale(RatFun.one() / rhs.coeff(0))
+    raise TypeError(f"unknown node {node!r}")
+
+
+def eval_birat_ref(node):
+    """An expression tree as an unreduced pair (numerator, denominator)
+    of BiPoly, every product formed."""
+    if isinstance(node, Num):
+        return BiPoly([Poly.const(node.value)]), BiPoly.one()
+    if isinstance(node, Var):
+        if node.name == "x":
+            return BiPoly([Poly.x()]), BiPoly.one()
+        if node.name == "y":
+            return BiPoly.y(), BiPoly.one()
+        raise SemanticError("Dx is not allowed in a rational expression",
+                            node.pos)
+    if isinstance(node, Neg):
+        n, d = eval_birat_ref(node.operand)
+        return -n, d
+    if isinstance(node, Pow):
+        n, d = eval_birat_ref(node.base)
+        nn, dd = BiPoly.one(), BiPoly.one()
+        for _ in range(node.exp):
+            nn, dd = nn * n, dd * d
+        return nn, dd
+    if isinstance(node, Bin):
+        n1, d1 = eval_birat_ref(node.left)
+        n2, d2 = eval_birat_ref(node.right)
+        if node.op == "+":
+            return n1 * d2 + n2 * d1, d1 * d2
+        if node.op == "-":
+            return n1 * d2 - n2 * d1, d1 * d2
+        if node.op == "*":
+            return n1 * n2, d1 * d2
+        if n2.is_zero():
+            raise SemanticError("division by zero", node.pos)
+        return n1 * d2, d1 * n2
+    raise TypeError(f"unknown node {node!r}")

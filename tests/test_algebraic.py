@@ -15,7 +15,9 @@ from pseudolin.poly import Poly
 from pseudolin.randgen import rand_algebraic_input
 from pseudolin.ratfun import RatFun
 
-from _oracle import ore_apply, realisation_map
+from _oracle import (cockle_iterates_frac, ore_apply, realisation_map,
+                     verify_resolvent_frac)
+from test_hermite import _lc_with_square
 
 x = Poly.x()
 one = Poly.one()
@@ -108,3 +110,45 @@ def test_random_generic_resolvents():
         assert rep.asserted and rep.holds()
         deg = max(c.num.degree for c in L.coeffs)
         assert deg <= bound_algebraic(L.order, inst.dx, inst.dy)
+
+
+def _coefficient_mutants(L):
+    """L with eta_0 + x, and L with each eta_k + 1 in turn."""
+    out = [OrePoly([L.coeff(0) + RatFun(x)] + list(L.coeffs[1:]))]
+    for k in range(L.order + 1):
+        cs = list(L.coeffs)
+        cs[k] = cs[k] + RatFun.one()
+        out.append(OrePoly(cs))
+    return out
+
+
+def test_verify_resolvent_matches_fraction_recursion():
+    """The recursion in z = lc_y(P) y over one fixed denominator gives the
+    same derivatives D_i as the reduced-fraction recursion on P, and
+    ``verify_resolvent`` the same verdict on L and on every mutant."""
+    rng = random.Random(72)
+    cases = [BiPoly([Poly(), x]),                          # x*y
+             BiPoly([Poly(), one]),                        # y
+             BiPoly([Poly([-3]), Poly([2])]),              # 2*y - 3
+             BiPoly([-x, -one, Poly(), Poly(), x])]        # x*y^4 - y - x
+    for dx in (1, 2, 3):
+        for dy in (1, 2, 3, 4):
+            cases.append(rand_algebraic_input(rng, dx, dy))
+    for dx, dy in ((1, 1), (1, 2), (2, 3), (1, 4)):
+        cases.append(_lc_with_square(rng, dx, dy))
+    rejected = 0
+    for P in cases:
+        inst = build_algebraic(P)
+        L = resolvent(inst)
+        got = [[RatFun(c, d) for c in C.ycoeffs]
+               for C, d in cockle_iterates(inst, L.order + 2)]
+        want = [[RatFun(c, d) for c in C.ycoeffs]
+                for C, d in cockle_iterates_frac(P, L.order + 2)]
+        assert got == want
+        assert verify_resolvent(inst, L) and verify_resolvent_frac(P, L)
+        for m in _coefficient_mutants(L):
+            ok = verify_resolvent(inst, m)
+            assert ok == verify_resolvent_frac(P, m)
+            rejected += not ok
+    # only the mutants of x*y, y and 2*y - 3 (constant roots) pass
+    assert rejected == 79

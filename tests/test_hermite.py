@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pseudolin.bipoly import BiPoly, resultant_y, squarefree_y
+from pseudolin.exprparse import parse
 from pseudolin.instances.hermite import (_bezout_cleared,
                                          _x_derivative_numerators,
                                          bound_hermite,
@@ -292,3 +293,17 @@ def test_certificate_dy3_is_the_per_coefficient_h():
                 ref += hermite_reduce_pseudo(num * L.coeff(i).num, one,
                                              power, q, True)[2]
         assert same_certificate(cert, ref, q)
+
+
+@pytest.mark.parametrize("f", ["1/(y^2+x)", "y/(x*y^2+y-x)",
+                               "1/(x*y^3+y+x^2)",
+                               "(y^2+x)/((x+1)^2*y^3+x*y-1)"])
+def test_certificate_fraction_in_lowest_terms(f):
+    """The collapsed certificate H/(D q^J) shares no x-factor between H
+    and D, and still checks exactly."""
+    inst = build_hermite(*parse(f, "ratfun2"))
+    L, cert = telescoper(inst, want_certificate=True)
+    H, D, _ = certificate_fraction(cert, inst.q)
+    assert poly_gcd(H.content_x(), D) == one
+    assert D.lc == 1
+    assert certificate_matches(inst, L, cert)

@@ -6,13 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from pseudolin.bipoly import BiPoly
-from pseudolin.exprparse import (ParseError, SemanticError, format_operator,
-                                 format_ratfun2, parse)
+from pseudolin.bipoly import BiPoly, format_bipoly
+from pseudolin.exprparse import (ParseError, SemanticError, _eval_operator,
+                                 _reduce_pair, format_operator,
+                                 format_ratfun2, parse, parse_text)
 from pseudolin.ore import OrePoly, normalize_primitive, ore_mul
 from pseudolin.poly import Poly
-from pseudolin.randgen import rand_operator
+from pseudolin.randgen import (rand_algebraic_input, rand_hermite_input,
+                               rand_operator)
 from pseudolin.ratfun import RatFun
+
+from _oracle import eval_birat_ref, eval_operator_ref
 
 x = Poly.x()
 one = Poly.one()
@@ -148,3 +152,30 @@ def test_ratfun2_round_trip():
     text = format_ratfun2(BiPoly([one]), BiPoly([x, Poly(), one]))
     p, q = parse(text, "ratfun2")
     assert p == BiPoly([one]) and q == BiPoly([x, Poly(), one])
+
+
+def test_evaluators_match_reference():
+    """Skipping unit denominators, the gcd of a polynomial pair, Dx^k
+    products and scalar left factors changes no parsed value."""
+    rng = random.Random(93)
+    rational = ["((x+y)/(x-1))^2*y", "2/(3*x)", "x^0", "(x*y)^0/(x+1)",
+                "y^2/y", "3*(x+1)^2 - y/x^2", "-(y-x)^3/(y-x)", "0/(x+y)",
+                "1/x + y/(x+1)", "1/(x+y) - 2/(y-1)", "(1/x)/(y/(x-y))"]
+    operators = ["(x*Dx)^2", "Dx*x", "x^2*Dx/x", "2/(3*x)", "Dx^0",
+                 "(Dx)^3", "-Dx^2*x", "(2*Dx+x)*(x*Dx-1)", "0*Dx",
+                 "x^3*(Dx^2-x)^2", "(x+1)^2*Dx/(x+1)"]
+    for _ in range(12):
+        p, q = rand_hermite_input(rng, rng.randint(1, 3), rng.randint(1, 3))
+        rational.append(format_ratfun2(p, q))
+        rational.append(format_bipoly(
+            rand_algebraic_input(rng, rng.randint(1, 3), rng.randint(1, 3))))
+        operators.append(format_operator(
+            rand_operator(rng, rng.randint(1, 3), rng.randint(1, 3))))
+    for text in rational:
+        want = _reduce_pair(*eval_birat_ref(parse_text(text)))
+        assert parse(text, "ratfun2") == want, text
+        if want[1] == BiPoly.one():
+            assert parse(text, "bipoly") == want[0], text
+    for text in operators:
+        node = parse_text(text)
+        assert _eval_operator(node) == eval_operator_ref(node), text

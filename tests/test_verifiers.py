@@ -190,10 +190,13 @@ def test_telescoper_mutants_with_scaled_coefficient_rejected():
     assert checked >= 18
 
 
+RESOLVENT_MUTANT_SHAPES = ((1, 2), (2, 2), (1, 3), (3, 3), (1, 4))
+
+
 def test_resolvent_mutants_rejected():
     rng = random.Random(22)
     checked = 0
-    for dx, dy in ((1, 2), (2, 2), (1, 3)):
+    for dx, dy in RESOLVENT_MUTANT_SHAPES:
         P = rand_algebraic_input(rng, dx, dy, generic=True)
         inst = build_algebraic(P)
         L = resolvent(inst)
@@ -201,13 +204,13 @@ def test_resolvent_mutants_rejected():
         for m in operator_mutants(L):
             assert not verify_resolvent(inst, m)
             checked += 1
-    assert checked == 9
+    assert checked == 15
 
 
 def test_resolvent_mutants_with_scaled_coefficient_rejected():
     rng = random.Random(27)
     checked = 0
-    for dx, dy in ((1, 2), (2, 2), (1, 3)):
+    for dx, dy in RESOLVENT_MUTANT_SHAPES:
         P = rand_algebraic_input(rng, dx, dy, generic=True)
         inst = build_algebraic(P)
         L = resolvent(inst)
@@ -217,7 +220,7 @@ def test_resolvent_mutants_with_scaled_coefficient_rejected():
         for unit in RATFUN_UNITS:
             assert not verify_resolvent(inst, scaled_mutant(L, rng, unit))
             checked += 1
-    assert checked >= 6
+    assert checked >= 12
 
 
 def test_lclm_mutants_rejected():

@@ -9,7 +9,9 @@ Grammar (whitespace insignificant, a leading minus is allowed):
 
 Exponents are capped at ``MAX_EXPONENT``, nested powers counting as the
 product of their exponents, so hostile input such as ``x^100000000`` is
-a syntax error instead of a computation that never ends.  Operator
+a syntax error instead of a computation that never ends.  Parentheses
+nest at most ``MAX_NESTING`` deep, so deep nesting is a syntax error
+instead of a ``RecursionError``.  Operator
 orders are capped at ``MAX_OPERATOR_ORDER`` in the same spirit, and the
 command line applies it and the ``MAX_*`` caps below it to its size
 flags.
@@ -131,6 +133,11 @@ Expr = (Num, Var, Neg, Bin, Pow)
 #: takes seconds, with ``x^10000`` it runs for more than a minute.
 MAX_EXPONENT = 1000
 
+#: Deepest nesting of parentheses accepted.  The parser descends four
+#: Python frames per level, so about 250 levels exhaust CPython's default
+#: recursion limit; real inputs nest a few levels.
+MAX_NESTING = 100
+
 #: Largest operator order accepted, both for a parsed operator and for the
 #: ``--order`` of randomly drawn operators.  A symmetric product multiplies
 #: orders: for two operators ``Dx^r - x`` and ``Dx^r - x^2 + 1``, r = 4
@@ -183,6 +190,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # open parentheses
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -244,7 +252,12 @@ class _Parser:
                 return Var(tok.text, tok.pos)
             raise ParseError(f"unknown symbol {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
+            if self.depth >= MAX_NESTING:
+                raise ParseError("parentheses nested deeper than the cap of "
+                                 f"{MAX_NESTING}", tok.pos)
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             closing = self.take()
             if closing.kind != "op" or closing.text != ")":
                 raise ParseError("expected ')'", closing.pos)

@@ -37,7 +37,7 @@ from pseudolin.linalg import (PolyMatrix, block_diag, companion, hstack_poly,
 from pseudolin.ore import (GEN_DX, OrePoly, infinity_not_irregular,
                            is_right_multiple, normalize_primitive, to_euler)
 from pseudolin.poly import Poly
-from pseudolin.ratfun import RatFun
+from pseudolin.ratfun import RatFun, common_denominator
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  realisation_bound_report, solve_min_relation,
                                  verify_relation)
@@ -59,9 +59,11 @@ class ClosureInstance:
 
 
 def operator_degree(L: OrePoly) -> int:
-    """Max degree of the polynomial coefficients of the primitive form."""
-    prim = normalize_primitive(L)
-    return max(c.num.degree for c in prim.coeffs)
+    """Max degree of the polynomial coefficients of the primitive form,
+    read without forming it: clearing multiplies every coefficient by the
+    common denominator of L."""
+    return (max(c.num.degree - c.den.degree for c in L.coeffs)
+            + common_denominator(L.coeffs).degree)
 
 
 def _euler_data(ops):

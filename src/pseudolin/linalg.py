@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 
 from pseudolin import _kernel as zk
 from pseudolin.poly import Poly, poly_lcm, zclear, zvec_int_content
@@ -258,30 +258,6 @@ def det_fraction_free(m: PolyMatrix) -> Poly:
     return Poly.from_z(_bareiss(zrows, m.cols)[0], scale)
 
 
-# from this length on, _zp_eval splits pairwise instead of running Horner
-# (the crossover measured on CPython 3.11 lies between 300 and 400)
-_SPLIT_MIN_LEN = 400
-
-
-def _zp_eval(z, pt: int) -> int:
-    """z(pt) in Z.  Horner is quadratic in the degree, because the
-    accumulator grows to the full size at every step; for long z, pairwise
-    binary splitting (v[2i] + v[2i+1]*p, then p <- p*p) keeps the operands
-    balanced and makes the cost quasi-linear."""
-    if len(z) < _SPLIT_MIN_LEN:
-        acc = 0
-        for c in reversed(z):
-            acc = acc * pt + c
-        return acc
-    v, p = z, pt
-    while len(v) > 1:
-        nxt = [a + b * p for a, b in zip(v[0::2], v[1::2])]
-        if len(v) & 1:
-            nxt.append(v[-1])
-        v, p = nxt, p * p
-    return v[0]
-
-
 def det_rational(R: RatMatrix) -> RatFun:
     """Exact determinant of a square RatMatrix (row-cleared Bareiss)."""
     if R.rows != R.cols:
@@ -305,30 +281,9 @@ def _rat_det(rows) -> RatFun:
 # -- solving and rank ----------------------------------------------------------
 
 
-#: evaluation point for the content prechecks below
-_PT = 1048583
-
-
-def _strip_poly_content(vec, evals):
-    """(g, vec/g) for g the polynomial content of an integer-primitive
-    zpoly vector, with ``evals`` the entries' values at ``_PT``.
-
-    A common polynomial factor g forces g(pt) to divide every evaluation,
-    so when the evaluations are coprime there is nothing to strip.  This
-    guard only ever skips a strip, so it may serve elimination, where
-    vectors are defined up to a scalar, but never a canonical form.
-    """
-    g = 0
-    for e in evals:
-        g = gcd(g, e)
-        if g == 1:
-            return [1], vec
-    return _strip_exact_poly_content(vec)
-
-
 def _strip_exact_poly_content(vec):
     """(g, vec/g) for g the polynomial content of an integer-primitive
-    zpoly vector, from exact gcds only.
+    zpoly vector.
 
     The content takes one gcd per vector: the gcd of the first nonzero
     entry with an odd-weighted sum of the others is a multiple of the
@@ -360,22 +315,14 @@ def _strip_exact_poly_content(vec):
     return g, [zk.zp_divexact(z, g) if z else z for z in vec]
 
 
-def zvec_content(vec, guard=True):
+def zvec_content(vec):
     """(g, vec/g) for g the content of a zpoly vector in Z[x]: its integer
-    content times its polynomial content (g = [1] for the zero vector).
-
-    With ``guard`` the polynomial strip is skipped when the entries'
-    values at ``_PT`` are coprime; that test is not a proof (a content g
-    with g(pt) = +-1 slips through), so a caller that needs the exact
-    content, for a canonical form, passes ``guard=False``.
-    """
+    content times its polynomial content (g = [1] for the zero vector),
+    both from exact gcds."""
     c, vec = zvec_int_content(vec)
     if c == 0:
         return [1], vec
-    if guard:
-        g, vec = _strip_poly_content(vec, [_zp_eval(z, _PT) for z in vec])
-    else:
-        g, vec = _strip_exact_poly_content(vec)
+    g, vec = _strip_exact_poly_content(vec)
     return (zk.zp_scale(g, c) if c > 1 else g), vec
 
 
@@ -386,9 +333,14 @@ class GaussTracker:
     bookkeeping slots.  Pivots are chosen among the working slots only; a
     vector whose working slots all vanish is dependent, and its remaining
     slots (if any) certify the dependency.  Vectors are normalized up to
-    an overall nonzero scalar of Q(x) -- ``zvec_content`` strips integer
-    content and the guarded polynomial content -- which neither the rank
-    nor ratios of slots depend on.
+    an overall nonzero scalar of Q(x) -- ``zvec_content`` strips their
+    content in Z[x] -- which neither the rank nor ratios of slots depend
+    on.
+
+    The offer contract: the caller offers a content-free vector (see
+    ``zvec_content``); ``offer`` does not strip it again.  Bookkeeping
+    slots keep whatever content they are given in place, and content
+    carried into the elimination is multiplied through every reduction.
 
     Each reduction of v by a pivot w with lead = w[pr] and head = v[pr]
     first cancels h = gcd(lead, head) when both are nonconstant, and forms
@@ -398,10 +350,11 @@ class GaussTracker:
     with a positive leading coefficient, the normalized vector is the same
     as without the step.
 
-    Bookkeeping slots keep the content of an offered vector in place, so a
-    caller should offer content-free working slots (see ``zvec_content``):
-    content carried into the elimination is multiplied through every
-    reduction.
+    The unit-lead step: a pivot whose lead is 1 gives v - head*w, which
+    changes only the slots where w is nonzero, and only those are formed.
+    Such a reduction defers its content strip; the vector is stripped once,
+    by the next other reduction or before it is stored as a pivot or
+    returned as a certificate.
     """
 
     def __init__(self, width: int):
@@ -409,20 +362,33 @@ class GaussTracker:
         self.pivots = []  # (pivot slot, normalized vector)
 
     def offer(self, vec):
-        """Reduce vec against the pivots; keep it as a new pivot and return
-        None when independent, else return the bookkeeping slots."""
-        vec = zvec_content(list(vec))[1]
+        """Reduce the content-free vec against the pivots; keep it as a new
+        pivot and return None when independent, else return the
+        bookkeeping slots."""
+        vec = list(vec)
+        pending = False  # content left by unit-lead steps
         for pr, pvec in self.pivots:
-            if vec[pr]:
-                head, lead = vec[pr], pvec[pr]
-                if len(head) > 1 and len(lead) > 1:
-                    h = zk.zp_gcd(head, lead)
-                    if len(h) > 1:
-                        head = zk.zp_divexact(head, h)
-                        lead = zk.zp_divexact(lead, h)
-                vec = [zk.zp_sub(zk.zp_mul(v, lead), zk.zp_mul(head, w))
-                       for v, w in zip(vec, pvec)]
-                vec = zvec_content(vec)[1]
+            head = vec[pr]
+            if not head:
+                continue
+            lead = pvec[pr]
+            if lead == [1]:
+                for j, w in enumerate(pvec):
+                    if w:
+                        vec[j] = zk.zp_sub(vec[j], zk.zp_mul(head, w))
+                pending = True
+                continue
+            if len(head) > 1 and len(lead) > 1:
+                h = zk.zp_gcd(head, lead)
+                if len(h) > 1:
+                    head = zk.zp_divexact(head, h)
+                    lead = zk.zp_divexact(lead, h)
+            vec = [zk.zp_sub(zk.zp_mul(v, lead), zk.zp_mul(head, w))
+                   for v, w in zip(vec, pvec)]
+            vec = zvec_content(vec)[1]
+            pending = False
+        if pending:
+            vec = zvec_content(vec)[1]
         if any(vec[j] for j in range(self.width)):
             pr = min((j for j in range(self.width) if vec[j]),
                      key=lambda j: len(vec[j]))
@@ -437,10 +403,11 @@ class GaussTracker:
 
 def rank(A: RatMatrix) -> int:
     """Exact rank over Q(x): each column is cleared to integer polynomials
-    by its own common denominator, which leaves the rank unchanged."""
+    by its own common denominator and stripped of its content, which
+    leaves the rank unchanged."""
     tracker = GaussTracker(A.rows)
     for j in range(A.cols):
-        tracker.offer(zclear_ratfuns(A.col(j))[1])
+        tracker.offer(zvec_content(zclear_ratfuns(A.col(j))[1])[1])
     return tracker.rank
 
 

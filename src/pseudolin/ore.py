@@ -288,15 +288,15 @@ def to_euler(L: OrePoly) -> OrePoly:
 
 def infinity_not_irregular(L: OrePoly) -> bool:
     """True iff deg p_j + (r - j) <= deg p_r for all j (so the point at
-    infinity is ordinary or a regular singularity)."""
+    infinity is ordinary or a regular singularity), for p_j the polynomial
+    coefficients of the primitive form.
+
+    Clearing multiplies every coefficient by one common denominator, so
+    the test reads deg num - deg den of each coefficient of L as it is."""
     if L.is_zero():
         raise ValueError("zero operator")
     if L.generator != GEN_DX:
         raise ValueError("expected a Dx-generator operator")
-    prim = normalize_primitive(L)
-    r = prim.order
-    dr = prim.coeffs[-1].num.degree
-    for j, c in enumerate(prim.coeffs):
-        if c.num.degree + (r - j) > dr:
-            return False
-    return True
+    degs = [c.num.degree - c.den.degree for c in L.coeffs]
+    r = len(degs) - 1
+    return all(d + (r - j) <= degs[r] for j, d in enumerate(degs))

@@ -14,17 +14,32 @@ to b_0 = sa*a by one integer scale sa, the iterates satisfy
     theta^i(a) = b_i / (sa*den^i),
     b_{i+1}    = den*b_i' - i*den'*b_i + N*b_i,
 
-so the b_i stay polynomial vectors (integer-cleared).  Rank growth is
-watched by incremental fraction-free elimination (``GaussTracker``) on the
-content-free columns p_i = b_i/g_i, g_i the content of b_i in Z[x], with a
-coordinate slot e_i appended so the first dependent column yields the
-relation certificate directly: sum c_j p_j = 0 gives the b-coordinates
-c_j/g_j.  The coordinate slot would keep g_i in place through every
-reduction, so it is stripped before the offer; the recurrence runs on the
-unstripped b_i.  Each reduction first cancels the gcd of the two
-entries it cross-multiplies, and reduced vectors are normalized by
-stripping integer content and the polynomial content.  The relation is
-assembled in Z[x] from the certificate and made canonical by exact gcds.
+so the b_i stay polynomial vectors (integer-cleared).  The solver never
+forms them either: it keeps b_i = G_i*x_i with x_i content-free in Z[x]
+and G_i the content gathered so far, and with q_i = den*G_i'/G_i
+
+    b_{i+1}/G_i = den*x_i' + N*x_i + (q_i - i*den')*x_i,
+
+whose content g gives x_{i+1} and G_{i+1} = G_i*g.  q_i is a polynomial
+when every irreducible factor of G_i divides den, which holds whenever
+the contents are products of den's factors (as on lclm maps), and then
+q_{i+1} = q_i + den*g'/g is one exact division.  When den*g'/g is not a
+polynomial, G_i goes back into x_i (x_i <- G_i*x_i, G_i <- 1, q_i <- 0)
+for that step, which is then the plain step on b_i.
+
+Rank growth is watched by incremental fraction-free elimination
+(``GaussTracker``) on the columns x_i, with a coordinate slot appended so
+the first dependent column yields the relation certificate directly.
+Offer i puts den^i/h_i in slot i, with h_i = gcd(den^i, G_i) (integer
+content included): since theta^i(a) = G_i x_i/(sa*den^i), a dependency
+sum c_j x_j = 0 read off the slots as coordinates k_j = c_j den^j/h_j
+gives the relation eta_j = k_j/(G_j/h_j).  The den power thus cancels in
+the slot, and when G_i divides den^i the certificate is the relation
+itself.  While G_i = 1 the slot is den^i and no gcd is taken.  Each
+reduction first cancels the gcd of the two entries it cross-multiplies,
+and reduced vectors are stripped of their content in Z[x].  The relation
+is assembled in Z[x] from the certificate and the contents G_j/h_j and
+made canonical by exact gcds.
 
 Degree-bound predictors: ``bound_realisation`` (for a strictly proper T
 with a realisation T = W + X M^-1 Y, in terms of deg det M) and
@@ -168,7 +183,7 @@ class Realisation:
                     if X[i * m + k] and Z[k][j]:
                         t = zk.zp_add(t, zk.zp_mul(X[i * m + k], Z[k][j]))
                 cleared.append(t)
-        _, cleared = zvec_content(cleared, guard=False)
+        _, cleared = zvec_content(cleared)
         if cleared[0][-1] < 0:
             cleared = [zk.zp_neg(z) for z in cleared]
         object.__setattr__(self, "map", PseudoLinearMap.from_cleared(
@@ -218,18 +233,29 @@ def bound_direct(rho: int, d_a: int, d: int, D: int, i: int):
 # -- iterate clearing and elimination ---------------------------------------------
 
 
-def _iterate_step(den_z, denp_z, N_z, b, i):
-    """b_{i+1} = den*b' - i*den'*b + N*b on integer polynomial vectors."""
+def _iterate_step(den_z, N_z, b, c):
+    """den*b' + N*b + c*b on an integer polynomial vector b, for a zpoly c.
+
+    With c = -i*den' this is the plain step b_{i+1} from b_i."""
     out = []
     for j in range(len(b)):
         t = zk.zp_mul(den_z, zk.zp_deriv(b[j]))
-        if i:
-            t = zk.zp_sub(t, zk.zp_scale(zk.zp_mul(denp_z, b[j]), i))
+        if c and b[j]:
+            t = zk.zp_add(t, zk.zp_mul(c, b[j]))
         for k in range(len(b)):
             if N_z[j][k] and b[k]:
                 t = zk.zp_add(t, zk.zp_mul(N_z[j][k], b[k]))
         out.append(t)
     return out
+
+
+def _log_derivative(den_z, g):
+    """den*g'/g in Z[x], or None when it is not a polynomial (g has an
+    irreducible factor that den lacks)."""
+    try:
+        return zk.zp_divexact(zk.zp_mul(den_z, zk.zp_deriv(g)), g)
+    except ValueError:
+        return None
 
 
 def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
@@ -247,30 +273,50 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
         raise ValueError("zero initial vector has no minimal relation")
     den_z, N_z = pmap.cleared()
     denp_z = zk.zp_deriv(den_z)
-    _, b = zclear(a)
+    # b_i = G*x with x content-free, and q = den*G'/G
+    g, x = zvec_content(zclear(a)[1])
+    G, q = g, []
 
     tracker = GaussTracker(n)
     ncoord = n + 1
     contents = []
+    dpow = [1]  # den^i
     i = 0
     while True:
-        # offer p_i = b_i/g_i; b_i itself drives the recurrence
-        g, p = zvec_content(b)
-        contents.append(g)
-        aug = p + [[] for _ in range(ncoord)]
-        aug[n + i] = [1]
+        # offer x_i with den^i/h_i in its slot, h_i = gcd(den^i, G_i)
+        if G == [1] or dpow == [1]:
+            slot, content = dpow, G
+        else:
+            h = _zp_gcd_full(dpow, G)
+            slot, content = zk.zp_divexact(dpow, h), zk.zp_divexact(G, h)
+        contents.append(content)
+        aug = x + [[] for _ in range(ncoord)]
+        aug[n + i] = slot
         coords = tracker.offer(aug)
         if coords is not None:
             rho = i
             break
         if i >= n:
             raise AssertionError("no dependence found within n+1 iterates")
-        b = _iterate_step(den_z, denp_z, N_z, b, i)
+        # fold the last content g into q = den*G'/G; when that is not a
+        # polynomial, put G back into x for this step
+        dq = _log_derivative(den_z, g) if len(g) > 1 else []
+        if dq is None:
+            x = [zk.zp_mul(G, z) for z in x]
+            G, q = [1], []
+        elif dq:
+            q = zk.zp_add(q, dq)
+        # b_{i+1}/G = den*x' + N*x + (den*G'/G - i*den')*x
+        c = zk.zp_sub(q, zk.zp_scale(denp_z, i))
+        g, x = zvec_content(_iterate_step(den_z, N_z, x, c))
+        if g != [1]:
+            G = zk.zp_mul(G, g)
+        dpow = zk.zp_mul(dpow, den_z)
         i += 1
 
     return Relation(rho, tuple(Poly.from_z(z) for z in
                                _relation_from_certificate(
-                                   coords[:rho + 1], contents, den_z)))
+                                   coords[:rho + 1], contents)))
 
 
 def _zp_gcd_full(a, b):
@@ -280,15 +326,14 @@ def _zp_gcd_full(a, b):
     return zk.zp_scale(g, c) if c > 1 else g
 
 
-def _relation_from_certificate(coords, contents, den_z):
+def _relation_from_certificate(coords, contents):
     """The canonical relation as integer zpolys eta_0, ..., eta_rho.
 
-    coords certify sum_j coords[j] * b_j / g_j = 0 with
-    b_j = s den^j theta^j a (den = den_z, the per-step clearing), so the
-    relation is eta_j = coords[j] den^j / g_j up to a factor of Q(x).  Each
-    coords[j]/g_j is reduced to num_j/dg_j, and with L the lcm of the dg_j
-    the polynomial vector num_j den^j L/dg_j is stripped of its content by
-    exact gcds and given a positive leading coefficient in eta_rho.
+    coords certify that eta_j = coords[j]/contents[j] is the relation up
+    to a factor of Q(x).  Each coords[j]/contents[j] is reduced to
+    num_j/dg_j, and with L the lcm of the dg_j the polynomial vector
+    num_j L/dg_j is stripped of its content by exact gcds and given a
+    positive leading coefficient in eta_rho.
     """
     nums, dgs = [], []
     L = [1]
@@ -301,14 +346,9 @@ def _relation_from_certificate(coords, contents, den_z):
                 L = zk.zp_mul(L, zk.zp_divexact(dg, _zp_gcd_full(L, dg)))
         nums.append(num)
         dgs.append(dg)
-    eta = []
-    dpow = [1]
-    for j, (num, dg) in enumerate(zip(nums, dgs)):
-        if j:
-            dpow = zk.zp_mul(dpow, den_z)
-        eta.append(zk.zp_mul(zk.zp_mul(num, dpow),
-                             zk.zp_divexact(L, dg)) if num else [])
-    _, eta = zvec_content(eta, guard=False)
+    eta = [zk.zp_mul(num, zk.zp_divexact(L, dg)) if num else []
+           for num, dg in zip(nums, dgs)]
+    _, eta = zvec_content(eta)
     if eta[-1][-1] < 0:
         eta = [zk.zp_neg(z) for z in eta]
     return eta
@@ -395,7 +435,7 @@ def krylov_matrix(pmap: PseudoLinearMap, a, s_list) -> RatMatrix:
     cols = []
     for s in s_list:
         while i < s:
-            b = _iterate_step(den_z, denp_z, N_z, b, i)
+            b = _iterate_step(den_z, N_z, b, zk.zp_scale(denp_z, -i))
             scale = zk.zp_mul(scale, den_z)
             i += 1
         d = Poly.from_z(list(scale))

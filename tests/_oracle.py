@@ -1,11 +1,11 @@
 """Brute-force reference implementations used to cross-check the solver.
 
-Everything here goes out of its way to be independent of the production
-code paths: iterates via plain rational arithmetic, each column scaled by
-the common denominator of its entries (so minors live in Q[x]), ranks via
-exhaustive minor enumeration with recursive cofactor determinants, and the
-relation via Cramer's rule on an explicitly located nonsingular square
-subsystem.  No elimination, no integer kernels.
+``oracle_min_relation`` goes out of its way to be independent of the
+production code paths: iterates via plain rational arithmetic, each
+column scaled by the common denominator of its entries (so minors live in
+Q[x]), ranks via exhaustive minor enumeration with recursive cofactor
+determinants, and the relation via Cramer's rule on an explicitly located
+nonsingular square subsystem.  No elimination, no integer kernels.
 
 The ``fl_*`` functions are the ring operations of Q[x] on plain lists of
 Fraction coefficients, the reference for the integer-backed ``Poly``;
@@ -18,6 +18,11 @@ division of operators over ``RatFun`` coefficients, the reference for
 back to the Dx basis.  ``theta_iterates`` forms the rational iterates
 theta^i(a) with ``matvec``, the reference for the solver's cleared
 recurrence.
+
+``solve_min_relation_plain`` is the reference for the solver's iteration:
+the plain recurrence on the integer iterates b_i themselves, each offered
+as b_i/g_i with g_i its content and a 1 in its coordinate slot, so the
+den power of every b_i is put back only in the assembly of the relation.
 
 ``solve_columns`` and ``realisation_map`` are the reference for the
 fraction-free elimination behind ``Realisation``: one Q[x]
@@ -47,12 +52,13 @@ from pseudolin.bipoly import BiPoly, bipoly_pseudo_divmod
 from pseudolin.exprparse import (Bin, Neg, Num, Pow, SemanticError, Var,
                                  _check_order)
 from pseudolin.instances.hermite import _bezout_cleared
-from pseudolin.linalg import RatMatrix
+from pseudolin import _kernel as zk
+from pseudolin.linalg import GaussTracker, RatMatrix, zvec_content
 from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, normalize_primitive,
                            ore_mul)
-from pseudolin.poly import Poly, poly_gcd, poly_lcm
+from pseudolin.poly import Poly, poly_gcd, poly_lcm, zclear
 from pseudolin.ratfun import RatFun, common_denominator
-from pseudolin.relations import Relation
+from pseudolin.relations import Relation, _iterate_step, _zp_gcd_full
 
 
 def matvec(A: RatMatrix, v):
@@ -176,6 +182,53 @@ def oracle_min_relation(pmap, a) -> Relation:
     if eta[-1].lc * scale < 0:
         scale = -scale
     return Relation(rho, tuple(p * scale for p in eta))
+
+
+def solve_min_relation_plain(pmap, a) -> Relation:
+    """The minimal relation from the plain iterates b_i = sa den^i theta^i a.
+
+    Each b_i is offered as p_i = b_i/g_i with a 1 in coordinate slot i, so
+    sum c_j p_j = 0 gives eta_j = c_j den^j/g_j up to a factor of Q(x).
+    Each c_j/g_j is reduced to num_j/dg_j, and with L the lcm of the dg_j
+    the vector num_j den^j L/dg_j is made primitive with a positive leading
+    coefficient in eta_rho.
+    """
+    n = pmap.n
+    a = [c if isinstance(c, Poly) else Poly.const(c) for c in a]
+    den_z, N_z = pmap.cleared()
+    denp_z = zk.zp_deriv(den_z)
+    _, b = zclear(a)
+    tracker = GaussTracker(n)
+    contents = []
+    i = 0
+    while True:
+        g, p = zvec_content(b)
+        contents.append(g)
+        aug = p + [[] for _ in range(n + 1)]
+        aug[n + i] = [1]
+        coords = tracker.offer(aug)
+        if coords is not None:
+            break
+        b = _iterate_step(den_z, N_z, b, zk.zp_scale(denp_z, -i))
+        i += 1
+    nums, dgs, L = [], [], [1]
+    for num, dg in zip(coords[:i + 1], contents):
+        if num and dg != [1]:
+            h = _zp_gcd_full(num, dg)
+            num, dg = zk.zp_divexact(num, h), zk.zp_divexact(dg, h)
+            L = zk.zp_mul(L, zk.zp_divexact(dg, _zp_gcd_full(L, dg)))
+        nums.append(num)
+        dgs.append(dg)
+    eta, dpow = [], [1]
+    for j, (num, dg) in enumerate(zip(nums, dgs)):
+        if j:
+            dpow = zk.zp_mul(dpow, den_z)
+        eta.append(zk.zp_mul(zk.zp_mul(num, dpow), zk.zp_divexact(L, dg))
+                   if num else [])
+    _, eta = zvec_content(eta)
+    if eta[-1][-1] < 0:
+        eta = [zk.zp_neg(z) for z in eta]
+    return Relation(i, tuple(Poly.from_z(z) for z in eta))
 
 
 # Q[x] as lists of Fraction coefficients, index i holding the coefficient

@@ -95,6 +95,17 @@ def test_huge_exponent_exit_2(argv, capsys):
     assert captured.out == ""
 
 
+def test_deep_nesting_exit_2(capsys):
+    """Parentheses nested 300 deep used to raise a RecursionError out of
+    ``main``; now the parser rejects them with a positioned error."""
+    f = "1/(" + "(" * 300 + "x" + ")" * 300 + "+y^2)"
+    code = main(["telescoper", "--f=" + f])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: syntax error at position 102: ")
+    assert "Traceback" not in err
+
+
 def test_operator_order_cap_exit_2(capsys):
     # Dx^200 is rejected before it is expanded
     argv = ["lclm", "--op", "x^1000*Dx-1", "--op", "Dx^200-x"]

@@ -13,10 +13,12 @@ from pseudolin.instances.closures import (bound_lclm, bound_symprod,
                                           verify_lclm, verify_symprod)
 from pseudolin.linalg import (RatMatrix, block_diag, companion,
                               det_fraction_free, kronecker_sum)
-from pseudolin.ore import OrePoly, infinity_not_irregular, to_euler
+from pseudolin.ore import (OrePoly, infinity_not_irregular,
+                           normalize_primitive, to_euler)
 from pseudolin.poly import Poly
 from pseudolin.randgen import rand_operator
 from pseudolin.ratfun import RatFun
+from test_ratfun import rand_ratfun
 
 from _oracle import right_divide
 
@@ -74,6 +76,27 @@ def test_closure_maps_match_companion_reference():
                    for _ in range(rng.choice((2, 2, 3)))]
             inst = build(ops)
             assert inst.map.T == _reference_T(inst)
+
+
+def test_degree_reads_match_the_primitive_form():
+    """operator_degree and infinity_not_irregular read degrees off L as it
+    is; they agree with the same reads on the primitive form, for
+    operators with rational coefficients and left factors in Q(x)."""
+    rng = random.Random(71)
+    verdicts = set()
+    for _ in range(60):
+        L = rand_operator(rng, rng.randint(1, 3), rng.randint(0, 3),
+                          regular_infinity=rng.random() < 0.5)
+        c = rand_ratfun(rng)
+        if not c.is_zero():
+            L = OrePoly([c * a for a in L.coeffs])
+        prim = [a.num.degree for a in normalize_primitive(L).coeffs]
+        r = len(prim) - 1
+        regular = all(d + (r - j) <= prim[r] for j, d in enumerate(prim))
+        assert infinity_not_irregular(L) == regular
+        assert operator_degree(L) == max(prim)
+        verdicts.add(regular)
+    assert verdicts == {True, False}
 
 
 def test_build_lclm_irregular_still_builds():

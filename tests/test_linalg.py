@@ -10,8 +10,7 @@ from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, companion,
                               det_denominator, det_fraction_free,
                               det_rational, invert, kronecker, kronecker_sum,
-                              rank, _PT, _SPLIT_MIN_LEN, zvec_content,
-                              _strip_poly_content, _zp_eval)
+                              rank, zvec_content)
 from pseudolin.poly import Poly, poly_divides, poly_gcd, zvec_int_content
 from pseudolin.ratfun import RatFun
 from test_poly import rand_poly
@@ -33,29 +32,6 @@ def test_det_examples():
     # 3x3 Sylvester matrix of (y^2 + x, 2y) matches the resultant oracle
     syl = PolyMatrix.from_rows([[1, 0, x], [2, 0, 0], [0, 2, 0]])
     assert det_fraction_free(syl) == Poly([0, 4])
-
-
-def _horner(z, pt):
-    acc = 0
-    for c in reversed(z):
-        acc = acc * pt + c
-    return acc
-
-
-def test_zp_eval_binary_splitting_matches_horner():
-    """Above _SPLIT_MIN_LEN, _zp_eval splits pairwise; it must agree with
-    plain Horner at _PT on every length, odd and even, on both sides of
-    the threshold."""
-    rng = random.Random(41)
-    lengths = [0, 1, 2, 3, 10, 150, _SPLIT_MIN_LEN - 1, _SPLIT_MIN_LEN,
-               _SPLIT_MIN_LEN + 1, 1001, 2048, 5001]
-    for n in lengths:
-        for bits in (3, 64, 400):
-            z = [rng.randint(-2**bits, 2**bits) for _ in range(n)]
-            if z:
-                z[-1] = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
-            assert _zp_eval(z, _PT) == _horner(z, _PT)
-            assert _zp_eval(z, -3) == _horner(z, -3)
 
 
 def test_det_requires_square():
@@ -227,10 +203,9 @@ def _zprod(*factors):
 
 
 def test_normalize_matches_chained_gcd_strip(monkeypatch):
-    def chained_strip(vec, pt):
+    def chained_strip(vec):
         """Integer content, then the polynomial content as a chain of
-        pairwise gcds (skipped when the values at pt are coprime, as the
-        guarded ``zvec_content`` that GaussTracker.offer calls does)."""
+        pairwise gcds."""
         c = 0
         for z in vec:
             for e in z:
@@ -238,12 +213,7 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
         if c == 0:
             return vec
         vec = [[e // c for e in z] for z in vec]
-        c = 0
-        for z in vec:
-            c = gcd(c, sum(e * pt**i for i, e in enumerate(z)))
         live = [z for z in vec if z]
-        if c == 1 or not live:
-            return vec
         g = live[0]
         for z in live[1:]:
             if len(g) == 1:
@@ -282,7 +252,7 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
             vec = [_zprod(g, f, w),
                    _zprod(g, zk.zp_sub(_zprod(f, w), _zprod([3], v))),
                    _zprod(g, v)]
-        want = chained_strip([list(z) for z in vec], _PT)
+        want = chained_strip([list(z) for z in vec])
         calls = []
         with monkeypatch.context() as m:
             m.setattr(zk, "zp_gcd",
@@ -313,7 +283,7 @@ class _PlainTracker:
                 vec = [zk.zp_divexact(z, self.den) if z else z for z in vec]
             except ValueError:
                 break
-        return _strip_poly_content(vec, [_zp_eval(z, _PT) for z in vec])[1]
+        return zvec_content(vec)[1]
 
     def offer(self, vec):
         vec = self._normalize(list(vec))
@@ -367,9 +337,10 @@ def _tracker_sequence(rng):
 
 
 def test_offer_matches_plain_cross_multiplication(monkeypatch):
-    """The cofactor step and the dropped den strip change only a Q(x)
-    scalar of each reduced vector: the rank, the dependent index and the
-    certificate's direction are those of plain cross-multiplication."""
+    """The cofactor step, the unit-lead step with its deferred strip and
+    the dropped den strip change only a Q(x) scalar of each reduced
+    vector: the rank, the dependent index and the certificate's direction
+    are those of plain cross-multiplication."""
     rng = random.Random(2024)
     real_gcd = zk.zp_gcd
     cofactor_steps = []
@@ -382,7 +353,7 @@ def test_offer_matches_plain_cross_multiplication(monkeypatch):
         return g
 
     monkeypatch.setattr(zk, "zp_gcd", spy)
-    dependent = 0
+    dependent = unit_leads = 0
     for _ in range(150):
         den, vecs = _tracker_sequence(rng)
         width, count = len(vecs[0]), len(vecs)
@@ -398,6 +369,7 @@ def test_offer_matches_plain_cross_multiplication(monkeypatch):
             assert fast.rank == count
             continue
         dependent += 1
+        unit_leads += sum(v[pr] == [1] for pr, v in fast.pivots)
         assert fast.rank == i and c[i]
         for j in range(count):
             for k in range(j):
@@ -408,15 +380,28 @@ def test_offer_matches_plain_cross_multiplication(monkeypatch):
             for j in range(i + 1):
                 acc = zk.zp_add(acc, zk.zp_mul(c[j], vecs[j][s]))
             assert acc == []
-    assert dependent >= 50
+    assert dependent >= 50 and unit_leads >= 5
     assert len(cofactor_steps) >= 30
 
 
-def test_zvec_content_exact_finds_what_the_guard_skips():
-    """g = x - pt + 1 has g(pt) = 1, so the evaluation guard sees coprime
-    values and keeps g; the exact strip, which a canonical form relies
-    on, removes it."""
-    g = [1 - _PT, 1]
-    vec = [zk.zp_mul(g, [2, 1]), zk.zp_mul(g, [-1, 0, 3])]
-    assert zvec_content(vec) == ([1], vec)
-    assert zvec_content(vec, guard=False) == (g, [[2, 1], [-1, 0, 3]])
+def test_zvec_content_strips_a_content_that_is_one_at_an_integer():
+    """A planted content c*g with g(1048583) = 1 is found and stripped: the
+    values of the entries at that point are coprime, so no evaluation test
+    could see g, but the strip takes exact gcds."""
+    rng = random.Random(78)
+    pt = 1048583
+    for _ in range(20):
+        # g = (x - pt)*r + 1, so g(pt) = 1
+        r = _rand_zpoly(rng, rng.randint(0, 2))
+        if r[-1] < 0:
+            r = zk.zp_neg(r)
+        g = zk.zp_add(zk.zp_mul([-pt, 1], r), [1])
+        while True:
+            vec = [_rand_zpoly(rng, rng.randint(0, 3))
+                   for _ in range(rng.randint(2, 4))]
+            if zvec_content(vec)[0] == [1]:
+                break
+        assert sum(e * pt**i for i, e in enumerate(g)) == 1
+        c = rng.choice((1, 3))
+        planted = [_zprod([c], g, z) for z in vec]
+        assert zvec_content(planted) == (zk.zp_scale(g, c), vec)

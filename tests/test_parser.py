@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from pseudolin.bipoly import BiPoly, format_bipoly
-from pseudolin.exprparse import (ParseError, SemanticError, _eval_operator,
-                                 _reduce_pair, format_operator,
-                                 format_ratfun2, parse, parse_text)
+from pseudolin.exprparse import (MAX_NESTING, ParseError, SemanticError,
+                                 _eval_operator, _reduce_pair,
+                                 format_operator, format_ratfun2, parse,
+                                 parse_text)
 from pseudolin.ore import OrePoly, normalize_primitive, ore_mul
 from pseudolin.poly import Poly
 from pseudolin.randgen import (rand_algebraic_input, rand_hermite_input,
@@ -60,6 +61,22 @@ def test_syntax_errors_carry_position():
         parse("x^y", "operator")
     with pytest.raises(ParseError):
         parse("z + 1", "operator")
+
+
+def test_nesting_cap():
+    """Parentheses nest at most MAX_NESTING deep; one more level is a
+    syntax error at the offending '(' instead of a RecursionError.  The
+    cap counts nesting only: a flat chain of 1000 terms still parses."""
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse(deep + "+1", "bipoly") == parse("x+1", "bipoly")
+    p, q = parse("1/(" + "(" * (MAX_NESTING - 1) + "x+y^2"
+                 + ")" * MAX_NESTING, "ratfun2")
+    assert q == BiPoly([x, Poly(), one])
+    with pytest.raises(ParseError) as e:
+        parse_text("1/(" + "(" * MAX_NESTING + "x" + ")" * MAX_NESTING + ")")
+    assert e.value.pos == 2 + MAX_NESTING
+    assert "nested deeper" in str(e.value)
+    parse_text("+".join(["x"] * 1000))
 
 
 def test_exponent_cap():

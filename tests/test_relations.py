@@ -9,6 +9,7 @@ import pytest
 
 from pseudolin import _kernel as zk
 from pseudolin.instances import build_lclm
+from pseudolin import relations
 from pseudolin.linalg import RatMatrix, rank, zvec_content
 from pseudolin.poly import Poly, poly_divides, poly_gcd
 from pseudolin.ratfun import RatFun
@@ -20,7 +21,8 @@ from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  verify_relation, _iterate_step)
 from pseudolin.randgen import (rand_map, rand_operator,
                                rand_strictly_proper_map, rand_vector)
-from _oracle import oracle_min_relation, theta_apply, theta_iterates
+from _oracle import (oracle_min_relation, solve_min_relation_plain,
+                     theta_apply, theta_iterates)
 
 x = Poly.x()
 one = Poly.one()
@@ -119,6 +121,69 @@ def test_lclm_heavy_relations_unchanged():
         assert _relation_digest(rel) == want
 
 
+def test_lclm_heavy_coordinates_are_the_relation(monkeypatch):
+    """With den^i/h_i in coordinate slot i the certificate is the relation
+    itself: on the lclm_heavy shape every content G_i/h_i is 1 and the
+    coordinates equal eta up to sign, so the assembly strips nothing.  A
+    slot that carried a den power again would fail the count."""
+    seen = []
+    assemble = relations._relation_from_certificate
+
+    def spy(coords, contents):
+        eta = assemble(coords, contents)
+        seen.append(all(c == [1] for c in contents)
+                    and (coords == eta or [zk.zp_neg(z) for z in coords]
+                         == eta))
+        return eta
+
+    monkeypatch.setattr(relations, "_relation_from_certificate", spy)
+    rng = random.Random(61)
+    for want in LCLM_HEAVY_DIGESTS:
+        inst = build_lclm([rand_operator(rng, 3, 3, regular_infinity=True)
+                           for _ in range(3)])
+        rel = solve_min_relation(inst.map, list(inst.a))
+        assert _relation_digest(rel) == want
+    assert seen.count(True) == len(LCLM_HEAVY_DIGESTS)
+
+
+def _plain_iteration_cases():
+    """(map, a): random maps with n = 1..4, a third of the vectors times a
+    linear factor that den lacks and a third times a factor of den, then
+    the lclm content cases."""
+    rng = random.Random(62)
+    cases = []
+    for k in range(51):
+        n = 4 if k >= 48 else 1 + k % 3
+        pmap = rand_map(rng, n)
+        a = rand_vector(rng, n, 2)
+        if k % 3 == 1:
+            a = [c * (x + rng.randint(2, 9)) for c in a]
+        elif k % 3 == 2:
+            a = [c * pmap.T.entries[0].den for c in a]
+        cases.append((pmap, a))
+    return cases + [(pmap, a) for name, pmap, a in _content_cases()
+                    if name.startswith("lclm")]
+
+
+def test_solver_matches_plain_iteration(monkeypatch):
+    """Iterating on content-free x_i gives the relation of the plain
+    recurrence on the b_i (``_oracle.solve_min_relation_plain``), through
+    both kinds of step: den*g'/g divides, or G goes back into x."""
+    steps = {"divides": 0, "foreign": 0}
+    log_derivative = relations._log_derivative
+
+    def spy(den_z, g):
+        q = log_derivative(den_z, g)
+        steps["foreign" if q is None else "divides"] += 1
+        return q
+
+    monkeypatch.setattr(relations, "_log_derivative", spy)
+    for pmap, a in _plain_iteration_cases():
+        rel = solve_min_relation(pmap, a)
+        assert rel == solve_min_relation_plain(pmap, a)
+    assert steps["divides"] >= 20 and steps["foreign"] >= 15, steps
+
+
 def test_lclm_iterates_have_content():
     """The lclm cases above exercise the strip: some b_i has a content of
     positive degree, which the integer-evaluation guard cannot skip."""
@@ -132,7 +197,8 @@ def test_lclm_iterates_have_content():
             g, p = zvec_content(b)
             assert [zk.zp_mul(g, z) for z in p] == b
             degrees.append(len(g) - 1)
-            b = _iterate_step(den_z, zk.zp_deriv(den_z), N_z, b, i)
+            b = _iterate_step(den_z, N_z, b,
+                              zk.zp_scale(zk.zp_deriv(den_z), -i))
     assert max(degrees) >= 3 and sum(d > 0 for d in degrees) >= 6
 
 

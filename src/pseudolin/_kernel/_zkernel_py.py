@@ -12,6 +12,10 @@ the work, and balanced digits are unpacked again (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", J. Symb.
 Comp. 2009; Char, Geddes and Gonnet, "GCDHEU: heuristic polynomial GCD
 algorithm based on integer GCD computation", J. Symb. Comp. 7, 1989).
+The content strip of a vector is GCDHEU on all its entries at once, at
+one point: ``zvec_poly_content`` packs a vector, and
+``zvec_cross_content`` forms lead*v - head*w from packed operands, so
+that elimination never unpacks a vector before it is stripped.
 
 All functions treat their arguments as read-only and return fresh lists.
 """
@@ -269,3 +273,153 @@ def zp_gcd(a, b):
     if a and a[-1] < 0:
         a = [-c for c in a]
     return a
+
+
+# -- the packed content strip -------------------------------------------------
+
+# bits of the strip's point above the least that ``_strip_packed`` allows:
+# room for its quotients' certificate.  With none, 10 of the 198 strips of
+# six lclm_heavy instances fell back to the chain; with 4, none did.
+_STRIP_ROOM = 4
+
+
+def _strip_nb(bits):
+    """Byte width nb of the strip's point xi = 2^(8*nb) for entries whose
+    coefficients are below 2^bits: xi >= 2^(bits + 1 + _STRIP_ROOM), so
+    xi >= 2|t| + 2 for every entry t."""
+    return (bits + _STRIP_ROOM + 8) >> 3
+
+
+def _digits(v, nb):
+    """The balanced base-2^(8*nb) digits of the int v, as a zpoly."""
+    k = nb << 3
+    return zp_trim(_unpack(v, (abs(v).bit_length() + k + 1) // k, nb))
+
+
+def _strip_packed(vals, nb):
+    """(g, t/g) for the zpoly vector t given by its values vals at
+    xi = 2^(8*nb), with xi >= 2|t_j| + 2 for each entry, and g its
+    primitive polynomial content with a positive leading coefficient
+    (g = [1] when there is none).  A single nonconstant entry is its own
+    content (``_single_content``).
+
+    GCDHEU (Char, Geddes and Gonnet 1989) on the whole vector: let
+    h = gcd_j t_j(xi).  Every root of a nonconstant divisor of a t_j lies
+    within 1 + |t_j| <= xi/2 of the origin (Cauchy), so a nonconstant
+    primitive divisor d of the content has |d(xi)| > xi/2, and d(xi)
+    divides h.
+
+    * h < xi/2, a single digit, proves that there is no polynomial
+      content: no division at all.
+    * Otherwise g = prim(G) for G the balanced base-xi digits of h, and
+      q_j = t_j(xi) / g(xi) comes from one integer division; a nonzero
+      remainder proves that g does not divide t_j.  q_j is accepted when
+      its digits Q_j satisfy |Q_j| * |g| * min(len Q_j, len g) < xi/2:
+      then every coefficient of Q_j * g is below xi/2, and as the
+      balanced representation is unique, Q_j * g = t_j exactly.  So g
+      divides the content c, say c = g * k, and k(xi) divides
+      h / g(xi) = cont(G), which is at most xi/2; |k(xi)| > xi/2 for a
+      nonconstant k, so k is a unit and g is the content.
+
+    When the certificate fails, the entries are unpacked and the content
+    is the chain of pairwise gcds.
+    """
+    k = nb << 3
+    h, live = 0, 0
+    for v in vals:
+        if v:
+            h = gcd(h, v)
+            live += 1
+    if live <= 1:
+        vec = [_digits(v, nb) if v else [] for v in vals]
+        return _single_content(vec) if live else ([1], vec)
+    if h.bit_length() < k:
+        return [1], [_digits(v, nb) if v else [] for v in vals]
+    # h > 0, so the top balanced digit and the leading coefficient of g
+    # are positive
+    g, _ = zp_primitive(_digits(h, nb))
+    gv = _pack(g, nb)
+    room = k - _maxabs(g).bit_length()
+    out = []
+    for v in vals:
+        if not v:
+            out.append([])
+            continue
+        q, r = divmod(v, gv)
+        if r:
+            return _strip_chain(vals, nb)
+        Q = _digits(q, nb)
+        if (_maxabs(Q).bit_length() + min(len(Q), len(g)).bit_length()
+                >= room):
+            return _strip_chain(vals, nb)
+        out.append(Q)
+    return g, out
+
+
+def _single_content(vec):
+    """(g, vec/g) for a vector with one nonzero entry z: g = z and the
+    entry [1], or no polynomial content when z is a constant."""
+    g = next(z for z in vec if z)
+    if len(g) == 1:
+        return [1], vec
+    return g, [[1] if z else [] for z in vec]
+
+
+def _strip_chain(vals, nb):
+    """The fallback of ``_strip_packed``: the content of the unpacked
+    entries as a chain of pairwise gcds, and one exact division each."""
+    vec = [_digits(v, nb) if v else [] for v in vals]
+    live = [z for z in vec if z]
+    g = live[0]
+    for z in live[1:]:
+        g = zp_gcd(g, z)
+        if len(g) == 1:
+            return [1], vec
+    return g, [zp_divexact(z, g) if z else z for z in vec]
+
+
+def zvec_poly_content(vec):
+    """(g, vec/g) for g the primitive polynomial content of a zpoly vector,
+    with a positive leading coefficient, [1] when there is none; a single
+    nonconstant entry is its own content and becomes [1].  The entries are
+    packed at one point and stripped by ``_strip_packed``."""
+    live = [z for z in vec if z]
+    if len(live) == 1:
+        return _single_content(vec)
+    if not live or any(len(z) == 1 for z in live):
+        return [1], vec
+    nb = _strip_nb(max(_maxabs(z) for z in live).bit_length())
+    return _strip_packed([_pack(z, nb) if z else 0 for z in vec], nb)
+
+
+def _cross_bits(lead, v, head, w):
+    """bits with 2^bits above every coefficient of lead*v - head*w: the
+    coefficients of lead*v_j are below min(len lead, len v_j) |lead| |v_j|,
+    as ``zp_mul`` bounds them, and those of head*w_j likewise."""
+    vb = max((_maxabs(z).bit_length() for z in v if z), default=0)
+    wb = max((_maxabs(z).bit_length() for z in w if z), default=0)
+    vlen = max(map(len, v))
+    wlen = max(map(len, w))
+    return 1 + max(
+        vb + _maxabs(lead).bit_length() + min(len(lead), vlen).bit_length(),
+        wb + _maxabs(head).bit_length() + min(len(head), wlen).bit_length())
+
+
+def zvec_cross_content(lead, v, head, w):
+    """(g, t/g) as ``zvec_poly_content`` gives them, for the vector
+    t = lead*v - head*w of two zpoly vectors v and w with lead and head
+    nonzero.
+
+    t is formed at one point only, sized from the operands by
+    ``_cross_bits``: every entry is packed once, each t_j is two integer
+    products, and ``_strip_packed`` takes the content from the values.
+    """
+    nb = _strip_nb(_cross_bits(lead, v, head, w))
+    lv, hv = _pack(lead, nb), _pack(head, nb)
+    vals = []
+    for a, b in zip(v, w):
+        t = _pack(a, nb) * lv if a else 0
+        if b:
+            t -= hv * _pack(b, nb)
+        vals.append(t)
+    return _strip_packed(vals, nb)

@@ -7,6 +7,10 @@ Grammar (whitespace insignificant, a leading minus is allowed):
     factor := base ('^' nat)?
     base   := nat | 'x' | 'y' | 'Dx' | '(' expr ')'
 
+A chain of terms or of factors is one n-ary node (``Sum``, ``Prod``),
+and the evaluators fold it in a loop, so a flat chain of any length
+recurses no deeper than its parentheses nest.
+
 Exponents are capped at ``MAX_EXPONENT``, nested powers counting as the
 product of their exponents, so hostile input such as ``x^100000000`` is
 a syntax error instead of a computation that never ends.  Parentheses
@@ -112,11 +116,19 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-    pos: int
+class Sum:
+    """first +- operand +- ...: a flat chain of at least two terms, folded
+    from the left; ``rest`` holds (op, operand, pos of op) triples."""
+    first: object
+    rest: tuple
+
+
+@dataclass(frozen=True)
+class Prod:
+    """first */ operand */ ...: a flat chain of at least two factors,
+    folded from the left like ``Sum``."""
+    first: object
+    rest: tuple
 
 
 @dataclass(frozen=True)
@@ -126,7 +138,7 @@ class Pow:
     pos: int
 
 
-Expr = (Num, Var, Neg, Bin, Pow)
+Expr = (Num, Var, Neg, Sum, Prod, Pow)
 
 #: Largest exponent accepted; ``(x^10)^200`` counts as 2000.  The solvers'
 #: cost grows quickly with degree: ``lclm`` of ``x^1000*Dx-1`` and ``Dx-1``
@@ -179,8 +191,9 @@ def _exponent_weight(node) -> int:
     """Product of the exponents along the deepest chain of nested powers."""
     if isinstance(node, Pow):
         return node.exp * _exponent_weight(node.base)
-    if isinstance(node, Bin):
-        return max(_exponent_weight(node.left), _exponent_weight(node.right))
+    if isinstance(node, (Sum, Prod)):
+        return max(_exponent_weight(node.first),
+                   *(_exponent_weight(t[1]) for t in node.rest))
     if isinstance(node, Neg):
         return _exponent_weight(node.operand)
     return 1
@@ -208,23 +221,25 @@ class _Parser:
             node = Neg(self.term(), tok.pos)
         else:
             node = self.term()
+        rest = []
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.take()
-                node = Bin(tok.text, node, self.term(), tok.pos)
+                rest.append((tok.text, self.term(), tok.pos))
             else:
-                return node
+                return Sum(node, tuple(rest)) if rest else node
 
     def term(self):
         node = self.factor()
+        rest = []
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "*/":
                 self.take()
-                node = Bin(tok.text, node, self.factor(), tok.pos)
+                rest.append((tok.text, self.factor(), tok.pos))
             else:
-                return node
+                return Prod(node, tuple(rest)) if rest else node
 
     def factor(self):
         node = self.base()
@@ -313,25 +328,28 @@ def _eval_operator(node) -> OrePoly:
         for _ in range(node.exp):
             out = ore_mul(out, base)
         return out
-    if isinstance(node, Bin):
-        lhs = _eval_operator(node.left)
-        rhs = _eval_operator(node.right)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            _check_order(lhs.order + rhs.order, node.pos)
-            if lhs.order == 0:
+    if isinstance(node, Sum):
+        acc = _eval_operator(node.first)
+        for op, operand, _ in node.rest:
+            rhs = _eval_operator(operand)
+            acc = acc + rhs if op == "+" else acc - rhs
+        return acc
+    if isinstance(node, Prod):
+        acc = _eval_operator(node.first)
+        for op, operand, pos in node.rest:
+            rhs = _eval_operator(operand)
+            if op == "*":
+                _check_order(acc.order + rhs.order, pos)
                 # a scalar on the left only scales the coefficients
-                return rhs.scale(lhs.coeff(0))
-            return ore_mul(lhs, rhs)
-        if rhs.is_zero():
-            raise SemanticError("division by zero", node.pos)
-        if rhs.order > 0:
-            raise SemanticError("Dx cannot appear in a denominator",
-                                node.pos)
-        return lhs.scale(RatFun.one() / rhs.coeff(0))
+                acc = (rhs.scale(acc.coeff(0)) if acc.order == 0
+                       else ore_mul(acc, rhs))
+                continue
+            if rhs.is_zero():
+                raise SemanticError("division by zero", pos)
+            if rhs.order > 0:
+                raise SemanticError("Dx cannot appear in a denominator", pos)
+            acc = acc.scale(RatFun.one() / rhs.coeff(0))
+        return acc
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -370,18 +388,27 @@ def _eval_birat(node):
         for _ in range(node.exp):
             nn, dd = _mul(nn, n), _mul(dd, d)
         return nn, dd
-    if isinstance(node, Bin):
-        n1, d1 = _eval_birat(node.left)
-        n2, d2 = _eval_birat(node.right)
-        if node.op == "+":
-            return _mul(n1, d2) + _mul(n2, d1), _mul(d1, d2)
-        if node.op == "-":
-            return _mul(n1, d2) - _mul(n2, d1), _mul(d1, d2)
-        if node.op == "*":
-            return _mul(n1, n2), _mul(d1, d2)
-        if n2.is_zero():
-            raise SemanticError("division by zero", node.pos)
-        return _mul(n1, d2), _mul(d1, n2)
+    if isinstance(node, Sum):
+        n1, d1 = _eval_birat(node.first)
+        for op, operand, _ in node.rest:
+            n2, d2 = _eval_birat(operand)
+            if op == "+":
+                n1 = _mul(n1, d2) + _mul(n2, d1)
+            else:
+                n1 = _mul(n1, d2) - _mul(n2, d1)
+            d1 = _mul(d1, d2)
+        return n1, d1
+    if isinstance(node, Prod):
+        n1, d1 = _eval_birat(node.first)
+        for op, operand, pos in node.rest:
+            n2, d2 = _eval_birat(operand)
+            if op == "*":
+                n1, d1 = _mul(n1, n2), _mul(d1, d2)
+                continue
+            if n2.is_zero():
+                raise SemanticError("division by zero", pos)
+            n1, d1 = _mul(n1, d2), _mul(d1, n2)
+        return n1, d1
     raise TypeError(f"unknown node {node!r}")
 
 

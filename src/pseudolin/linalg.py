@@ -12,6 +12,16 @@ incremental ``GaussTracker``, determinantal denominators (the monic least
 common denominator of all minors up to a given order), Kronecker products
 and companion matrices.
 
+Contents in Z[x] come from one packed strip in the kernel: the entries'
+values at one power of two xi, their integer gcd h, and, when h is more
+than one digit, the balanced digits of h as the candidate content g,
+certified by one integer division per entry and a bound on the
+quotients' digits (GCDHEU on a whole vector, see
+``_kernel._zkernel_py._strip_packed``).  ``zvec_content`` packs a vector
+and strips it; ``GaussTracker`` forms each reduction's vector at the
+point itself and strips it there, so only the stripped vector is
+unpacked.
+
 Determinantal denominators are computed by exhaustive minor enumeration,
 which is combinatorial in the dimensions; they are meant for matrices of
 dimension at most about 6 (property tests and small instances).
@@ -281,48 +291,15 @@ def _rat_det(rows) -> RatFun:
 # -- solving and rank ----------------------------------------------------------
 
 
-def _strip_exact_poly_content(vec):
-    """(g, vec/g) for g the polynomial content of an integer-primitive
-    zpoly vector.
-
-    The content takes one gcd per vector: the gcd of the first nonzero
-    entry with an odd-weighted sum of the others is a multiple of the
-    content, and equal to it when it divides every entry, which the
-    strip's own divisions check.  Only when one of them fails does the
-    chain of pairwise gcds run.
-    """
-    live = [z for z in vec if z]
-    # a nonzero constant entry leaves no polynomial content
-    if not live or any(len(z) == 1 for z in live):
-        return [1], vec
-    if len(live) == 1:
-        return live[0], [[1] if z else z for z in vec]
-    rest = []
-    for w, z in enumerate(live[1:]):
-        rest = zk.zp_add(rest, zk.zp_scale(z, 2 * w + 1))
-    g = zk.zp_gcd(live[0], rest)
-    if len(g) == 1:
-        return [1], vec
-    try:
-        return g, [zk.zp_divexact(z, g) if z else z for z in vec]
-    except ValueError:
-        pass
-    g = live[0]
-    for z in live[1:]:
-        g = zk.zp_gcd(g, z)
-        if len(g) == 1:
-            return [1], vec
-    return g, [zk.zp_divexact(z, g) if z else z for z in vec]
-
-
 def zvec_content(vec):
     """(g, vec/g) for g the content of a zpoly vector in Z[x]: its integer
-    content times its polynomial content (g = [1] for the zero vector),
-    both from exact gcds."""
+    content times its polynomial content (g = [1] for the zero vector).
+    The polynomial content comes from the kernel's packed strip
+    (``zvec_poly_content``): one integer gcd of the entries' values at a
+    power of two and certified integer divisions, with the chain of
+    pairwise gcds as its fallback."""
     c, vec = zvec_int_content(vec)
-    if c == 0:
-        return [1], vec
-    g, vec = _strip_exact_poly_content(vec)
+    g, vec = zk.zvec_poly_content(vec)
     return (zk.zp_scale(g, c) if c > 1 else g), vec
 
 
@@ -349,6 +326,14 @@ class GaussTracker:
     are smaller and the strip has less to divide out.  As h is primitive
     with a positive leading coefficient, the normalized vector is the same
     as without the step.
+
+    That vector is formed at one Kronecker point only
+    (``zvec_cross_content``): every entry is packed once, each value is
+    two integer products, and the content is taken from the values -- one
+    chain of integer gcds, then one certified integer division per entry
+    when the gcd is more than one digit.  The quotients are unpacked once
+    and stripped of their integer content.  When the certificate fails,
+    the chain of pairwise polynomial gcds gives the same content.
 
     The unit-lead step: a pivot whose lead is 1 gives v - head*w, which
     changes only the slots where w is nonzero, and only those are formed.
@@ -383,9 +368,8 @@ class GaussTracker:
                 if len(h) > 1:
                     head = zk.zp_divexact(head, h)
                     lead = zk.zp_divexact(lead, h)
-            vec = [zk.zp_sub(zk.zp_mul(v, lead), zk.zp_mul(head, w))
-                   for v, w in zip(vec, pvec)]
-            vec = zvec_content(vec)[1]
+            vec = zvec_int_content(
+                zk.zvec_cross_content(lead, vec, head, pvec)[1])[1]
             pending = False
         if pending:
             vec = zvec_content(vec)[1]

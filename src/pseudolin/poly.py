@@ -14,8 +14,8 @@ kernels in ``pseudolin._kernel``; none creates a ``fractions.Fraction``.
 Scalars throughout the package are ``Fraction`` (an arbitrary-precision
 reduced rational with positive denominator) or ``int``.  ``coeffs`` gives
 the coefficients as a read-only tuple of ``Fraction``, built on first use,
-for printing, parsing and reports.  The only division is the exact one,
-``exact_div``.
+for parsing and reports; ``format_terms`` prints from ``z`` and ``d``.
+The only division is the exact one, ``exact_div``.
 
 Clearing lives here too: ``zclear`` takes a list of polynomials to Z[x]
 by their least integer scale, and ``zvec_int_content`` strips the integer
@@ -322,13 +322,16 @@ def format_terms(rows, sym="") -> str:
     row is a plain polynomial."""
     parts = []
     for j in range(len(rows) - 1, -1, -1):
-        cs = rows[j].coeffs
-        for i in range(len(cs) - 1, -1, -1):
-            c = cs[i]
+        # coefficient i is z[i]/d, printed as Fraction prints it
+        z, d = rows[j].z, rows[j].d
+        for i in range(len(z) - 1, -1, -1):
+            c = z[i]
             if c == 0:
                 continue
             mag = abs(c)
-            factors = [str(mag)] if mag != 1 or i == j == 0 else []
+            g = gcd(mag, d) if d != 1 else 1
+            text = str(mag // g) if g == d else f"{mag // g}/{d // g}"
+            factors = [text] if mag != d or i == j == 0 else []
             if i >= 1:
                 factors.append("x" if i == 1 else f"x^{i}")
             if j >= 1:

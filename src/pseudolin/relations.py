@@ -279,7 +279,7 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
 
     tracker = GaussTracker(n)
     ncoord = n + 1
-    contents = []
+    contents, slots = [], []
     dpow = [1]  # den^i
     i = 0
     while True:
@@ -290,6 +290,7 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
             h = _zp_gcd_full(dpow, G)
             slot, content = zk.zp_divexact(dpow, h), zk.zp_divexact(G, h)
         contents.append(content)
+        slots.append(slot)
         aug = x + [[] for _ in range(ncoord)]
         aug[n + i] = slot
         coords = tracker.offer(aug)
@@ -316,7 +317,7 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
 
     return Relation(rho, tuple(Poly.from_z(z) for z in
                                _relation_from_certificate(
-                                   coords[:rho + 1], contents)))
+                                   coords[:rho + 1], contents, slots)))
 
 
 def _zp_gcd_full(a, b):
@@ -326,7 +327,7 @@ def _zp_gcd_full(a, b):
     return zk.zp_scale(g, c) if c > 1 else g
 
 
-def _relation_from_certificate(coords, contents):
+def _relation_from_certificate(coords, contents, slots):
     """The canonical relation as integer zpolys eta_0, ..., eta_rho.
 
     coords certify that eta_j = coords[j]/contents[j] is the relation up
@@ -334,16 +335,22 @@ def _relation_from_certificate(coords, contents):
     num_j/dg_j, and with L the lcm of the dg_j the polynomial vector
     num_j L/dg_j is stripped of its content by exact gcds and given a
     positive leading coefficient in eta_rho.
+
+    slots[j] is what offer j put in its coordinate slot, den^j/h_j with
+    contents[j] = G_j/h_j and h_j = gcd(den^j, G_j), so the two are
+    coprime: a coordinate that is +-slots[j] takes no gcd.
     """
     nums, dgs = [], []
     L = [1]
-    for num, dg in zip(coords, contents):
+    for num, dg, slot in zip(coords, contents, slots):
         if num and dg != [1]:
-            h = _zp_gcd_full(num, dg)
-            if h != [1]:
-                num, dg = zk.zp_divexact(num, h), zk.zp_divexact(dg, h)
+            if num != slot and zk.zp_neg(num) != slot:
+                h = _zp_gcd_full(num, dg)
+                if h != [1]:
+                    num, dg = zk.zp_divexact(num, h), zk.zp_divexact(dg, h)
             if dg != [1]:
-                L = zk.zp_mul(L, zk.zp_divexact(dg, _zp_gcd_full(L, dg)))
+                L = (dg if L == [1] else
+                     zk.zp_mul(L, zk.zp_divexact(dg, _zp_gcd_full(L, dg))))
         nums.append(num)
         dgs.append(dg)
     eta = [zk.zp_mul(num, zk.zp_divexact(L, dg)) if num else []

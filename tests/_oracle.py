@@ -24,6 +24,12 @@ the plain recurrence on the integer iterates b_i themselves, each offered
 as b_i/g_i with g_i its content and a 1 in its coordinate slot, so the
 den power of every b_i is put back only in the assembly of the relation.
 
+``zvec_content_ref`` and ``GaussTrackerRef`` are the reference for the
+packed content strip and the packed reductions of ``GaussTracker``: the
+vector lead*v - head*w formed in Z[x], and its content from one gcd of
+the first entry with an odd-weighted sum of the others, checked by exact
+divisions, with the chain of pairwise gcds behind it.
+
 ``solve_columns`` and ``realisation_map`` are the reference for the
 fraction-free elimination behind ``Realisation``: one Q[x]
 cross-multiplication elimination per right-hand side over columnwise
@@ -38,6 +44,9 @@ the Cockle recursion on P itself, as reduced fractions C_i/d_i with two
 pseudo-divisions by P and a content gcd per step, summed over the lcm of
 the d_i.
 
+``format_terms_ref`` is the reference for ``poly.format_terms``: it
+prints the ``Fraction`` coefficients.
+
 ``eval_operator_ref`` and ``eval_birat_ref`` are the reference for the
 expression evaluators of ``exprparse``: every product is formed, the
 unit denominators and the order-0 left factors included, and a power is
@@ -49,14 +58,14 @@ from itertools import combinations
 from math import gcd, lcm
 
 from pseudolin.bipoly import BiPoly, bipoly_pseudo_divmod
-from pseudolin.exprparse import (Bin, Neg, Num, Pow, SemanticError, Var,
-                                 _check_order)
+from pseudolin.exprparse import (Neg, Num, Pow, Prod, SemanticError, Sum,
+                                 Var, _check_order)
 from pseudolin.instances.hermite import _bezout_cleared
 from pseudolin import _kernel as zk
 from pseudolin.linalg import GaussTracker, RatMatrix, zvec_content
 from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, normalize_primitive,
                            ore_mul)
-from pseudolin.poly import Poly, poly_gcd, poly_lcm, zclear
+from pseudolin.poly import Poly, poly_gcd, poly_lcm, zclear, zvec_int_content
 from pseudolin.ratfun import RatFun, common_denominator
 from pseudolin.relations import Relation, _iterate_step, _zp_gcd_full
 
@@ -229,6 +238,87 @@ def solve_min_relation_plain(pmap, a) -> Relation:
     if eta[-1][-1] < 0:
         eta = [zk.zp_neg(z) for z in eta]
     return Relation(i, tuple(Poly.from_z(z) for z in eta))
+
+
+def _strip_poly_content_ref(vec):
+    """(g, vec/g) for g the polynomial content of an integer-primitive
+    zpoly vector: the gcd of the first nonzero entry with an odd-weighted
+    sum of the others, checked by exact divisions, and the chain of
+    pairwise gcds when one of them fails."""
+    live = [z for z in vec if z]
+    if not live or any(len(z) == 1 for z in live):
+        return [1], vec
+    if len(live) == 1:
+        return live[0], [[1] if z else z for z in vec]
+    rest = []
+    for w, z in enumerate(live[1:]):
+        rest = zk.zp_add(rest, zk.zp_scale(z, 2 * w + 1))
+    g = zk.zp_gcd(live[0], rest)
+    if len(g) == 1:
+        return [1], vec
+    try:
+        return g, [zk.zp_divexact(z, g) if z else z for z in vec]
+    except ValueError:
+        pass
+    g = live[0]
+    for z in live[1:]:
+        g = zk.zp_gcd(g, z)
+        if len(g) == 1:
+            return [1], vec
+    return g, [zk.zp_divexact(z, g) if z else z for z in vec]
+
+
+def zvec_content_ref(vec):
+    """(g, vec/g) for g the content of a zpoly vector, as ``zvec_content``
+    gives it: integer content first, then the polynomial content."""
+    c, vec = zvec_int_content(vec)
+    if c == 0:
+        return [1], vec
+    g, vec = _strip_poly_content_ref(vec)
+    return (zk.zp_scale(g, c) if c > 1 else g), vec
+
+
+class GaussTrackerRef:
+    """``GaussTracker`` with every reduction formed in Z[x]: the cofactor
+    step, then (lead/h)*v - (head/h)*w by ``zp_mul`` and ``zp_sub`` and
+    the strip ``zvec_content_ref``; the unit-lead step and its deferred
+    strip are those of ``GaussTracker``."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.pivots = []
+
+    def offer(self, vec):
+        vec = list(vec)
+        pending = False
+        for pr, pvec in self.pivots:
+            head = vec[pr]
+            if not head:
+                continue
+            lead = pvec[pr]
+            if lead == [1]:
+                for j, w in enumerate(pvec):
+                    if w:
+                        vec[j] = zk.zp_sub(vec[j], zk.zp_mul(head, w))
+                pending = True
+                continue
+            if len(head) > 1 and len(lead) > 1:
+                h = zk.zp_gcd(head, lead)
+                if len(h) > 1:
+                    head = zk.zp_divexact(head, h)
+                    lead = zk.zp_divexact(lead, h)
+            vec = [zk.zp_sub(zk.zp_mul(v, lead), zk.zp_mul(head, w))
+                   for v, w in zip(vec, pvec)]
+            vec = zvec_content_ref(vec)[1]
+            pending = False
+        if pending:
+            vec = zvec_content_ref(vec)[1]
+        if any(vec[j] for j in range(self.width)):
+            pr = min((j for j in range(self.width) if vec[j]),
+                     key=lambda j: len(vec[j]))
+            self.pivots.append((pr, vec))
+            return None
+        return vec[self.width:]
 
 
 # Q[x] as lists of Fraction coefficients, index i holding the coefficient
@@ -569,22 +659,24 @@ def eval_operator_ref(node) -> OrePoly:
         for _ in range(node.exp):
             out = ore_mul(out, base)
         return out
-    if isinstance(node, Bin):
-        lhs = eval_operator_ref(node.left)
-        rhs = eval_operator_ref(node.right)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            _check_order(lhs.order + rhs.order, node.pos)
-            return ore_mul(lhs, rhs)
-        if rhs.is_zero():
-            raise SemanticError("division by zero", node.pos)
-        if rhs.order > 0:
-            raise SemanticError("Dx cannot appear in a denominator",
-                                node.pos)
-        return lhs.scale(RatFun.one() / rhs.coeff(0))
+    if isinstance(node, (Sum, Prod)):
+        lhs = eval_operator_ref(node.first)
+        for op, operand, pos in node.rest:
+            rhs = eval_operator_ref(operand)
+            if op == "+":
+                lhs = lhs + rhs
+            elif op == "-":
+                lhs = lhs - rhs
+            elif op == "*":
+                _check_order(lhs.order + rhs.order, pos)
+                lhs = ore_mul(lhs, rhs)
+            elif rhs.is_zero():
+                raise SemanticError("division by zero", pos)
+            elif rhs.order > 0:
+                raise SemanticError("Dx cannot appear in a denominator", pos)
+            else:
+                lhs = lhs.scale(RatFun.one() / rhs.coeff(0))
+        return lhs
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -609,16 +701,44 @@ def eval_birat_ref(node):
         for _ in range(node.exp):
             nn, dd = nn * n, dd * d
         return nn, dd
-    if isinstance(node, Bin):
-        n1, d1 = eval_birat_ref(node.left)
-        n2, d2 = eval_birat_ref(node.right)
-        if node.op == "+":
-            return n1 * d2 + n2 * d1, d1 * d2
-        if node.op == "-":
-            return n1 * d2 - n2 * d1, d1 * d2
-        if node.op == "*":
-            return n1 * n2, d1 * d2
-        if n2.is_zero():
-            raise SemanticError("division by zero", node.pos)
-        return n1 * d2, d1 * n2
+    if isinstance(node, (Sum, Prod)):
+        n1, d1 = eval_birat_ref(node.first)
+        for op, operand, pos in node.rest:
+            n2, d2 = eval_birat_ref(operand)
+            if op == "+":
+                n1, d1 = n1 * d2 + n2 * d1, d1 * d2
+            elif op == "-":
+                n1, d1 = n1 * d2 - n2 * d1, d1 * d2
+            elif op == "*":
+                n1, d1 = n1 * n2, d1 * d2
+            elif n2.is_zero():
+                raise SemanticError("division by zero", pos)
+            else:
+                n1, d1 = n1 * d2, d1 * n2
+        return n1, d1
     raise TypeError(f"unknown node {node!r}")
+
+
+def format_terms_ref(rows, sym="") -> str:
+    """``poly.format_terms`` on the ``Fraction`` coefficients of the rows:
+    each nonzero coefficient printed by ``str``, a unit magnitude left out
+    except in the constant term."""
+    parts = []
+    for j in range(len(rows) - 1, -1, -1):
+        cs = rows[j].coeffs
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
+            if c == 0:
+                continue
+            mag = abs(c)
+            factors = [str(mag)] if mag != 1 or i == j == 0 else []
+            if i >= 1:
+                factors.append("x" if i == 1 else f"x^{i}")
+            if j >= 1:
+                factors.append(sym if j == 1 else f"{sym}^{j}")
+            term = "*".join(factors)
+            if not parts:
+                parts.append(term if c > 0 else "-" + term)
+            else:
+                parts.append((" + " if c > 0 else " - ") + term)
+    return "".join(parts) or "0"

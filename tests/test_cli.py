@@ -106,6 +106,22 @@ def test_deep_nesting_exit_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["telescoper", "--f=1/(" + "+".join(["x"] * 1000) + "+y^2)"],
+    ["resolvent", "--poly=y^2-" + "-".join(["x"] * 1000)],
+    ["lclm", "--op=" + "+".join(["x*Dx"] * 1000), "--op=Dx-1"],
+    ["lclm", "--op=Dx-" + "/".join(["x"] * 1000), "--op=Dx-1"],
+    ["telescoper", "--f=" + "*".join(["x"] * 1000) + "/(x+y^2)"],
+], ids=["sum", "difference", "operator-sum", "quotient", "product"])
+def test_flat_chains_exit_cleanly(capsys, argv):
+    """Flat chains of 1000 terms or factors used to raise a RecursionError
+    out of the evaluators; they are folded in loops now."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
 def test_operator_order_cap_exit_2(capsys):
     # Dx^200 is rejected before it is expanded
     argv = ["lclm", "--op", "x^1000*Dx-1", "--op", "Dx^200-x"]

@@ -7,12 +7,14 @@ from math import gcd
 import pytest
 
 from pseudolin import _kernel as zk
+from pseudolin._kernel import _zkernel_py as kernel
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, companion,
                               det_denominator, det_fraction_free,
                               det_rational, invert, kronecker, kronecker_sum,
                               rank, zvec_content)
 from pseudolin.poly import Poly, poly_divides, poly_gcd, zvec_int_content
 from pseudolin.ratfun import RatFun
+from _oracle import GaussTrackerRef, zvec_content_ref
 from test_poly import rand_poly
 from test_ratfun import rand_ratfun
 
@@ -224,8 +226,8 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
         return vec
 
     rng = random.Random(77)
-    real_gcd = zk.zp_gcd
-    paths = {"one gcd": 0, "fallback": 0}
+    real_gcd = kernel.zp_gcd
+    paths = {"packed": 0, "fallback": 0}
     for trial in range(120):
         # a factor planted in some entries, up to its square: the strip
         # must find it as polynomial content
@@ -246,7 +248,7 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
                                   *part))
         if trial % 5 == 0:
             # vec[1] + 3*vec[2] is a multiple of f although vec[1] is not,
-            # so gcd(vec[0], odd-weighted sum) overshoots the content
+            # so gcd(vec[0], vec[1] + 3*vec[2]) overshoots the content
             f, w = _rand_zpoly(rng, 2), _rand_zpoly(rng, 1)
             v = _rand_zpoly(rng, 3)
             vec = [_zprod(g, f, w),
@@ -255,12 +257,16 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
         want = chained_strip([list(z) for z in vec])
         calls = []
         with monkeypatch.context() as m:
-            m.setattr(zk, "zp_gcd",
+            m.setattr(kernel, "zp_gcd",
                       lambda a, b: calls.append(1) or real_gcd(a, b))
-            assert zvec_content(vec)[1] == want
+            g, got = zvec_content(vec)
+        assert got == want
         if calls:
-            paths["one gcd" if len(calls) == 1 else "fallback"] += 1
-    assert paths["one gcd"] >= 30 and paths["fallback"] >= 15
+            paths["fallback"] += 1
+        elif len(g) > 1:
+            paths["packed"] += 1
+    # the packed strip finds the content with no polynomial gcd
+    assert paths["packed"] >= 30 and paths["fallback"] == 0
 
 
 class _PlainTracker:
@@ -405,3 +411,109 @@ def test_zvec_content_strips_a_content_that_is_one_at_an_integer():
         c = rng.choice((1, 3))
         planted = [_zprod([c], g, z) for z in vec]
         assert zvec_content(planted) == (zk.zp_scale(g, c), vec)
+
+
+def _planted_vector(rng):
+    """A zpoly vector with a planted content c*g: zero and constant
+    entries, leading coefficients of either sign, sometimes a single
+    nonzero entry, and sometimes g = (x+1)^m with cofactors that are
+    multiples of (x-1)^m, so that |g| times the cofactor's norm is far
+    above the entry's norm."""
+    c = rng.choice((1, 1, 2, 6, -3))
+    if rng.random() < 0.25:
+        m = rng.randint(3, 8)
+        g, shared = [1], [1]
+        for _ in range(m):
+            g, shared = zk.zp_mul(g, [1, 1]), zk.zp_mul(shared, [-1, 1])
+    else:
+        g, shared = _rand_zpoly(rng, rng.randint(0, 3)), [1]
+    vec = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        if kind < 0.15:
+            vec.append([])
+        elif kind < 0.2:
+            vec.append([rng.choice((-4, -1, 1, 3))])
+        else:
+            vec.append(_zprod([c], g, shared,
+                              _rand_zpoly(rng, rng.randint(0, 3))))
+    if rng.random() < 0.15:
+        keep = rng.randrange(len(vec))
+        vec = [z if j == keep else [] for j, z in enumerate(vec)]
+    return vec
+
+
+def test_packed_strip_matches_the_reference():
+    """zvec_content gives the content and the stripped vector of the
+    unpacked strip (``_oracle.zvec_content_ref``), the single nonzero
+    entry and the sign of each entry included."""
+    rng = random.Random(79)
+    planted = 0
+    for _ in range(300):
+        vec = _planted_vector(rng)
+        got = zvec_content(vec)
+        assert got == zvec_content_ref(vec), vec
+        planted += len(got[0]) > 1
+    assert planted >= 100
+
+
+def test_packed_reductions_match_the_reference():
+    """GaussTracker keeps the pivots and returns the certificates of the
+    tracker whose reductions are formed in Z[x]
+    (``_oracle.GaussTrackerRef``), on sequences with shared slot factors,
+    zero and constant entries and negated vectors."""
+    rng = random.Random(80)
+    certificates = 0
+    for _ in range(150):
+        _, vecs = _tracker_sequence(rng)
+        count = len(vecs)
+        vecs = [[zk.zp_neg(z) for z in v] if rng.random() < 0.3 else v
+                for v in vecs]
+        fast, ref = GaussTracker(len(vecs[0])), GaussTrackerRef(len(vecs[0]))
+        for i, vec in enumerate(vecs):
+            aug = vec + [[1] if k == i else [] for k in range(count)]
+            c = fast.offer(aug)
+            assert c == ref.offer(aug)
+            assert fast.pivots == ref.pivots
+            if c is not None:
+                certificates += 1
+                break
+    assert certificates >= 50
+
+
+def test_a_narrow_point_falls_back_to_the_chain(monkeypatch):
+    """At the narrowest point the strip's argument allows -- no room, and
+    for a reduction the point sized from lead*v - head*w itself instead of
+    from the operands -- the quotients' certificate fails on some planted
+    contents; the chain of pairwise gcds then runs and gives the content
+    and vector of the reference, for the strip and for a reduction."""
+    monkeypatch.setattr(kernel, "_STRIP_ROOM", 0)
+    fallbacks = {"strip": 0, "reduction": 0}
+    chain = kernel._strip_chain
+
+    def spy(vals, nb):
+        fallbacks[kind] += 1
+        return chain(vals, nb)
+
+    monkeypatch.setattr(kernel, "_strip_chain", spy)
+    rng = random.Random(81)
+    for _ in range(300):
+        t = _planted_vector(rng)
+        want = zvec_content_ref(t)
+        kind = "strip"
+        assert zvec_content(t) == want, t
+        # t = lead*v - head*w with lead = +-1, and the point sized from
+        # the largest coefficient of t, v and w
+        lead = [rng.choice((-1, 1))]
+        head = [rng.randint(1, 3), rng.randint(-3, 3)]
+        w = [zk.zp_trim([rng.randint(-3, 3) for _ in range(3)])
+             for _ in t]
+        v = [zk.zp_scale(zk.zp_add(z, zk.zp_mul(head, b)), lead[0])
+             for z, b in zip(t, w)]
+        bits = max(max(map(abs, z)).bit_length() for z in t + v + w if z)
+        monkeypatch.setattr(kernel, "_cross_bits", lambda *_: bits)
+        kind = "reduction"
+        g, q = zk.zvec_cross_content(lead, v, head, w)
+        c, q = zvec_int_content(q)
+        assert ((zk.zp_scale(g, c) if c > 1 else g), q) == want, t
+    assert fallbacks["strip"] >= 8 and fallbacks["reduction"] >= 8

@@ -7,11 +7,11 @@ from math import gcd
 
 import pytest
 
-from pseudolin.poly import (NEG_INF, Poly, format_poly, poly_divides,
-                            poly_gcd, poly_lcm)
+from pseudolin.poly import (NEG_INF, Poly, format_poly, format_terms,
+                            poly_divides, poly_gcd, poly_lcm)
 
 from _oracle import (fl_add, fl_deriv, fl_divmod, fl_eval, fl_monic, fl_mul,
-                     fl_neg, poly_divmod)
+                     fl_neg, format_terms_ref, poly_divmod)
 
 x = Poly.x()
 
@@ -145,6 +145,18 @@ def test_format():
     assert format_poly(Poly()) == "0"
     assert format_poly(-x) == "-x"
     assert format_poly(Poly([Fraction(1, 2)])) == "1/2"
+
+
+def test_format_terms_matches_the_fraction_reference():
+    """format_terms reads z and d; it prints what the Fraction
+    coefficients print, unit and negative coefficients included."""
+    rng = random.Random(97)
+    for _ in range(500):
+        rows = [Poly([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 6)))
+                      for _ in range(rng.randint(0, 4))])
+                for _ in range(rng.randint(1, 3))]
+        assert format_terms(rows, "Dx") == format_terms_ref(rows, "Dx")
+        assert format_terms(rows[:1]) == format_terms_ref(rows[:1])
 
 
 def assert_canonical(p):

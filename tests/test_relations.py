@@ -3,11 +3,13 @@ denominator property."""
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from pseudolin import _kernel as zk
+from pseudolin._kernel import _zkernel_py as kernel
 from pseudolin.instances import build_lclm
 from pseudolin import relations
 from pseudolin.linalg import RatMatrix, rank, zvec_content
@@ -129,8 +131,8 @@ def test_lclm_heavy_coordinates_are_the_relation(monkeypatch):
     seen = []
     assemble = relations._relation_from_certificate
 
-    def spy(coords, contents):
-        eta = assemble(coords, contents)
+    def spy(coords, contents, slots):
+        eta = assemble(coords, contents, slots)
         seen.append(all(c == [1] for c in contents)
                     and (coords == eta or [zk.zp_neg(z) for z in coords]
                          == eta))
@@ -144,6 +146,60 @@ def test_lclm_heavy_coordinates_are_the_relation(monkeypatch):
         rel = solve_min_relation(inst.map, list(inst.a))
         assert _relation_digest(rel) == want
     assert seen.count(True) == len(LCLM_HEAVY_DIGESTS)
+
+
+def test_lclm_heavy_strips_are_certified(monkeypatch):
+    """On the lclm_heavy shape every content strip -- of the iterates and
+    of each reduction in GaussTracker -- is settled by the packed
+    certificate: the chain of pairwise gcds never runs, and the strip
+    divides by no ``zp_divexact``."""
+    strip = {kernel._strip_packed.__code__, kernel._strip_chain.__code__,
+             kernel.zvec_poly_content.__code__,
+             kernel.zvec_cross_content.__code__}
+    seen = {"chain": 0, "packed": 0, "strip divisions": 0}
+    chain, packed = kernel._strip_chain, kernel._strip_packed
+    divexact = kernel.zp_divexact
+
+    def count(key, f):
+        def spy(*args):
+            seen[key] += 1
+            return f(*args)
+        return spy
+
+    def spy_divexact(a, b):
+        if sys._getframe(1).f_code in strip:
+            seen["strip divisions"] += 1
+        return divexact(a, b)
+
+    monkeypatch.setattr(kernel, "_strip_chain", count("chain", chain))
+    monkeypatch.setattr(kernel, "_strip_packed", count("packed", packed))
+    monkeypatch.setattr(kernel, "zp_divexact", spy_divexact)
+    rng = random.Random(61)
+    for want in LCLM_HEAVY_DIGESTS:
+        inst = build_lclm([rand_operator(rng, 3, 3, regular_infinity=True)
+                           for _ in range(3)])
+        rel = solve_min_relation(inst.map, list(inst.a))
+        assert _relation_digest(rel) == want
+    assert seen["packed"] >= 50
+    assert seen["chain"] == 0 and seen["strip divisions"] == 0, seen
+
+
+def test_n1_assembly_takes_no_gcd_that_is_one(monkeypatch):
+    """For n = 1 the certificate's coordinates are the offered slots, which
+    are coprime to their contents by construction, and the first content
+    is the lcm as it stands: a solve takes at most gcd(den, G_1) and one
+    lcm step, where it took four gcds."""
+    calls = []
+    full = relations._zp_gcd_full
+    monkeypatch.setattr(relations, "_zp_gcd_full",
+                        lambda a, b: calls.append(1) or full(a, b))
+    rng = random.Random(5)
+    for _ in range(30):
+        pmap = rand_map(rng, 1, num_deg=2, den_deg=2)
+        a = rand_vector(rng, 1, 2)
+        rel = solve_min_relation(pmap, a)
+        assert rel == oracle_min_relation(pmap, a)
+    assert len(calls) <= 60
 
 
 def _plain_iteration_cases():

@@ -12,12 +12,18 @@ the work, and balanced digits are unpacked again (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", J. Symb.
 Comp. 2009; Char, Geddes and Gonnet, "GCDHEU: heuristic polynomial GCD
 algorithm based on integer GCD computation", J. Symb. Comp. 7, 1989).
-The content strip of a vector is GCDHEU on all its entries at once, at
-one point: ``zvec_poly_content`` packs a vector, and
-``zvec_cross_content`` forms lead*v - head*w from packed operands, so
-that elimination never unpacks a vector before it is stripped.
+There is one GCDHEU, ``_strip_packed``: the content of a whole vector
+from the integer gcd of its values at one point, certified by one integer
+division per entry, whose quotients are the stripped entries.
+``zvec_poly_content`` packs a vector, ``zvec_cross_content`` forms
+lead*v - head*w from packed operands, so that elimination never unpacks a
+vector before it is stripped, and ``zp_gcd`` is the two-entry case.
+``_strip`` widens the point when the certificate fails, and falls back to
+the primitive PRS after the last point.
 
-All functions treat their arguments as read-only and return fresh lists.
+All functions treat their arguments as read-only and return fresh lists,
+except that a content strip that finds no content returns the vector it
+was given.
 """
 
 from math import gcd
@@ -84,16 +90,6 @@ def _unpack(v, n, nb):
 
 def _maxabs(a):
     return max(max(a), -min(a))
-
-
-def _eval_pow2(a, nb):
-    """a(2^(8*nb)) for coefficients of any size."""
-    if _maxabs(a).bit_length() < nb << 3:
-        return _pack(a, nb)
-    k, v = nb << 3, 0
-    for c in reversed(a):
-        v = (v << k) + c
-    return v
 
 
 def zp_mul(a, b):
@@ -225,62 +221,26 @@ def zp_modp_coprime(a, b, p=_MODP):
 
 
 def zp_gcd(a, b):
-    """Primitive gcd in Z[x] with positive leading coefficient.
-
-    Heuristic gcd first (GCDHEU, Char, Geddes and Gonnet 1989): evaluate
-    the primitive parts at xi = 2^k, take the integer gcd h of a(xi) and
-    b(xi), and read its balanced base-xi digits as a polynomial G.  With
-    xi >= 2*min(|a|, |b|) + 2 (max norms), Cauchy's root bound puts every
-    root of a nonconstant common divisor h' within min(|a|, |b|) + 1 of
-    the origin, so |h'(xi)| > xi/2.  Hence:
-
-    * the true gcd g has g(xi) | h, and h = c * prim(G)(xi) with
-      |c| <= xi/2 (c divides G's nonzero digits).  If prim(G) divides a and
-      b it divides g, say g = prim(G) * k, and then k(xi) | c forces k to
-      be constant: prim(G) *is* the gcd, no cofactor recursion needed;
-    * in particular h < xi/2, a single digit, proves a and b coprime.
-
-    When prim(G) does not divide both, a larger xi is tried; after four
-    failed points the coprimality certificate over F_p and then the
-    primitive PRS settle the remaining cases.
-    """
+    """Primitive gcd in Z[x] with positive leading coefficient: the
+    two-entry case of the content strip (``zvec_poly_content``)."""
     a, _ = zp_primitive(a)
     b, _ = zp_primitive(b)
     if not a:
         a, b = b, a
-    if b and len(a) > 1 and len(b) > 1:
-        # xi = 2^(8*nb) >= 2*min(|a|, |b|) + 2
-        nb = (min(_maxabs(a), _maxabs(b)).bit_length() + 8) >> 3
-        for _ in range(4):
-            k = nb << 3
-            h = gcd(_eval_pow2(a, nb), _eval_pow2(b, nb))
-            if h.bit_length() < k:
-                return [1]
-            n = (h.bit_length() + k + 1) // k
-            g, _ = zp_primitive(zp_trim(_unpack(h, n, nb)))
-            try:
-                zp_divexact(a, g)
-                zp_divexact(b, g)
-                return g
-            except ValueError:
-                nb += 1 + nb // 2
-        if zp_modp_coprime(a, b):
-            return [1]
-    while b:
-        r = zp_pseudorem(a, b)
-        r, _ = zp_primitive(r)
-        a, b = b, r
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
+    if not b:
+        return zp_neg(a) if a and a[-1] < 0 else a
+    return zvec_poly_content([a, b])[0]
 
 
-# -- the packed content strip -------------------------------------------------
+# -- the content strip: GCDHEU on a vector -----------------------------------
 
 # bits of the strip's point above the least that ``_strip_packed`` allows:
 # room for its quotients' certificate.  With none, 10 of the 198 strips of
-# six lclm_heavy instances fell back to the chain; with 4, none did.
+# six lclm_heavy instances failed their first point; with 4, none did.
 _STRIP_ROOM = 4
+
+# points the strip tries, each wider by half, before the chain of gcds
+_STRIP_POINTS = 4
 
 
 def _strip_nb(bits):
@@ -296,12 +256,14 @@ def _digits(v, nb):
     return zp_trim(_unpack(v, (abs(v).bit_length() + k + 1) // k, nb))
 
 
-def _strip_packed(vals, nb):
+def _strip_packed(vals, nb, vec):
     """(g, t/g) for the zpoly vector t given by its values vals at
     xi = 2^(8*nb), with xi >= 2|t_j| + 2 for each entry, and g its
     primitive polynomial content with a positive leading coefficient
-    (g = [1] when there is none).  A single nonconstant entry is its own
-    content (``_single_content``).
+    (g = [1] when there is none); None when the certificate fails at this
+    point.  vec is t itself, returned as it is when there is no content,
+    or None when only the values are known.  A single nonzero entry is its
+    own content (``_single_content``).
 
     GCDHEU (Char, Geddes and Gonnet 1989) on the whole vector: let
     h = gcd_j t_j(xi).  Every root of a nonconstant divisor of a t_j lies
@@ -321,8 +283,14 @@ def _strip_packed(vals, nb):
       h / g(xi) = cont(G), which is at most xi/2; |k(xi)| > xi/2 for a
       nonconstant k, so k is a unit and g is the content.
 
-    When the certificate fails, the entries are unpacked and the content
-    is the chain of pairwise gcds.
+    The point is sized on the largest entry.  A GCDHEU that certifies g by
+    trial divisions in Z[x] needs xi >= 2|t_j| + 2 for the smallest entry
+    only, as Cauchy's bound for a common divisor follows from any one
+    entry.  Here the quotients are read off the values, and the balanced
+    digits of a value are the entry itself only when all its coefficients
+    are below xi/2, which the argument above uses for every entry.  For
+    ``zp_gcd`` that is the larger operand: wider values, but two integer
+    divisions in place of two schoolbook trial divisions.
     """
     k = nb << 3
     h, live = 0, 0
@@ -330,11 +298,10 @@ def _strip_packed(vals, nb):
         if v:
             h = gcd(h, v)
             live += 1
-    if live <= 1:
-        vec = [_digits(v, nb) if v else [] for v in vals]
-        return _single_content(vec) if live else ([1], vec)
-    if h.bit_length() < k:
-        return [1], [_digits(v, nb) if v else [] for v in vals]
+    if live <= 1 or h.bit_length() < k:
+        if vec is None:
+            vec = [_digits(v, nb) if v else [] for v in vals]
+        return _single_content(vec) if live == 1 else ([1], vec)
     # h > 0, so the top balanced digit and the leading coefficient of g
     # are positive
     g, _ = zp_primitive(_digits(h, nb))
@@ -347,11 +314,11 @@ def _strip_packed(vals, nb):
             continue
         q, r = divmod(v, gv)
         if r:
-            return _strip_chain(vals, nb)
+            return None
         Q = _digits(q, nb)
         if (_maxabs(Q).bit_length() + min(len(Q), len(g)).bit_length()
                 >= room):
-            return _strip_chain(vals, nb)
+            return None
         out.append(Q)
     return g, out
 
@@ -365,31 +332,56 @@ def _single_content(vec):
     return g, [[1] if z else [] for z in vec]
 
 
-def _strip_chain(vals, nb):
-    """The fallback of ``_strip_packed``: the content of the unpacked
-    entries as a chain of pairwise gcds, and one exact division each."""
-    vec = [_digits(v, nb) if v else [] for v in vals]
+def _strip(vals, nb, vec):
+    """The content strip of ``_strip_packed`` at up to _STRIP_POINTS
+    points, each wider by half than the one before, then ``_strip_chain``.
+    Only the first point's values are given; when vec is None, t is
+    unpacked from them after a failure, exactly, as xi >= 2|t_j| + 2."""
+    for attempt in range(_STRIP_POINTS):
+        if attempt:
+            nb += 1 + nb // 2
+            vals = [_pack(z, nb) if z else 0 for z in vec]
+        got = _strip_packed(vals, nb, vec)
+        if got is not None:
+            return got
+        if vec is None:
+            vec = [_digits(v, nb) if v else [] for v in vals]
+    return _strip_chain(vec)
+
+
+def _strip_chain(vec):
+    """The fallback of ``_strip``, for a vector with two or more nonzero
+    entries: the content as a chain of pairwise gcds, each certified
+    coprime over F_p (``zp_modp_coprime``) or taken by the primitive
+    PRS, then one exact division per entry."""
     live = [z for z in vec if z]
-    g = live[0]
-    for z in live[1:]:
-        g = zp_gcd(g, z)
+    g, _ = zp_primitive(live[0])
+    for b in live[1:]:
+        b, _ = zp_primitive(b)
+        if zp_modp_coprime(g, b):
+            return [1], vec
+        while b:
+            g, b = b, zp_primitive(zp_pseudorem(g, b))[0]
         if len(g) == 1:
             return [1], vec
-    return g, [zp_divexact(z, g) if z else z for z in vec]
+    if g[-1] < 0:
+        g = zp_neg(g)
+    return g, [zp_divexact(z, g) for z in vec]
 
 
 def zvec_poly_content(vec):
     """(g, vec/g) for g the primitive polynomial content of a zpoly vector,
     with a positive leading coefficient, [1] when there is none; a single
     nonconstant entry is its own content and becomes [1].  The entries are
-    packed at one point and stripped by ``_strip_packed``."""
+    packed at one point and stripped by ``_strip``; with no content the
+    vector is returned as it is."""
     live = [z for z in vec if z]
     if len(live) == 1:
         return _single_content(vec)
     if not live or any(len(z) == 1 for z in live):
         return [1], vec
     nb = _strip_nb(max(_maxabs(z) for z in live).bit_length())
-    return _strip_packed([_pack(z, nb) if z else 0 for z in vec], nb)
+    return _strip([_pack(z, nb) if z else 0 for z in vec], nb, vec)
 
 
 def _cross_bits(lead, v, head, w):
@@ -412,7 +404,7 @@ def zvec_cross_content(lead, v, head, w):
 
     t is formed at one point only, sized from the operands by
     ``_cross_bits``: every entry is packed once, each t_j is two integer
-    products, and ``_strip_packed`` takes the content from the values.
+    products, and ``_strip`` takes the content from the values.
     """
     nb = _strip_nb(_cross_bits(lead, v, head, w))
     lv, hv = _pack(lead, nb), _pack(head, nb)
@@ -422,4 +414,4 @@ def zvec_cross_content(lead, v, head, w):
         if b:
             t -= hv * _pack(b, nb)
         vals.append(t)
-    return _strip_packed(vals, nb)
+    return _strip(vals, nb, None)

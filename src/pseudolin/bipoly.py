@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from pseudolin.linalg import PolyMatrix, det_fraction_free
 from pseudolin.poly import (NEG_INF, Poly, format_terms, joint_primitive,
-                            poly_gcd)
+                            poly_gcd, zclear, zvec_content)
 
 _ZERO = Poly.zero()
 
@@ -127,10 +127,10 @@ class BiPoly:
 
     def content_x(self) -> Poly:
         """Monic gcd over Q[x] of the y-coefficients (the x-content)."""
-        g = Poly()
-        for c in self.ycoeffs:
-            g = poly_gcd(g, c)
-        return g
+        if self.is_zero():
+            return _ZERO
+        g, _ = zvec_content(zclear(self.ycoeffs)[1])
+        return Poly.from_z(g).monic()
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
@@ -229,20 +229,16 @@ def bipoly_ext_prs(a: BiPoly, b: BiPoly):
 
 
 def _primitive(*ps):
-    """Divide the BiPolys jointly by the monic gcd of all their
-    x-coefficients, then by their positive rational content."""
-    g = Poly()
-    for c in [c for p in ps for c in p.ycoeffs]:
-        g = poly_gcd(g, c)
-        if g.degree == 0:
-            break
-    if g.degree > 0:
-        ps = [BiPoly(tuple(c.exact_div(g) for c in p.ycoeffs)) for p in ps]
-    flat = joint_primitive([c for p in ps for c in p.ycoeffs])
+    """Divide the BiPolys jointly by the content of all their
+    x-coefficients: their monic gcd and their positive rational content."""
+    g, flat = zvec_content(zclear([c for p in ps for c in p.ycoeffs])[1])
+    if g[-1] < 0:
+        # a single nonzero coefficient is its own content, sign included
+        flat = [[-e for e in z] for z in flat]
     out, i = [], 0
     for p in ps:
         n = len(p.ycoeffs)
-        out.append(BiPoly(flat[i:i + n]))
+        out.append(BiPoly(tuple(Poly.from_z(z) for z in flat[i:i + n])))
         i += n
     return tuple(out)
 
@@ -255,9 +251,7 @@ def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     remainder of ``bipoly_ext_prs``."""
     cont = poly_gcd(a.content_x(), b.content_x())
     r, _, _ = bipoly_ext_prs(a, b)
-    rcont = r.content_x()
-    if rcont.degree > 0:
-        r = BiPoly(tuple(c.exact_div(rcont) for c in r.ycoeffs))
+    r, = _primitive(r)
     return _normalize_bipoly(r * cont)
 
 

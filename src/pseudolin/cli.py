@@ -31,7 +31,7 @@ from pseudolin.instances import (algebraic_bound_report, build_algebraic,
                                  verify_lclm, verify_resolvent,
                                  verify_symprod, verify_telescoper)
 from pseudolin.linalg import det_denominator, det_rational, invert
-from pseudolin.ore import infinity_not_irregular, normalize_primitive
+from pseudolin.ore import infinity_not_irregular
 from pseudolin.poly import poly_divides, poly_gcd
 from pseudolin.randgen import (GenerationError, rand_hermite_input, rand_map,
                                rand_operator, rand_ratmatrix,
@@ -155,10 +155,11 @@ def _emit(report: Report, json_path):
 
 
 def _operator_summary(name: str, L) -> str:
-    prim = normalize_primitive(L)
-    deg = max(c.num.degree for c in prim.coeffs)
-    return (f"{name}: {format_operator(prim)}\n"
-            f"order: {prim.order}  degree: {deg}")
+    """The result L as it stands: every command's result is already in
+    the form of ``ore.normalize_primitive``."""
+    deg = max(c.num.degree for c in L.coeffs)
+    return (f"{name}: {format_operator(L)}\n"
+            f"order: {L.order}  degree: {deg}")
 
 
 def _cmd_telescoper(args) -> int:

@@ -35,7 +35,7 @@ from pseudolin.bipoly import (BiPoly, bipoly_coprime, bipoly_ext_prs,
                               squarefree_y)
 from pseudolin.linalg import PolyMatrix
 from pseudolin.ore import GEN_DX, OrePoly
-from pseudolin.poly import Poly, poly_gcd, poly_lcm
+from pseudolin.poly import Poly, poly_gcd, poly_lcm, zclear, zvec_content
 from pseudolin.ratfun import RatFun
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  realisation_bound_report, solve_min_relation,
@@ -221,10 +221,13 @@ def certificate_fraction(cert, q: BiPoly):
         for _ in range(J - j):
             term = term * q
         H = H + term
-    g = poly_gcd(H.content_x(), D)
-    if g.degree > 0:
-        H = BiPoly(tuple(c.exact_div(g) for c in H.ycoeffs))
-        D = D.exact_div(g)
+    # one strip of H's y-coefficients and D leaves k*H/g and k*D/g for a
+    # rational k; D/g is monic, so k is the stripped D's lead
+    g, HD = zvec_content(zclear(H.ycoeffs + (D,))[1])
+    if len(g) > 1:
+        lead = HD[-1][-1]
+        H = BiPoly(tuple(Poly.from_z(z, lead) for z in HD[:-1]))
+        D = Poly.from_z(HD[-1], lead)
     return H, D, J
 
 

@@ -17,10 +17,11 @@ values at one power of two xi, their integer gcd h, and, when h is more
 than one digit, the balanced digits of h as the candidate content g,
 certified by one integer division per entry and a bound on the
 quotients' digits (GCDHEU on a whole vector, see
-``_kernel._zkernel_py._strip_packed``).  ``zvec_content`` packs a vector
-and strips it; ``GaussTracker`` forms each reduction's vector at the
-point itself and strips it there, so only the stripped vector is
-unpacked.
+``_kernel._zkernel_py._strip_packed``).  ``poly.zvec_content`` packs a
+vector and strips it; ``GaussTracker`` forms each reduction's vector at
+the point itself and strips it there, so only the stripped vector is
+unpacked, and takes the cofactors of each reduction's lead and head from
+the same strip.
 
 Determinantal denominators are computed by exhaustive minor enumeration,
 which is combinatorial in the dimensions; they are meant for matrices of
@@ -34,7 +35,8 @@ from itertools import combinations
 from math import prod
 
 from pseudolin import _kernel as zk
-from pseudolin.poly import Poly, poly_lcm, zclear, zvec_int_content
+from pseudolin.poly import (Poly, poly_lcm, zclear, zvec_content,
+                            zvec_int_content)
 from pseudolin.ratfun import RatFun, zclear_ratfuns
 
 
@@ -291,18 +293,6 @@ def _rat_det(rows) -> RatFun:
 # -- solving and rank ----------------------------------------------------------
 
 
-def zvec_content(vec):
-    """(g, vec/g) for g the content of a zpoly vector in Z[x]: its integer
-    content times its polynomial content (g = [1] for the zero vector).
-    The polynomial content comes from the kernel's packed strip
-    (``zvec_poly_content``): one integer gcd of the entries' values at a
-    power of two and certified integer divisions, with the chain of
-    pairwise gcds as its fallback."""
-    c, vec = zvec_int_content(vec)
-    g, vec = zk.zvec_poly_content(vec)
-    return (zk.zp_scale(g, c) if c > 1 else g), vec
-
-
 class GaussTracker:
     """Incremental fraction-free column elimination over Z[x].
 
@@ -320,20 +310,22 @@ class GaussTracker:
     carried into the elimination is multiplied through every reduction.
 
     Each reduction of v by a pivot w with lead = w[pr] and head = v[pr]
-    first cancels h = gcd(lead, head) when both are nonconstant, and forms
-    (lead/h)*v - (head/h)*w: the vector lead*v - head*w divided by a part
-    of its content known before the products are formed, so the products
-    are smaller and the strip has less to divide out.  As h is primitive
-    with a positive leading coefficient, the normalized vector is the same
-    as without the step.
+    first cancels h = gcd(lead, head), whose cofactors lead/h and head/h
+    are the quotients of the two-entry strip ``zvec_poly_content``, and
+    forms (lead/h)*v - (head/h)*w: the vector lead*v - head*w divided by a
+    part of its content known before the products are formed, so the
+    products are smaller and the strip has less to divide out.  As h is
+    primitive with a positive leading coefficient, the normalized vector
+    is the same as without the step.
 
     That vector is formed at one Kronecker point only
     (``zvec_cross_content``): every entry is packed once, each value is
     two integer products, and the content is taken from the values -- one
     chain of integer gcds, then one certified integer division per entry
     when the gcd is more than one digit.  The quotients are unpacked once
-    and stripped of their integer content.  When the certificate fails,
-    the chain of pairwise polynomial gcds gives the same content.
+    and stripped of their integer content.  When the certificate fails at
+    every point the strip tries, the chain of pairwise polynomial gcds
+    gives the same content.
 
     The unit-lead step: a pivot whose lead is 1 gives v - head*w, which
     changes only the slots where w is nonzero, and only those are formed.
@@ -363,11 +355,7 @@ class GaussTracker:
                         vec[j] = zk.zp_sub(vec[j], zk.zp_mul(head, w))
                 pending = True
                 continue
-            if len(head) > 1 and len(lead) > 1:
-                h = zk.zp_gcd(head, lead)
-                if len(h) > 1:
-                    head = zk.zp_divexact(head, h)
-                    lead = zk.zp_divexact(lead, h)
+            _, (head, lead) = zk.zvec_poly_content([head, lead])
             vec = zvec_int_content(
                 zk.zvec_cross_content(lead, vec, head, pvec)[1])[1]
             pending = False

@@ -20,7 +20,7 @@ fraction-free right pseudo-division on integer polynomial coefficients
 from __future__ import annotations
 
 from pseudolin import _kernel as zk
-from pseudolin.poly import NEG_INF, Poly, zvec_int_content
+from pseudolin.poly import NEG_INF, Poly, zvec_content, zvec_int_content
 from pseudolin.ratfun import RatFun, zclear_ratfuns
 
 GEN_DX = "Dx"
@@ -177,10 +177,11 @@ def is_right_multiple(a: OrePoly, b: OrePoly) -> bool:
 
     which again only multiplies r on the left by a nonzero polynomial, so
     b right-divides a iff the final r (of order below b's) is 0.  The
-    shifts gen^k b come from gen (c gen^j) = delta(c) gen^j + c gen^(j+1),
-    and r's integer content is stripped after every step.  Every operation
-    is an exact ring operation of ``_kernel``: no ``Fraction`` or
-    ``RatFun`` arithmetic.
+    cofactors lc_b/g and lc_r/g come from the content strip of the pair
+    (``zvec_poly_content``).  The shifts gen^k b come from
+    gen (c gen^j) = delta(c) gen^j + c gen^(j+1), and r's integer content
+    is stripped after every step.  Every operation is an exact ring
+    operation of ``_kernel``: no ``Fraction`` or ``RatFun`` arithmetic.
     """
     a._check_gen(b)
     if b.is_zero():
@@ -202,8 +203,7 @@ def is_right_multiple(a: OrePoly, b: OrePoly) -> bool:
                 nxt[j] = zk.zp_add(nxt[j], dc)
             shifted.append(nxt)
         lr = r[-1]
-        g = zk.zp_gcd(lb, lr)
-        u, v = zk.zp_divexact(lb, g), zk.zp_divexact(lr, g)
+        _, (u, v) = zk.zvec_poly_content([lb, lr])
         r = [zk.zp_sub(zk.zp_mul(u, c), zk.zp_mul(v, s))
              for c, s in zip(r[:-1], shifted[k])]
         while r and not r[-1]:
@@ -219,33 +219,24 @@ def normalize_primitive(L: OrePoly) -> OrePoly:
     Common polynomial factors are kept (a left factor in Q[x] changes the
     operator); :func:`full_primitive` strips those too.
     """
-    if L.is_zero():
-        return L
-    _, zs = zvec_int_content(zclear_ratfuns(L.coeffs)[1])
-    if zs[-1][-1] < 0:
-        zs = [zk.zp_neg(z) for z in zs]
-    return OrePoly(tuple(RatFun(Poly.from_z(z)) for z in zs), L.generator)
+    return _strip_content(L, zvec_int_content)
 
 
 def full_primitive(L: OrePoly) -> OrePoly:
     """Like :func:`normalize_primitive` but also divides out the common
     polynomial factor of the coefficients."""
+    return _strip_content(L, zvec_content)
+
+
+def _strip_content(L: OrePoly, strip) -> OrePoly:
+    """L's cleared coefficients divided by the content that strip takes,
+    with a positive leading rational in the leading coefficient."""
     if L.is_zero():
         return L
-    from pseudolin.poly import poly_gcd
-
-    prim = normalize_primitive(L)
-    polys = [c.num for c in prim.coeffs]
-    g = Poly()
-    for p in polys:
-        g = poly_gcd(g, p)
-        if g.degree == 0:
-            break
-    if g.degree > 0:
-        polys = [p.exact_div(g) for p in polys]
-        return normalize_primitive(OrePoly(
-            tuple(RatFun(p) for p in polys), L.generator))
-    return prim
+    _, zs = strip(zclear_ratfuns(L.coeffs)[1])
+    if zs[-1][-1] < 0:
+        zs = [zk.zp_neg(z) for z in zs]
+    return OrePoly(tuple(RatFun(Poly.from_z(z)) for z in zs), L.generator)
 
 
 def _euler_raw(L: OrePoly) -> OrePoly:

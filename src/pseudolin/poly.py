@@ -18,8 +18,9 @@ for parsing and reports; ``format_terms`` prints from ``z`` and ``d``.
 The only division is the exact one, ``exact_div``.
 
 Clearing lives here too: ``zclear`` takes a list of polynomials to Z[x]
-by their least integer scale, and ``zvec_int_content`` strips the integer
-content of a vector of integer polynomials.  ``format_terms`` prints
+by their least integer scale, ``zvec_int_content`` strips the integer
+content of a vector of integer polynomials, and ``zvec_content`` its
+whole content in Z[x].  ``format_terms`` prints
 every polynomial, bivariate polynomial and operator of the package.
 """
 
@@ -309,6 +310,18 @@ def zvec_int_content(vec):
     return c, vec
 
 
+def zvec_content(vec):
+    """(g, vec/g) for g the content of a zpoly vector in Z[x]: its integer
+    content times its polynomial content (g = [1] for the zero vector).
+    The polynomial content comes from the kernel's packed strip
+    (``zvec_poly_content``): one integer gcd of the entries' values at a
+    power of two and certified integer divisions.  With no content the
+    vector is returned as it is."""
+    c, vec = zvec_int_content(vec)
+    g, vec = zk.zvec_poly_content(vec)
+    return (zk.zp_scale(g, c) if c > 1 else g), vec
+
+
 def joint_primitive(polys) -> list:
     """The integer polynomials c*p, for the one positive rational c that
     makes them jointly primitive (gcd of all coefficients 1).  At least
@@ -363,9 +376,9 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     """Monic lcm over Q; lcm with 0 is 0."""
     if a.is_zero() or b.is_zero():
         return _raw([], 1)
-    za, zb = a.z, b.z
-    # the primitive gcd divides za exactly in Z[x] (Gauss's lemma)
-    m = zk.zp_mul(zk.zp_divexact(za, zk.zp_gcd(za, zb)), zb)
+    # the cofactor za/gcd(za, zb) of the content strip, times zb
+    _, (qa, _) = zk.zvec_poly_content([a.z, b.z])
+    m = zk.zp_mul(qa, b.z)
     return _canon(m, m[-1])
 
 

@@ -39,7 +39,9 @@ itself.  While G_i = 1 the slot is den^i and no gcd is taken.  Each
 reduction first cancels the gcd of the two entries it cross-multiplies,
 and reduced vectors are stripped of their content in Z[x].  The relation
 is assembled in Z[x] from the certificate and the contents G_j/h_j and
-made canonical by exact gcds.
+made canonical by content strips.  Each gcd, h_i included, is the
+content of two entries (``poly.zvec_content``), which also gives the two
+cofactors.
 
 Degree-bound predictors: ``bound_realisation`` (for a strictly proper T
 with a realisation T = W + X M^-1 Y, in terms of deg det M) and
@@ -49,12 +51,11 @@ with a realisation T = W + X M^-1 Y, in terms of deg det M) and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, _bareiss,
-                              _zrows, det_denominator, zvec_content)
-from pseudolin.poly import NEG_INF, Poly, poly_divides, zclear
+                              _zrows, det_denominator)
+from pseudolin.poly import NEG_INF, Poly, poly_divides, zclear, zvec_content
 from pseudolin.ratfun import RatFun, common_denominator, zclear_ratfuns
 
 
@@ -287,8 +288,7 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
         if G == [1] or dpow == [1]:
             slot, content = dpow, G
         else:
-            h = _zp_gcd_full(dpow, G)
-            slot, content = zk.zp_divexact(dpow, h), zk.zp_divexact(G, h)
+            _, (slot, content) = zvec_content([dpow, G])
         contents.append(content)
         slots.append(slot)
         aug = x + [[] for _ in range(ncoord)]
@@ -320,21 +320,15 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
                                    coords[:rho + 1], contents, slots)))
 
 
-def _zp_gcd_full(a, b):
-    """gcd of two nonzero zpolys in Z[x], integer content included."""
-    c = gcd(zk.zp_content(a), zk.zp_content(b))
-    g = zk.zp_gcd(a, b) if len(a) > 1 and len(b) > 1 else [1]
-    return zk.zp_scale(g, c) if c > 1 else g
-
-
 def _relation_from_certificate(coords, contents, slots):
     """The canonical relation as integer zpolys eta_0, ..., eta_rho.
 
     coords certify that eta_j = coords[j]/contents[j] is the relation up
     to a factor of Q(x).  Each coords[j]/contents[j] is reduced to
     num_j/dg_j, and with L the lcm of the dg_j the polynomial vector
-    num_j L/dg_j is stripped of its content by exact gcds and given a
-    positive leading coefficient in eta_rho.
+    num_j L/dg_j is stripped of its content and given a positive leading
+    coefficient in eta_rho.  Each gcd is the content of a pair, taken
+    with its cofactors by ``zvec_content``.
 
     slots[j] is what offer j put in its coordinate slot, den^j/h_j with
     contents[j] = G_j/h_j and h_j = gcd(den^j, G_j), so the two are
@@ -345,12 +339,11 @@ def _relation_from_certificate(coords, contents, slots):
     for num, dg, slot in zip(coords, contents, slots):
         if num and dg != [1]:
             if num != slot and zk.zp_neg(num) != slot:
-                h = _zp_gcd_full(num, dg)
-                if h != [1]:
-                    num, dg = zk.zp_divexact(num, h), zk.zp_divexact(dg, h)
+                _, (num, dg) = zvec_content([num, dg])
             if dg != [1]:
+                # lcm(L, dg) = L * dg/gcd(L, dg), the strip's cofactor
                 L = (dg if L == [1] else
-                     zk.zp_mul(L, zk.zp_divexact(dg, _zp_gcd_full(L, dg))))
+                     zk.zp_mul(L, zvec_content([L, dg])[1][1]))
         nums.append(num)
         dgs.append(dg)
     eta = [zk.zp_mul(num, zk.zp_divexact(L, dg)) if num else []

@@ -24,11 +24,18 @@ the plain recurrence on the integer iterates b_i themselves, each offered
 as b_i/g_i with g_i its content and a 1 in its coordinate slot, so the
 den power of every b_i is put back only in the assembly of the relation.
 
-``zvec_content_ref`` and ``GaussTrackerRef`` are the reference for the
-packed content strip and the packed reductions of ``GaussTracker``: the
-vector lead*v - head*w formed in Z[x], and its content from one gcd of
-the first entry with an odd-weighted sum of the others, checked by exact
-divisions, with the chain of pairwise gcds behind it.
+``zp_gcd_ref`` is the heuristic gcd as it was before ``zp_gcd`` became
+the two-entry case of the content strip: GCDHEU at points sized on the
+smaller operand, each candidate checked by two trial divisions, then the
+F_p certificate and the primitive PRS.  ``_zp_gcd_full`` adds the
+integer content.  ``zvec_content_ref`` and ``GaussTrackerRef`` are the
+reference for the packed content strip and the packed reductions of
+``GaussTracker``: the vector lead*v - head*w formed in Z[x], and its
+content from one ``zp_gcd_ref`` of the first entry with an odd-weighted
+sum of the others, checked by exact divisions, with the chain of
+pairwise gcds behind it.  ``bipoly_primitive_ref``, ``content_x_ref``,
+``full_primitive_ref`` and ``certificate_fraction_ref`` take the same
+contents above the kernel by chains of ``poly_gcd`` and ``exact_div``.
 
 ``solve_columns`` and ``realisation_map`` are the reference for the
 fraction-free elimination behind ``Realisation``: one Q[x]
@@ -62,12 +69,14 @@ from pseudolin.exprparse import (Neg, Num, Pow, Prod, SemanticError, Sum,
                                  Var, _check_order)
 from pseudolin.instances.hermite import _bezout_cleared
 from pseudolin import _kernel as zk
-from pseudolin.linalg import GaussTracker, RatMatrix, zvec_content
+from pseudolin._kernel._zkernel_py import zp_modp_coprime
+from pseudolin.linalg import GaussTracker, RatMatrix
 from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, normalize_primitive,
                            ore_mul)
-from pseudolin.poly import Poly, poly_gcd, poly_lcm, zclear, zvec_int_content
+from pseudolin.poly import (Poly, joint_primitive, poly_gcd, poly_lcm, zclear,
+                            zvec_content, zvec_int_content)
 from pseudolin.ratfun import RatFun, common_denominator
-from pseudolin.relations import Relation, _iterate_step, _zp_gcd_full
+from pseudolin.relations import Relation, _iterate_step
 
 
 def matvec(A: RatMatrix, v):
@@ -240,6 +249,67 @@ def solve_min_relation_plain(pmap, a) -> Relation:
     return Relation(i, tuple(Poly.from_z(z) for z in eta))
 
 
+def _horner_pow2(a, k):
+    """a(2^k) by Horner's rule."""
+    v = 0
+    for c in reversed(a):
+        v = (v << k) + c
+    return v
+
+
+def _balanced_digits(h, k):
+    """The balanced base-2^k digits of the int h, as a zpoly."""
+    xi, out = 1 << k, []
+    while h:
+        d = h & (xi - 1)
+        if d >= xi >> 1:
+            d -= xi
+        out.append(d)
+        h = (h - d) >> k
+    return out
+
+
+def zp_gcd_ref(a, b):
+    """Primitive gcd in Z[x] with positive leading coefficient: GCDHEU at
+    xi = 2^(8*nb) >= 2*min(|a|, |b|) + 2, where a candidate prim(G) that
+    divides both a and b is the gcd; four points, each wider by half, then
+    the coprimality certificate over F_p and the primitive PRS."""
+    a, _ = zk.zp_primitive(a)
+    b, _ = zk.zp_primitive(b)
+    if not a:
+        a, b = b, a
+    if b and len(a) > 1 and len(b) > 1:
+        nb = (min(max(map(abs, a)), max(map(abs, b))).bit_length() + 8) >> 3
+        for _ in range(4):
+            k = nb << 3
+            h = gcd(_horner_pow2(a, k), _horner_pow2(b, k))
+            if h.bit_length() < k:
+                return [1]
+            g, _ = zk.zp_primitive(_balanced_digits(h, k))
+            try:
+                zk.zp_divexact(a, g)
+                zk.zp_divexact(b, g)
+                return g
+            except ValueError:
+                nb += 1 + nb // 2
+        if zp_modp_coprime(a, b):
+            return [1]
+    while b:
+        r = zk.zp_pseudorem(a, b)
+        r, _ = zk.zp_primitive(r)
+        a, b = b, r
+    if a and a[-1] < 0:
+        a = [-c for c in a]
+    return a
+
+
+def _zp_gcd_full(a, b):
+    """gcd of two nonzero zpolys in Z[x], integer content included."""
+    c = gcd(zk.zp_content(a), zk.zp_content(b))
+    g = zp_gcd_ref(a, b) if len(a) > 1 and len(b) > 1 else [1]
+    return zk.zp_scale(g, c) if c > 1 else g
+
+
 def _strip_poly_content_ref(vec):
     """(g, vec/g) for g the polynomial content of an integer-primitive
     zpoly vector: the gcd of the first nonzero entry with an odd-weighted
@@ -253,7 +323,7 @@ def _strip_poly_content_ref(vec):
     rest = []
     for w, z in enumerate(live[1:]):
         rest = zk.zp_add(rest, zk.zp_scale(z, 2 * w + 1))
-    g = zk.zp_gcd(live[0], rest)
+    g = zp_gcd_ref(live[0], rest)
     if len(g) == 1:
         return [1], vec
     try:
@@ -262,7 +332,7 @@ def _strip_poly_content_ref(vec):
         pass
     g = live[0]
     for z in live[1:]:
-        g = zk.zp_gcd(g, z)
+        g = zp_gcd_ref(g, z)
         if len(g) == 1:
             return [1], vec
     return g, [zk.zp_divexact(z, g) if z else z for z in vec]
@@ -303,7 +373,7 @@ class GaussTrackerRef:
                 pending = True
                 continue
             if len(head) > 1 and len(lead) > 1:
-                h = zk.zp_gcd(head, lead)
+                h = zp_gcd_ref(head, lead)
                 if len(h) > 1:
                     head = zk.zp_divexact(head, h)
                     lead = zk.zp_divexact(lead, h)
@@ -319,6 +389,75 @@ class GaussTrackerRef:
             self.pivots.append((pr, vec))
             return None
         return vec[self.width:]
+
+
+def content_x_ref(p: BiPoly) -> Poly:
+    """Monic gcd over Q[x] of the y-coefficients, a chain of poly_gcd."""
+    g = Poly()
+    for c in p.ycoeffs:
+        g = poly_gcd(g, c)
+    return g
+
+
+def bipoly_primitive_ref(*ps):
+    """The BiPolys divided jointly by the monic gcd of all their
+    x-coefficients (a poly_gcd chain, then exact_div), then by their
+    positive rational content."""
+    g = Poly()
+    for c in [c for p in ps for c in p.ycoeffs]:
+        g = poly_gcd(g, c)
+        if g.degree == 0:
+            break
+    if g.degree > 0:
+        ps = [BiPoly(tuple(c.exact_div(g) for c in p.ycoeffs)) for p in ps]
+    flat = joint_primitive([c for p in ps for c in p.ycoeffs])
+    out, i = [], 0
+    for p in ps:
+        n = len(p.ycoeffs)
+        out.append(BiPoly(flat[i:i + n]))
+        i += n
+    return tuple(out)
+
+
+def full_primitive_ref(L: OrePoly) -> OrePoly:
+    """normalize_primitive, then the coefficients divided by their monic
+    gcd (a poly_gcd chain) and normalized again."""
+    if L.is_zero():
+        return L
+    prim = normalize_primitive(L)
+    polys = [c.num for c in prim.coeffs]
+    g = Poly()
+    for p in polys:
+        g = poly_gcd(g, p)
+        if g.degree == 0:
+            break
+    if g.degree > 0:
+        polys = [p.exact_div(g) for p in polys]
+        return normalize_primitive(OrePoly(
+            tuple(RatFun(p) for p in polys), L.generator))
+    return prim
+
+
+def certificate_fraction_ref(cert, q: BiPoly):
+    """The certificate as one fraction (H, D, J), h = H/(D q^J), with
+    g = poly_gcd(content_x(H), D) divided out of H and D."""
+    if not cert:
+        return BiPoly.zero(), Poly.one(), 0
+    J = max(j for _, _, j in cert)
+    D = Poly.one()
+    for _, den, _ in cert:
+        D = poly_lcm(D, den.monic())
+    H = BiPoly.zero()
+    for num, den, j in cert:
+        term = num * (D.exact_div(den.monic()) * (1 / den.lc))
+        for _ in range(J - j):
+            term = term * q
+        H = H + term
+    g = poly_gcd(content_x_ref(H), D)
+    if g.degree > 0:
+        H = BiPoly(tuple(c.exact_div(g) for c in H.ycoeffs))
+        D = D.exact_div(g)
+    return H, D, J
 
 
 # Q[x] as lists of Fraction coefficients, index i holding the coefficient

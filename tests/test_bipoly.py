@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from pseudolin.bipoly import (BiPoly, bipoly_coprime, bipoly_ext_prs,
-                              bipoly_gcd, bipoly_pseudo_divmod, format_bipoly,
-                              resultant_y, squarefree_y)
+from pseudolin.bipoly import (BiPoly, _primitive, bipoly_coprime,
+                              bipoly_ext_prs, bipoly_gcd, bipoly_pseudo_divmod,
+                              format_bipoly, resultant_y, squarefree_y)
 from pseudolin.poly import Poly
 from pseudolin.ratfun import RatFun
-from _oracle import ratfun_y_ext_gcd
+from _oracle import bipoly_primitive_ref, content_x_ref, ratfun_y_ext_gcd
 from test_poly import rand_poly
 
 x = Poly.x()
@@ -192,3 +192,25 @@ def test_matches_sympy():
         assert sympy.cancel(expr(t) / lc - ts.as_expr()) == 0
         shared += res.is_zero()
     assert shared >= 5
+
+
+def test_contents_match_the_gcd_chains():
+    """content_x and the joint primitive part of the PRS step, taken by
+    one content strip of the cleared coefficients, equal the chains of
+    poly_gcd and exact_div they replace, signs included."""
+    rng = random.Random(171)
+    planted = 0
+    for trial in range(120):
+        ps = [rand_bipoly(rng, 2, rng.randint(0, 3))
+              for _ in range(rng.randint(1, 3))]
+        if trial % 2:
+            c = rand_poly(rng, rng.randint(1, 2)) * rng.choice((-3, 1, 2))
+            ps = [p * c for p in ps]
+        if trial % 5 == 0:
+            ps.append(BiPoly.zero())
+        for p in ps:
+            assert p.content_x() == content_x_ref(p)
+        if any(not p.is_zero() for p in ps):
+            assert _primitive(*ps) == bipoly_primitive_ref(*ps)
+            planted += content_x_ref(ps[0]).degree > 0
+    assert planted >= 30

@@ -1,5 +1,6 @@
 """Golden-file CLI behavior: dispatch, JSON schema, determinism, CSV."""
 
+import hashlib
 import json
 import os
 import re
@@ -331,3 +332,100 @@ def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys):
                       report.read_bytes())
         fresh = _run_with_hash_seed(argv, 0, tmp_path / f"fresh{k}.json")
         assert (out, text) == fresh
+
+
+# -- seeded golden outputs ----------------------------------------------------
+
+
+def _seeded_calls(seed, per_kind):
+    """(command, argv) for per_kind telescoper, resolvent, symprod and lclm
+    calls each, in turn: the inputs are drawn by ``randgen`` and printed by
+    the ``exprparse`` formatters, telescopers over the (dx, dy) classes
+    (1..3, 1..3) and resolvents over (2..3, 2..3) in turn, closures of two
+    operators of order and degree 1 or 2."""
+    import random
+
+    from pseudolin.bipoly import format_bipoly
+    from pseudolin.exprparse import format_operator, format_ratfun2
+    from pseudolin.randgen import (rand_algebraic_input, rand_hermite_input,
+                                   rand_operator)
+    tele = [(dx, dy) for dx in (1, 2, 3) for dy in (1, 2, 3)]
+    resolv = [(dx, dy) for dx in (2, 3) for dy in (2, 3)]
+    rng = random.Random(seed)
+    calls = []
+    for k in range(per_kind):
+        dx, dy = tele[k % len(tele)]
+        p, q = rand_hermite_input(rng, dx, dy, generic=True)
+        calls.append(("telescoper",
+                      ["telescoper", "--f=" + format_ratfun2(p, q)]))
+        dx, dy = resolv[k % len(resolv)]
+        P = rand_algebraic_input(rng, dx, dy, generic=True)
+        calls.append(("resolvent",
+                      ["resolvent", "--poly=" + format_bipoly(P)]))
+        for kind in ("symprod", "lclm"):
+            argv = [kind]
+            for _ in range(2):
+                L = rand_operator(rng, rng.randint(1, 2), rng.randint(1, 2),
+                                  regular_infinity=True)
+                argv.append("--op=" + format_operator(L))
+            calls.append((kind, argv + ["--seed", str(k)]))
+    return calls
+
+
+# sha256 per command over exit code, stdout and the JSON report with its
+# wall time zeroed, for the 40 calls of _seeded_calls(5, 10)
+SEEDED_CLI_DIGESTS = {
+    "telescoper":
+        "9a10738cd0a4307178f39b895e3b4fa8a04828d433633368ed8356f4f897535f",
+    "resolvent":
+        "ee1d762995572b8d27ece57e5c954bb4ba14eefa262123541e037af83fdba147",
+    "symprod":
+        "b7f814bb1b0cf1a3ec403743b8e03707e5bc9eb4f5b5f22f5e180b6569d46133",
+    "lclm":
+        "4563a4e72adce176779116cb2a85807b4fa4b44dfd176901b7903fc4078068f9",
+}
+
+
+def test_seeded_cli_outputs_unchanged(tmp_path, capsys):
+    """Printed output and JSON reports of 40 seeded CLI calls, 10 per
+    command, are those pinned in SEEDED_CLI_DIGESTS."""
+    report = tmp_path / "report.json"
+    digests = {}
+    for kind, argv in _seeded_calls(5, 10):
+        code = main(argv + ["--json", str(report)])
+        out = capsys.readouterr().out.encode()
+        text = re.sub(rb'"wall_ms": [-+0-9.eE]+', b'"wall_ms": 0',
+                      report.read_bytes())
+        h = digests.setdefault(kind, hashlib.sha256())
+        h.update(b"%d\n%s\n%s\n" % (code, out, text))
+    assert {k: h.hexdigest() for k, h in digests.items()} \
+        == SEEDED_CLI_DIGESTS
+
+
+def test_results_are_printed_in_primitive_form():
+    """The results of telescoper, resolvent (dy = 1 included), lclm and
+    symprod are their own ``normalize_primitive``, so the CLI prints them
+    as they are."""
+    import random
+
+    from pseudolin.instances import (build_algebraic, build_hermite,
+                                     build_lclm, build_symprod, lclm,
+                                     resolvent, symprod, telescoper)
+    from pseudolin.ore import normalize_primitive
+    from pseudolin.randgen import (rand_algebraic_input, rand_hermite_input,
+                                   rand_operator)
+    rng = random.Random(90)
+    results = []
+    for dx, dy in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)]:
+        results.append(telescoper(build_hermite(
+            *rand_hermite_input(rng, dx, dy, generic=True)))[0])
+    for dx, dy in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]:
+        results.append(resolvent(build_algebraic(
+            rand_algebraic_input(rng, dx, dy, generic=True))))
+    for _ in range(5):
+        ops = [rand_operator(rng, rng.randint(1, 2), rng.randint(1, 2),
+                             regular_infinity=True) for _ in range(2)]
+        results.append(lclm(build_lclm(ops)))
+        results.append(symprod(build_symprod(ops)))
+    for L in results:
+        assert L == normalize_primitive(L), L

@@ -24,8 +24,8 @@ from pseudolin.ratfun import RatFun
 
 import sys
 sys.path.insert(0, "tests")
-from _oracle import (hermite_reduce_pseudo, oracle_min_relation,
-                     ratfun_y_ext_gcd, realisation_map)
+from _oracle import (certificate_fraction_ref, hermite_reduce_pseudo,
+                     oracle_min_relation, ratfun_y_ext_gcd, realisation_map)
 
 x = Poly.x()
 one = Poly.one()
@@ -307,3 +307,18 @@ def test_certificate_fraction_in_lowest_terms(f):
     assert poly_gcd(H.content_x(), D) == one
     assert D.lc == 1
     assert certificate_matches(inst, L, cert)
+
+
+def test_certificate_fraction_matches_the_gcd_chain():
+    """certificate_fraction strips gcd(content_x(H), D) by one content
+    strip of H's cleared y-coefficients and D; the fraction is the one
+    the poly_gcd and exact_div chain gave, term for term."""
+    rng = random.Random(173)
+    reduced = 0
+    for dx, dy in [(1, 1), (1, 2), (2, 2), (2, 1), (1, 3), (3, 1)] * 2:
+        inst = build_hermite(*rand_hermite_input(rng, dx, dy, generic=True))
+        _, cert = telescoper(inst, want_certificate=True)
+        got = certificate_fraction(cert, inst.q)
+        assert got == certificate_fraction_ref(cert, inst.q)
+        reduced += got[1] != certificate_fraction_ref(cert[:0], inst.q)[1]
+    assert reduced >= 4

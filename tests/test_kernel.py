@@ -161,8 +161,10 @@ def test_gcd_matches_primitive_prs():
         cases.append(([-c for c in times(u, g)], times(v, g)))  # lc < 0
         cases.append((u, v))                                    # often coprime
     # x - 1 and x + m - 1 are coprime, but m is divisible by xi - 1 for every
-    # xi = 2^(8k) up to 2^128, so gcd(a(xi), b(xi)) = xi - 1 reads back as
-    # x - 1 at every such point; m is also 0 mod 2^61 - 1
+    # xi = 2^(8k) up to 2^128, and is 0 mod 2^61 - 1: a point sized on x - 1
+    # reads gcd(a(xi), b(xi)) = xi - 1 back as x - 1.  The strip sizes its
+    # point on m itself, past 2^640, and settles these at its first point;
+    # test_values_divisible_at_every_point_reach_the_prs reaches the PRS
     m = lcm(*(2**k - 1 for k in range(8, 129, 8)))
     cases += [([-1, 1], [m - 1, 1]), ([-1, 1], [m * (2**61 - 1) - 1, 1]),
               ([-1, 0, 1], [m - 1, 0, 1]),
@@ -220,3 +222,96 @@ def test_gcd_matches_sympy():
         want = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
         assert zk.zp_gcd(a, b) == want
         assert zk.zp_gcd(b, a) == want
+
+
+# -- the gcd as the two-entry content strip -----------------------------------
+
+
+def _skewed_gcd_cases(rng):
+    """Pairs with a planted common factor where one operand is much larger
+    than the other, in degree or in coefficient size (the strip's point is
+    sized on the larger one), with zero and constant operands, negative
+    leading coefficients and integer contents."""
+    cases = [([], []), ([], [0, 4, -6]), ([-6, 0, 9], []), ([6], [0, 4]),
+             ([-5], [3]), ([0, 4, -6], [-2]), ([-2, -4], [6, 12]),
+             ([0, -3], [0, 0, 6])]
+    for k in range(150):
+        g = _wide_zp(rng, rng.randint(1, 4), rng.choice((1, 8, 40)))
+        small = _wide_zp(rng, rng.randint(1, 3), rng.choice((1, 4)))
+        large = _wide_zp(rng, rng.randint(1, 40), rng.choice((1, 60, 200)))
+        a, b = zk.zp_mul(g, small), zk.zp_mul(g, large)
+        if k % 3 == 0:
+            a = zk.zp_scale(a, rng.choice((-6, 4, 15)))    # integer content
+        if k % 4 == 1:
+            b = zk.zp_neg(b)                                # lc < 0
+        if k % 7 == 3:
+            b = zk.zp_mul(b, g)                             # repeated factor
+        cases.append((a, b) if k % 2 else (b, a))
+    return cases
+
+
+def test_gcd_matches_the_reference_on_skewed_operands():
+    """zp_gcd equals the evaluation-and-trial-division GCDHEU it replaced
+    (``_oracle.zp_gcd_ref``) and sympy's primitive gcd over ZZ[x]."""
+    from _oracle import zp_gcd_ref
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
+
+    def sympy_gcd(a, b):
+        p = sympy.gcd(sympy.Poly(list(reversed(a)) or [0], X, domain="ZZ"),
+                      sympy.Poly(list(reversed(b)) or [0], X, domain="ZZ"))
+        if p.is_zero:
+            return []
+        _, p = p.primitive()
+        if p.LC() < 0:
+            p = -p
+        return [int(c) for c in reversed(p.all_coeffs())]
+
+    rng = random.Random(808)
+    nontrivial = 0
+    for a, b in _skewed_gcd_cases(rng):
+        want = zp_gcd_ref(a, b)
+        assert zk.zp_gcd(a, b) == want, (a, b)
+        assert zk.zp_gcd(b, a) == want, (a, b)
+        assert sympy_gcd(a, b) == want, (a, b)
+        nontrivial += len(want) > 1
+    assert nontrivial >= 100
+
+
+def test_two_entry_strip_gives_the_gcd_and_its_cofactors():
+    """For nonzero a and b, zvec_poly_content([a, b]) is zp_gcd(a, b) with
+    the exact quotients a/g and b/g, so that no caller divides again."""
+    rng = random.Random(809)
+    for a, b in _skewed_gcd_cases(rng):
+        if not a or not b:
+            continue
+        g = zk.zp_gcd(a, b)
+        assert zk.zvec_poly_content([a, b]) == (
+            g, [zk.zp_divexact(a, g), zk.zp_divexact(b, g)]), (a, b)
+
+
+def test_values_divisible_at_every_point_reach_the_prs():
+    """x - 2 and b with b(2) = M are coprime, but when M is a multiple of
+    xi - 2 at every point xi the strip tries, x - 2 divides b(xi) at each
+    of them and the quotients' certificate fails; M is also 0 mod 2^61 - 1,
+    the F_p certificate fails too, and the primitive PRS settles the gcd.
+    (The m = lcm(2^k - 1) pairs of ``test_gcd_matches_primitive_prs`` no
+    longer reach it: their points are sized on m itself.)"""
+    from pseudolin._kernel import _zkernel_py as kernel
+    nbs, nb = [], kernel._strip_nb(2)
+    for _ in range(kernel._STRIP_POINTS):
+        nbs.append(nb)
+        nb += 1 + nb // 2
+    m = lcm(*((1 << (8 * nb)) - 2 for nb in nbs), 2**61 - 1)
+    b = [int(c) for c in reversed(bin(m)[2:])]    # b(2) = m, digits 0, 1
+    cases = [([-2, 1], b, [1]),
+             (zk.zp_mul([-2, 1], [2, 1]), zk.zp_mul(b, [2, 1]), [2, 1]),
+             ([4, -2], zk.zp_scale(b, -3), [1])]
+    for a, b, want in cases:
+        steps = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "zp_pseudorem",
+                       lambda a, b: steps.append(1)
+                       or zk.zp_pseudorem(a, b))
+            assert zk.zp_gcd(a, b) == want
+        assert steps, (a, b)

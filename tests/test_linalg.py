@@ -14,7 +14,7 @@ from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, companion,
                               rank, zvec_content)
 from pseudolin.poly import Poly, poly_divides, poly_gcd, zvec_int_content
 from pseudolin.ratfun import RatFun
-from _oracle import GaussTrackerRef, zvec_content_ref
+from _oracle import GaussTrackerRef, zp_gcd_ref, zvec_content_ref
 from test_poly import rand_poly
 from test_ratfun import rand_ratfun
 
@@ -220,13 +220,13 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
         for z in live[1:]:
             if len(g) == 1:
                 break
-            g = zk.zp_gcd(g, z)
+            g = zp_gcd_ref(g, z)
         if len(g) > 1:
             vec = [zk.zp_divexact(z, g) if z else z for z in vec]
         return vec
 
     rng = random.Random(77)
-    real_gcd = kernel.zp_gcd
+    real_packed, real_chain = kernel._strip_packed, kernel._strip_chain
     paths = {"packed": 0, "fallback": 0}
     for trial in range(120):
         # a factor planted in some entries, up to its square: the strip
@@ -256,9 +256,18 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
                    _zprod(g, v)]
         want = chained_strip([list(z) for z in vec])
         calls = []
+
+        def spy_packed(vals, nb, t):
+            got = real_packed(vals, nb, t)
+            if got is None:
+                calls.append(1)
+            return got
+
         with monkeypatch.context() as m:
-            m.setattr(kernel, "zp_gcd",
-                      lambda a, b: calls.append(1) or real_gcd(a, b))
+            # a failed certificate at a point, or the chain of gcds
+            m.setattr(kernel, "_strip_packed", spy_packed)
+            m.setattr(kernel, "_strip_chain",
+                      lambda vec: calls.append(1) or real_chain(vec))
             g, got = zvec_content(vec)
         assert got == want
         if calls:
@@ -348,17 +357,17 @@ def test_offer_matches_plain_cross_multiplication(monkeypatch):
     vector: the rank, the dependent index and the certificate's direction
     are those of plain cross-multiplication."""
     rng = random.Random(2024)
-    real_gcd = zk.zp_gcd
+    real_strip = zk.zvec_poly_content
     cofactor_steps = []
 
-    def spy(a, b):
-        g = real_gcd(a, b)
+    def spy(vec):
+        g, q = real_strip(vec)
         if sys._getframe(1).f_code is GaussTracker.offer.__code__ \
-                and len(g) > 1:
+                and len(vec) == 2 and len(g) > 1:
             cofactor_steps.append(len(g) - 1)
-        return g
+        return g, q
 
-    monkeypatch.setattr(zk, "zp_gcd", spy)
+    monkeypatch.setattr(zk, "zvec_poly_content", spy)
     dependent = unit_leads = 0
     for _ in range(150):
         den, vecs = _tracker_sequence(rng)
@@ -485,35 +494,49 @@ def test_a_narrow_point_falls_back_to_the_chain(monkeypatch):
     """At the narrowest point the strip's argument allows -- no room, and
     for a reduction the point sized from lead*v - head*w itself instead of
     from the operands -- the quotients' certificate fails on some planted
-    contents; the chain of pairwise gcds then runs and gives the content
-    and vector of the reference, for the strip and for a reduction."""
+    contents.  The strip then retries at a wider point, and when it may
+    try one point only, the chain of pairwise gcds runs; either way it
+    gives the content and vector of the reference, for the strip and for
+    a reduction."""
     monkeypatch.setattr(kernel, "_STRIP_ROOM", 0)
+    retries = {"strip": 0, "reduction": 0}
     fallbacks = {"strip": 0, "reduction": 0}
-    chain = kernel._strip_chain
+    packed, chain = kernel._strip_packed, kernel._strip_chain
 
-    def spy(vals, nb):
+    def spy_packed(vals, nb, vec):
+        got = packed(vals, nb, vec)
+        if got is None and points > 1:
+            retries[kind] += 1
+        return got
+
+    def spy_chain(vec):
         fallbacks[kind] += 1
-        return chain(vals, nb)
+        return chain(vec)
 
-    monkeypatch.setattr(kernel, "_strip_chain", spy)
-    rng = random.Random(81)
-    for _ in range(300):
-        t = _planted_vector(rng)
-        want = zvec_content_ref(t)
-        kind = "strip"
-        assert zvec_content(t) == want, t
-        # t = lead*v - head*w with lead = +-1, and the point sized from
-        # the largest coefficient of t, v and w
-        lead = [rng.choice((-1, 1))]
-        head = [rng.randint(1, 3), rng.randint(-3, 3)]
-        w = [zk.zp_trim([rng.randint(-3, 3) for _ in range(3)])
-             for _ in t]
-        v = [zk.zp_scale(zk.zp_add(z, zk.zp_mul(head, b)), lead[0])
-             for z, b in zip(t, w)]
-        bits = max(max(map(abs, z)).bit_length() for z in t + v + w if z)
-        monkeypatch.setattr(kernel, "_cross_bits", lambda *_: bits)
-        kind = "reduction"
-        g, q = zk.zvec_cross_content(lead, v, head, w)
-        c, q = zvec_int_content(q)
-        assert ((zk.zp_scale(g, c) if c > 1 else g), q) == want, t
-    assert fallbacks["strip"] >= 8 and fallbacks["reduction"] >= 8
+    monkeypatch.setattr(kernel, "_strip_packed", spy_packed)
+    monkeypatch.setattr(kernel, "_strip_chain", spy_chain)
+    for points in (kernel._STRIP_POINTS, 1):
+        monkeypatch.setattr(kernel, "_STRIP_POINTS", points)
+        rng = random.Random(81)
+        for _ in range(300):
+            t = _planted_vector(rng)
+            want = zvec_content_ref(t)
+            kind = "strip"
+            assert zvec_content(t) == want, t
+            # t = lead*v - head*w with lead = +-1, and the point sized from
+            # the largest coefficient of t, v and w
+            lead = [rng.choice((-1, 1))]
+            head = [rng.randint(1, 3), rng.randint(-3, 3)]
+            w = [zk.zp_trim([rng.randint(-3, 3) for _ in range(3)])
+                 for _ in t]
+            v = [zk.zp_scale(zk.zp_add(z, zk.zp_mul(head, b)), lead[0])
+                 for z, b in zip(t, w)]
+            bits = max(max(map(abs, z)).bit_length()
+                       for z in t + v + w if z)
+            monkeypatch.setattr(kernel, "_cross_bits", lambda *_: bits)
+            kind = "reduction"
+            g, q = zk.zvec_cross_content(lead, v, head, w)
+            c, q = zvec_int_content(q)
+            assert ((zk.zp_scale(g, c) if c > 1 else g), q) == want, t
+    assert retries["strip"] >= 8 and retries["reduction"] >= 8, retries
+    assert fallbacks["strip"] >= 8 and fallbacks["reduction"] >= 8, fallbacks

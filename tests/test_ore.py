@@ -13,7 +13,7 @@ from pseudolin.poly import Poly
 from pseudolin.ratfun import RatFun
 from test_ratfun import rand_ratfun
 
-from _oracle import from_euler, ore_apply, right_divide
+from _oracle import from_euler, full_primitive_ref, ore_apply, right_divide
 
 x = Poly.x()
 L_CAUCHY = OrePoly([2, RatFun(-2 * x), RatFun(x * x)])  # x^2 Dx^2 - 2x Dx + 2
@@ -159,3 +159,20 @@ def test_normalize_primitive():
     assert prim == OrePoly([-1, 1])
     assert prim.coeffs[-1].num.lc > 0
     assert normalize_primitive(OrePoly.zero()).is_zero()
+
+
+def test_full_primitive_matches_the_gcd_chain():
+    """full_primitive, one content strip of the cleared coefficients,
+    equals normalize_primitive followed by the poly_gcd chain and the
+    exact divisions it replaces."""
+    rng = random.Random(172)
+    stripped = 0
+    for trial in range(80):
+        L = rand_op(rng)
+        if trial % 2:
+            c = RatFun(Poly([rng.randint(-3, 3), rng.choice((-2, 1, 3))]))
+            L = OrePoly([c * a for a in L.coeffs], L.generator)
+        want = full_primitive_ref(L)
+        assert full_primitive(L) == want
+        stripped += want != normalize_primitive(L)
+    assert stripped >= 20

@@ -10,7 +10,7 @@ import pytest
 
 from pseudolin import _kernel as zk
 from pseudolin._kernel import _zkernel_py as kernel
-from pseudolin.instances import build_lclm
+from pseudolin.instances import build_lclm, lclm, verify_lclm
 from pseudolin import relations
 from pseudolin.linalg import RatMatrix, rank, zvec_content
 from pseudolin.poly import Poly, poly_divides, poly_gcd
@@ -149,30 +149,34 @@ def test_lclm_heavy_coordinates_are_the_relation(monkeypatch):
 
 
 def test_lclm_heavy_strips_are_certified(monkeypatch):
-    """On the lclm_heavy shape every content strip -- of the iterates and
-    of each reduction in GaussTracker -- is settled by the packed
-    certificate: the chain of pairwise gcds never runs, and the strip
-    divides by no ``zp_divexact``."""
-    strip = {kernel._strip_packed.__code__, kernel._strip_chain.__code__,
-             kernel.zvec_poly_content.__code__,
+    """On the lclm_heavy shape every content strip -- of the iterates, of
+    each reduction in GaussTracker and of its cofactor step -- is settled
+    by the packed certificate at its first point: no wider point, no
+    chain of pairwise gcds, and the strip divides by no ``zp_divexact``."""
+    strip = {kernel._strip.__code__, kernel._strip_packed.__code__,
+             kernel._strip_chain.__code__, kernel.zvec_poly_content.__code__,
              kernel.zvec_cross_content.__code__}
-    seen = {"chain": 0, "packed": 0, "strip divisions": 0}
+    seen = {"chain": 0, "packed": 0, "failed": 0, "strip divisions": 0}
     chain, packed = kernel._strip_chain, kernel._strip_packed
     divexact = kernel.zp_divexact
 
-    def count(key, f):
-        def spy(*args):
-            seen[key] += 1
-            return f(*args)
-        return spy
+    def spy_chain(vec):
+        seen["chain"] += 1
+        return chain(vec)
+
+    def spy_packed(vals, nb, vec):
+        seen["packed"] += 1
+        got = packed(vals, nb, vec)
+        seen["failed"] += got is None
+        return got
 
     def spy_divexact(a, b):
         if sys._getframe(1).f_code in strip:
             seen["strip divisions"] += 1
         return divexact(a, b)
 
-    monkeypatch.setattr(kernel, "_strip_chain", count("chain", chain))
-    monkeypatch.setattr(kernel, "_strip_packed", count("packed", packed))
+    monkeypatch.setattr(kernel, "_strip_chain", spy_chain)
+    monkeypatch.setattr(kernel, "_strip_packed", spy_packed)
     monkeypatch.setattr(kernel, "zp_divexact", spy_divexact)
     rng = random.Random(61)
     for want in LCLM_HEAVY_DIGESTS:
@@ -181,18 +185,85 @@ def test_lclm_heavy_strips_are_certified(monkeypatch):
         rel = solve_min_relation(inst.map, list(inst.a))
         assert _relation_digest(rel) == want
     assert seen["packed"] >= 50
-    assert seen["chain"] == 0 and seen["strip divisions"] == 0, seen
+    assert seen["failed"] == seen["chain"] == 0, seen
+    assert seen["strip divisions"] == 0, seen
+
+
+def _count_strip_points(m):
+    """Spies on the content strip: per strip, the points it tried."""
+    seen = {"strips": 0, "settled second": 0, "later": 0, "chain": 0}
+    strip, packed, chain = (kernel._strip, kernel._strip_packed,
+                            kernel._strip_chain)
+    points = []
+
+    def spy_strip(vals, nb, vec):
+        points.append(0)
+        got = strip(vals, nb, vec)
+        tried = points.pop()
+        seen["strips"] += 1
+        seen["settled second"] += tried == 2
+        seen["later"] += tried > 2
+        return got
+
+    def spy_packed(vals, nb, vec):
+        points[-1] += 1
+        return packed(vals, nb, vec)
+
+    def spy_chain(vec):
+        seen["chain"] += 1
+        return chain(vec)
+
+    m.setattr(kernel, "_strip", spy_strip)
+    m.setattr(kernel, "_strip_packed", spy_packed)
+    m.setattr(kernel, "_strip_chain", spy_chain)
+    return seen
+
+
+def test_first_point_failures_settle_at_the_next_point(monkeypatch):
+    """The strips whose certificate fails at the first point -- values
+    that share an integer factor near xi, so the quotients' bound fails
+    with no polynomial content -- are settled at the next, wider point,
+    and the chain of pairwise gcds never runs.  Pinned on the relation_mix
+    set-up and shape (seed 5, 90 maps with n = 1, 2, 3 in turn) and on six
+    lclm_heavy instances of seed 23, set-up, solve and verification."""
+    with monkeypatch.context() as m:
+        seen = _count_strip_points(m)
+        rng = random.Random(5)
+        pool = [(rand_map(rng, 1 + k % 3, num_deg=2, den_deg=2),
+                 rand_vector(rng, 1 + k % 3, 2)) for k in range(90)]
+        for pmap, a in pool:
+            assert verify_relation(pmap, a, solve_min_relation(pmap, a))
+    assert seen["strips"] >= 1500
+    assert (seen["settled second"], seen["later"], seen["chain"]) \
+        == (7, 0, 0), seen
+    with monkeypatch.context() as m:
+        seen = _count_strip_points(m)
+        rng = random.Random(23)
+        for _ in range(6):
+            inst = build_lclm([rand_operator(rng, 3, 3,
+                                             regular_infinity=True)
+                               for _ in range(3)])
+            assert verify_lclm(inst, lclm(inst))
+    assert seen["strips"] >= 400
+    assert (seen["settled second"], seen["later"], seen["chain"]) \
+        == (6, 0, 0), seen
 
 
 def test_n1_assembly_takes_no_gcd_that_is_one(monkeypatch):
     """For n = 1 the certificate's coordinates are the offered slots, which
     are coprime to their contents by construction, and the first content
     is the lcm as it stands: a solve takes at most gcd(den, G_1) and one
-    lcm step, where it took four gcds."""
+    lcm step, where it took four gcds.  Each gcd is a two-entry content
+    strip; the strip of the relation itself is not one."""
     calls = []
-    full = relations._zp_gcd_full
-    monkeypatch.setattr(relations, "_zp_gcd_full",
-                        lambda a, b: calls.append(1) or full(a, b))
+    strip = relations.zvec_content
+
+    def spy(vec):
+        if len(vec) == 2 and sys._getframe(1).f_locals.get("eta") is not vec:
+            calls.append(1)
+        return strip(vec)
+
+    monkeypatch.setattr(relations, "zvec_content", spy)
     rng = random.Random(5)
     for _ in range(30):
         pmap = rand_map(rng, 1, num_deg=2, den_deg=2)

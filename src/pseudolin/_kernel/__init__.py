@@ -3,15 +3,16 @@
 One pure-Python core.  Long products use Kronecker substitution (Harvey,
 J. Symb. Comp. 2009) and gcds the heuristic GCDHEU (Char, Geddes and
 Gonnet, J. Symb. Comp. 7, 1989), so CPython's big-integer arithmetic does
-the inner loops; the content strip of a vector runs on packed values
-too.  ``BACKEND`` names the core for reports.
+the inner loops; a matrix product (``zmat_mul``) packs each entry once,
+and the content strip of a vector runs on packed values too.  ``BACKEND``
+names the core for reports.
 """
 
-from pseudolin._kernel._zkernel_py import (zp_add, zp_content, zp_deriv,
-                                           zp_divexact, zp_gcd, zp_mul,
-                                           zp_neg, zp_primitive, zp_pseudorem,
-                                           zp_scale, zp_sub, zp_trim,
-                                           zvec_cross_content,
+from pseudolin._kernel._zkernel_py import (zmat_mul, zp_add, zp_content,
+                                           zp_deriv, zp_divexact, zp_gcd,
+                                           zp_mul, zp_neg, zp_primitive,
+                                           zp_pseudorem, zp_scale, zp_sub,
+                                           zp_trim, zvec_cross_content,
                                            zvec_poly_content)
 
 BACKEND = "python"

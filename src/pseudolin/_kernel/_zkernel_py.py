@@ -12,6 +12,7 @@ the work, and balanced digits are unpacked again (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", J. Symb.
 Comp. 2009; Char, Geddes and Gonnet, "GCDHEU: heuristic polynomial GCD
 algorithm based on integer GCD computation", J. Symb. Comp. 7, 1989).
+``zmat_mul`` packs each entry of a matrix product once.
 There is one GCDHEU, ``_strip_packed``: the content of a whole vector
 from the integer gcd of its values at one point, certified by one integer
 division per entry, whose quotients are the stripped entries.
@@ -110,6 +111,55 @@ def zp_mul(a, b):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return out
+
+
+def zmat_mul(A, B):
+    """Product of an I x K and a K x J matrix of zpolys, each a list of
+    rows: one Kronecker substitution when some product A_ik B_kj has two
+    long factors, else schoolbook, summed into one list per entry.
+
+    Each nonzero entry is packed once at one point xi = 2^(8*nb), and each
+    result entry, sum_k A_ik(xi) B_kj(xi), is unpacked once.  xi/2 is
+    above every packed entry and above K * min(len a, len b) * |a| * |b|
+    for a in column k of A and b in row k of B, for every k, so above
+    every coefficient of the result; as the balanced digits are unique
+    when every coefficient is below xi/2, they are the entry itself.
+    """
+    J = len(B[0]) if B else 0
+    # (column k of A, row k of B, the shorter of their longest entries)
+    ks = []
+    for k, brow in enumerate(B):
+        col = [row[k] for row in A if row[k]]
+        brow = [b for b in brow if b]
+        if col and brow:
+            ks.append((col, brow, min(max(map(len, col)),
+                                      max(map(len, brow)))))
+    if all(m < _KRONECKER_MIN_LEN for _, _, m in ks):
+        out = []
+        for row in A:
+            out.append([])
+            for j in range(J):
+                t = []
+                for a, brow in zip(row, B):
+                    b = brow[j]
+                    if a and b:
+                        t.extend([0] * (len(a) + len(b) - 1 - len(t)))
+                        for i, ca in enumerate(a):
+                            if ca:
+                                for k, cb in enumerate(b):
+                                    t[i + k] += ca * cb
+                out[-1].append(zp_trim(t))
+        return out
+    bits = max(max(map(_maxabs, col)).bit_length()
+               + max(map(_maxabs, brow)).bit_length() + m.bit_length()
+               for col, brow, m in ks)
+    widest = max(_maxabs(e) for row in A + B for e in row if e)
+    nb = (max(bits + len(B).bit_length(), widest.bit_length()) + 8) >> 3
+    PB = [[_pack(b, nb) if b else 0 for b in row] for row in B]
+    PA = [[(_pack(a, nb), PB[k]) for k, a in enumerate(row) if a]
+          for row in A]
+    return [[_digits(sum(v * pb[j] for v, pb in pa), nb) for j in range(J)]
+            for pa in PA]
 
 
 def zp_deriv(a):
@@ -263,7 +313,7 @@ def _strip_packed(vals, nb, vec):
     (g = [1] when there is none); None when the certificate fails at this
     point.  vec is t itself, returned as it is when there is no content,
     or None when only the values are known.  A single nonzero entry is its
-    own content (``_single_content``).
+    own content up to sign (``_single_content``).
 
     GCDHEU (Char, Geddes and Gonnet 1989) on the whole vector: let
     h = gcd_j t_j(xi).  Every root of a nonconstant divisor of a t_j lies
@@ -324,12 +374,13 @@ def _strip_packed(vals, nb, vec):
 
 
 def _single_content(vec):
-    """(g, vec/g) for a vector with one nonzero entry z: g = z and the
-    entry [1], or no polynomial content when z is a constant."""
+    """(g, vec/g) for a vector with one nonzero entry z: g = +-z with a
+    positive lead and the entry [+-1]; g = [1] when z is a constant."""
     g = next(z for z in vec if z)
     if len(g) == 1:
         return [1], vec
-    return g, [[1] if z else [] for z in vec]
+    u = 1 if g[-1] > 0 else -1
+    return zp_scale(g, u), [[u] if z else [] for z in vec]
 
 
 def _strip(vals, nb, vec):
@@ -372,9 +423,9 @@ def _strip_chain(vec):
 def zvec_poly_content(vec):
     """(g, vec/g) for g the primitive polynomial content of a zpoly vector,
     with a positive leading coefficient, [1] when there is none; a single
-    nonconstant entry is its own content and becomes [1].  The entries are
-    packed at one point and stripped by ``_strip``; with no content the
-    vector is returned as it is."""
+    nonconstant entry z gives g = +-z and [+-1].  The entries are packed
+    at one point and stripped by ``_strip``; with no content the vector is
+    returned as it is."""
     live = [z for z in vec if z]
     if len(live) == 1:
         return _single_content(vec)

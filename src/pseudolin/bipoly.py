@@ -231,10 +231,7 @@ def bipoly_ext_prs(a: BiPoly, b: BiPoly):
 def _primitive(*ps):
     """Divide the BiPolys jointly by the content of all their
     x-coefficients: their monic gcd and their positive rational content."""
-    g, flat = zvec_content(zclear([c for p in ps for c in p.ycoeffs])[1])
-    if g[-1] < 0:
-        # a single nonzero coefficient is its own content, sign included
-        flat = [[-e for e in z] for z in flat]
+    _, flat = zvec_content(zclear([c for p in ps for c in p.ycoeffs])[1])
     out, i = [], 0
     for p in ps:
         n = len(p.ycoeffs)

@@ -178,10 +178,12 @@ def is_right_multiple(a: OrePoly, b: OrePoly) -> bool:
     which again only multiplies r on the left by a nonzero polynomial, so
     b right-divides a iff the final r (of order below b's) is 0.  The
     cofactors lc_b/g and lc_r/g come from the content strip of the pair
-    (``zvec_poly_content``).  The shifts gen^k b come from
-    gen (c gen^j) = delta(c) gen^j + c gen^(j+1), and r's integer content
-    is stripped after every step.  Every operation is an exact ring
-    operation of ``_kernel``: no ``Fraction`` or ``RatFun`` arithmetic.
+    (``zvec_poly_content``).  A step forms all of the new r, top included,
+    by one ``zmat_mul`` and answers False unless the top cancels with a
+    nonzero lc_b/g, so wrong cofactors can never give True.  The shifts
+    gen^k b come from gen (c gen^j) = delta(c) gen^j + c gen^(j+1), and
+    r's integer content is stripped after every step.  All arithmetic is
+    the kernel's, in Z[x]: no ``Fraction`` or ``RatFun``.
     """
     a._check_gen(b)
     if b.is_zero():
@@ -202,10 +204,10 @@ def is_right_multiple(a: OrePoly, b: OrePoly) -> bool:
                     dc = [0] + dc
                 nxt[j] = zk.zp_add(nxt[j], dc)
             shifted.append(nxt)
-        lr = r[-1]
-        _, (u, v) = zk.zvec_poly_content([lb, lr])
-        r = [zk.zp_sub(zk.zp_mul(u, c), zk.zp_mul(v, s))
-             for c, s in zip(r[:-1], shifted[k])]
+        _, (u, v) = zk.zvec_poly_content([lb, r[-1]])
+        r = zk.zmat_mul([[u, zk.zp_neg(v)]], [r, shifted[k]])[0]
+        if not u or r.pop():
+            return False
         while r and not r[-1]:
             r.pop()
         r = zvec_int_content(r)[1]

@@ -237,17 +237,14 @@ def bound_direct(rho: int, d_a: int, d: int, D: int, i: int):
 def _iterate_step(den_z, N_z, b, c):
     """den*b' + N*b + c*b on an integer polynomial vector b, for a zpoly c.
 
-    With c = -i*den' this is the plain step b_{i+1} from b_i."""
-    out = []
-    for j in range(len(b)):
-        t = zk.zp_mul(den_z, zk.zp_deriv(b[j]))
-        if c and b[j]:
-            t = zk.zp_add(t, zk.zp_mul(c, b[j]))
-        for k in range(len(b)):
-            if N_z[j][k] and b[k]:
-                t = zk.zp_add(t, zk.zp_mul(N_z[j][k], b[k]))
-        out.append(t)
-    return out
+    With c = -i*den' this is the plain step b_{i+1} from b_i.  It is one
+    matrix product ``zmat_mul``: [N + c*I | den*I] times [b; b']."""
+    n = len(b)
+    A = [row[:j] + [zk.zp_add(row[j], c)] + row[j + 1:]
+         + [[]] * j + [den_z] + [[]] * (n - 1 - j)
+         for j, row in enumerate(N_z)]
+    return [t for t, in zk.zmat_mul(A, [[z] for z in b]
+                                    + [[zk.zp_deriv(z)] for z in b])]
 
 
 def _log_derivative(den_z, g):
@@ -367,14 +364,15 @@ def verify_relation(pmap: PseudoLinearMap, a, rel: Relation) -> bool:
     gives c_i = sa * D^i * theta^i(a) (sa the clearing scale of a), so the
     relation holds iff sum eta_i D^(rho - i) c_i = 0 in Z[x]^n, with the
     eta_i cleared by one scale as well: the two sides differ by the nonzero
-    factor sa * se * D^rho.  Every step is an exact integer-polynomial ring
-    operation, so the check is exact.
+    factor sa * se * D^rho.  Each step is one matrix product, and so is the
+    sum; all are exact ring operations in Z[x], so the check is exact.
 
-    It shares no code with the solver: it clears T itself, with
+    It shares with the solver only the kernel's ring products,
+    ``zmat_mul`` and ``zp_mul``: it clears T itself, with
     ``common_denominator`` and ``poly.zclear``, instead of calling
     ``PseudoLinearMap.cleared`` or ``ratfun.zclear_ratfuns``, never calls
     ``_iterate_step``, and does no elimination (no ``GaussTracker`` or
-    ``linalg``); it only multiplies and adds through ``_kernel``.
+    ``linalg``) and no content strip.
     """
     n = pmap.n
     a = [c if isinstance(c, Poly) else Poly.const(c) for c in a]
@@ -384,31 +382,21 @@ def verify_relation(pmap: PseudoLinearMap, a, rel: Relation) -> bool:
     den = common_denominator(entries)
     _, cleared = zclear([den] + [e.num * den.exact_div(e.den)
                                  for e in entries])
-    D = cleared[0]
+    D, Dp = cleared[0], zk.zp_deriv(cleared[0])
     N = [cleared[1 + j * n:1 + (j + 1) * n] for j in range(n)]
-    Dp = zk.zp_deriv(D)
-    _, c = zclear(a)
-    acc = [[] for _ in range(n)]
-    for i, e in enumerate(zclear(rel.eta)[1]):
-        if i:
-            # c <- D c' - (i - 1) D' c + N c
-            nxt = []
-            for j in range(n):
-                t = zk.zp_mul(D, zk.zp_deriv(c[j]))
-                if i > 1 and c[j]:
-                    t = zk.zp_sub(t, zk.zp_mul(Dp, zk.zp_scale(c[j], i - 1)))
-                for Njk, ck in zip(N[j], c):
-                    if Njk and ck:
-                        t = zk.zp_add(t, zk.zp_mul(Njk, ck))
-                nxt.append(t)
-            c = nxt
-        # Horner in D: term i ends up multiplied by D^(rho - i)
-        for j in range(n):
-            t = zk.zp_mul(acc[j], D) if acc[j] else []
-            if e and c[j]:
-                t = zk.zp_add(t, zk.zp_mul(e, c[j]))
-            acc[j] = t
-    return not any(acc)
+    C, Dpow = [zclear(a)[1]], [[1]]
+    for i in range(1, rel.rho + 1):
+        # c <- [N - (i - 1) D' I | D I] [c; c']
+        s, c = zk.zp_scale(Dp, 1 - i), C[-1]
+        A = [row[:j] + [zk.zp_add(row[j], s)] + row[j + 1:]
+             + [[]] * j + [D] + [[]] * (n - 1 - j) for j, row in enumerate(N)]
+        C.append([t for t, in zk.zmat_mul(
+            A, [[z] for z in c] + [[zk.zp_deriv(z)] for z in c])])
+        Dpow.append(zk.zp_mul(Dpow[-1], D))
+    # the row product (eta_i D^(rho - i))_i C = 0
+    w = [zk.zp_mul(e, Dpow[rel.rho - i])
+         for i, e in enumerate(zclear(rel.eta)[1])]
+    return not any(zk.zmat_mul([w], C)[0])
 
 
 # -- Krylov determinantal-denominator property -----------------------------------

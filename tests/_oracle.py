@@ -319,7 +319,9 @@ def _strip_poly_content_ref(vec):
     if not live or any(len(z) == 1 for z in live):
         return [1], vec
     if len(live) == 1:
-        return live[0], [[1] if z else z for z in vec]
+        # its own content, with a positive leading coefficient
+        u = 1 if live[0][-1] > 0 else -1
+        return zk.zp_scale(live[0], u), [[u] if z else z for z in vec]
     rest = []
     for w, z in enumerate(live[1:]):
         rest = zk.zp_add(rest, zk.zp_scale(z, 2 * w + 1))

@@ -90,16 +90,17 @@ def _wide_zp(rng, length, bits, zero_frac=0.2):
     return c
 
 
-def test_mul_matches_schoolbook():
-    def schoolbook(a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return out
+def schoolbook(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
 
+
+def test_mul_matches_schoolbook():
     rng = random.Random(505)
     cases = [([], [1, 2]), ([3], []), ([-1], [5]), ([0, 0, 7], [1] * 9),
              ([-(1 << 300)] * 8, [(1 << 300) - 1] * 8)]
@@ -117,6 +118,63 @@ def test_mul_matches_schoolbook():
         want = schoolbook(a, b)
         assert zk.zp_mul(a, b) == want
         assert zk.zp_mul(b, a) == want
+
+
+def test_matrix_product_matches_schoolbook():
+    """zmat_mul against sums of schoolbook products, on every shape from
+    empty to 3 x 4 x 3, with short, long and mixed operands, zero entries,
+    an entry whose partners are all zero (the point must still hold it),
+    coefficients around the packing width, and sums that cancel."""
+    def product(A, B):
+        out = []
+        for row in A:
+            out.append([])
+            for j in range(len(B[0]) if B else 0):
+                t = []
+                for a, brow in zip(row, B):
+                    p = schoolbook(a, brow[j])
+                    t += [0] * (len(p) - len(t))
+                    for i, c in enumerate(p):
+                        t[i] += c
+                while t and not t[-1]:
+                    t.pop()
+                out[-1].append(t)
+        return out
+
+    def matrix(rng, rows, cols, lengths, bits):
+        return [[_wide_zp(rng, rng.choice(lengths), bits)
+                 if rng.random() > 0.25 else [] for _ in range(cols)]
+                for _ in range(rows)]
+
+    rng = random.Random(515)
+    long = [(1 << 300) - 1] * 9
+    cases = [([], []), ([], [[[1]]]), ([[]], []), ([[], []], []),
+             ([[[1, 2]]], [[[3, 4]]]), ([[[]]], [[long]]),
+             # a wide entry facing only zero entries, in A and in B
+             ([[long, [1] * 8]], [[[]], [[1] * 8]]),
+             ([[[1] * 8, []]], [[[1] * 8], [long]]),
+             # sums that cancel to zero, and whose top terms cancel
+             ([[long, long]], [[[1] * 9], [[-1] * 9]]),
+             ([[[1] * 8, [1] * 8]],
+              [[[1] * 7 + [2]], [[5] + [-1] * 6 + [-2]]]),
+             ([[[1, 1], [1, -1]]], [[[1, -1]], [[-1, -1]]])]
+    for I, K, J in ((1, 4, 1), (1, 1, 3), (3, 1, 1), (4, 1, 2), (2, 3, 2),
+                    (3, 4, 3), (3, 6, 1)):
+        for lengths in ((1, 3, 7), (8, 20), (1, 2, 9, 30)):
+            for bits in (1, 31, 64, 300):
+                A = matrix(rng, I, K, lengths, bits)
+                B = matrix(rng, K, J, rng.choice(((2, 7), (8, 25), (1, 40))),
+                           rng.choice((1, bits, 65)))
+                cases += [(A, B), (B, A)] if I == J else [(A, B)]
+    # coefficients right at the packing width: 45 (2^t - 1)^2 is close to
+    # the bound K * min(len a, len b) * |a| * |b| that sizes the point
+    for t in (7, 8, 9, 31, 32, 33, 63, 64, 65, 301):
+        big = [(1 << t) - 1] * 15
+        cases.append(([[big] * 3, [zk.zp_neg(big)] * 3], [[big]] * 3))
+    for A, B in cases:
+        assert zk.zmat_mul(A, B) == product(A, B), (A, B)
+        if len(A) == 1 and len(B) == 1 and len(B[0]) == 1:
+            assert zk.zmat_mul(A, B)[0][0] == zk.zp_mul(A[0][0], B[0][0])
 
 
 def test_gcd_matches_primitive_prs():
@@ -288,6 +346,15 @@ def test_two_entry_strip_gives_the_gcd_and_its_cofactors():
         g = zk.zp_gcd(a, b)
         assert zk.zvec_poly_content([a, b]) == (
             g, [zk.zp_divexact(a, g), zk.zp_divexact(b, g)]), (a, b)
+
+
+def test_single_entry_content_has_a_positive_lead():
+    """A vector with one nonconstant entry z has the content +-z with a
+    positive leading coefficient, as every other content has."""
+    assert zk.zvec_poly_content([[], [1, -2], []]) == (
+        [-1, 2], [[], [-1], []])
+    assert zk.zvec_poly_content([[0, 3]]) == ([0, 3], [[1]])
+    assert zk.zvec_poly_content([[-5], []]) == ([1], [[-5], []])
 
 
 def test_values_divisible_at_every_point_reach_the_prs():

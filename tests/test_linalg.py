@@ -222,6 +222,10 @@ def test_normalize_matches_chained_gcd_strip(monkeypatch):
                 break
             g = zp_gcd_ref(g, z)
         if len(g) > 1:
+            # the content has a positive leading coefficient, also when
+            # it is a single entry's own
+            if g[-1] < 0:
+                g = [-e for e in g]
             vec = [zk.zp_divexact(z, g) if z else z for z in vec]
         return vec
 

@@ -123,6 +123,33 @@ def test_lclm_heavy_relations_unchanged():
         assert _relation_digest(rel) == want
 
 
+# sha256 over the relations of a relation_mix-shaped pool (seed 5: 30 maps
+# rand_map(n, num_deg=2, den_deg=2) with n = 1, 2, 3 in turn, each with a
+# degree-2 vector), and over the Krylov columns s = 0..3 of its first six
+# maps, as computed before the solver's iterate step and the verifier
+# became one matrix product each
+RELATION_MIX_DIGEST = "4d23625ca995cd01"
+RELATION_MIX_KRYLOV_DIGEST = "8a06bb846885b9eb"
+
+
+def test_relation_mix_relations_unchanged():
+    rng = random.Random(5)
+    pool = [(rand_map(rng, 1 + k % 3, num_deg=2, den_deg=2),
+             rand_vector(rng, 1 + k % 3, 2)) for k in range(30)]
+    rels = hashlib.sha256()
+    for pmap, a in pool:
+        rel = solve_min_relation(pmap, a)
+        assert verify_relation(pmap, a, rel)
+        rels.update(_relation_digest(rel).encode())
+    assert rels.hexdigest()[:16] == RELATION_MIX_DIGEST
+    cols = hashlib.sha256()
+    for pmap, a in pool[:6]:
+        K = krylov_matrix(pmap, a, [0, 1, 2, 3])
+        cols.update(";".join(f"{e.num.coeffs}/{e.den.coeffs}"
+                             for e in K.entries).encode())
+    assert cols.hexdigest()[:16] == RELATION_MIX_KRYLOV_DIGEST
+
+
 def test_lclm_heavy_coordinates_are_the_relation(monkeypatch):
     """With den^i/h_i in coordinate slot i the certificate is the relation
     itself: on the lclm_heavy shape every content G_i/h_i is 1 and the

@@ -26,6 +26,8 @@ from fractions import Fraction
 
 import pytest
 
+from pseudolin import _kernel as zk
+from pseudolin import ore
 from pseudolin.instances import (build_algebraic, build_hermite, build_lclm,
                                  build_symprod, lclm, resolvent, symprod,
                                  telescoper, verify_lclm, verify_resolvent,
@@ -223,64 +225,124 @@ def test_resolvent_mutants_with_scaled_coefficient_rejected():
     assert checked >= 12
 
 
-def test_lclm_mutants_rejected():
+def _lclm_mutant_sets():
+    """(inst, L, mutants): three LCLMs of order-1 or -2 operators with the
+    three mutants (seed 23), then six with two scaled mutants too (seed
+    24)."""
+    sets = []
     rng = random.Random(23)
-    checked = 0
     for _ in range(3):
         ops = [rand_operator(rng, rng.randint(1, 2), rng.randint(1, 2),
                              regular_infinity=True) for _ in range(2)]
         inst = build_lclm(ops)
         L = lclm(inst)
+        sets.append((inst, L, operator_mutants(L)))
+    rng = random.Random(24)
+    for k in range(6):
+        ops = [rand_operator(rng, rng.randint(1, 3), rng.randint(1, 2),
+                             regular_infinity=k % 2 == 0) for _ in range(2)]
+        inst = build_lclm(ops)
+        L = lclm(inst)
+        sets.append((inst, L, operator_mutants(L) + [
+            scaled_mutant(L, rng, RatFun(rng.choice((2, -3, 5)))),
+            scaled_mutant(L, rng, RatFun.x())]))
+    return sets
+
+
+def test_lclm_mutants_rejected():
+    checked = 0
+    for inst, L, mutants in _lclm_mutant_sets()[:3]:
         assert verify_lclm(inst, L)
-        for m in operator_mutants(L):
+        for m in mutants:
             assert not verify_lclm(inst, m)
             checked += 1
     assert checked == 9
 
 
 def test_lclm_mutants_with_scaled_coefficient_rejected():
-    rng = random.Random(24)
     checked = 0
-    for k in range(6):
-        ops = [rand_operator(rng, rng.randint(1, 3), rng.randint(1, 2),
-                             regular_infinity=k % 2 == 0) for _ in range(2)]
-        inst = build_lclm(ops)
-        L = lclm(inst)
+    for inst, L, mutants in _lclm_mutant_sets()[3:]:
         assert verify_lclm(inst, L)
-        mutants = operator_mutants(L) + [
-            scaled_mutant(L, rng, RatFun(rng.choice((2, -3, 5)))),
-            scaled_mutant(L, rng, RatFun.x())]
         for m in mutants:
             assert not verify_lclm(inst, m)
             checked += 1
     assert checked == 30
 
 
-def test_symprod_mutants_rejected():
+# the symmetric square of Dx^2 - 1 (solutions exp(x), exp(-x)) is
+# Dx^3 - 4 Dx, of order 3 below the dimension 4; its dropped mutant is the
+# truncation below Dx^3
+SQUARE = [OrePoly([-1, 0, 1])] * 2
+
+
+def _symprod_mutant_sets():
+    """(inst, L, mutants) for four random symmetric products (seed 25),
+    SQUARE, and a factor whose leading coefficient x(x - 1) vanishes at 0
+    and at 1."""
     rng = random.Random(25)
     cases = [[rand_operator(rng, rng.randint(1, 2), rng.randint(1, 2),
                             regular_infinity=True) for _ in range(2)]
              for _ in range(4)]
-    # the symmetric square of Dx^2 - 1 (solutions exp(x), exp(-x)) is
-    # Dx^3 - 4 Dx, of order 3 below the dimension 4; its dropped mutant is
-    # the truncation below Dx^3
-    square = [OrePoly([-1, 0, 1])] * 2
-    # a factor whose leading coefficient x(x - 1) vanishes at 0 and at 1
     singular = [OrePoly([-1, RatFun(X * (X - 1))]), OrePoly([-2, RatFun(X)])]
-    checked = 0
-    for ops in cases + [square, singular]:
+    sets = []
+    for ops in cases + [SQUARE, singular]:
         inst = build_symprod(ops)
         L = symprod(inst)
-        if ops is square:
-            assert L == OrePoly([0, -4, 0, 1])
-        assert verify_symprod(inst, L)
         mutants = operator_mutants(L)
         if any(not L.coeff(j).is_zero() for j in range(L.order)):
             mutants += [scaled_mutant(L, rng, u) for u in RATFUN_UNITS]
+        sets.append((inst, L, mutants))
+    return sets
+
+
+def test_symprod_mutants_rejected():
+    sets = _symprod_mutant_sets()
+    assert sets[4][1] == OrePoly([0, -4, 0, 1])
+    checked = 0
+    for inst, L, mutants in sets:
+        assert verify_symprod(inst, L)
         for m in mutants:
             assert not verify_symprod(inst, m)
             checked += 1
     assert checked >= 30
+
+
+class _WrongCofactors:
+    """The kernel as ``ore`` sees it, except that the cofactors of the
+    two-entry content strip behind ``is_right_multiple`` are wrong."""
+
+    def __init__(self, wrong):
+        self.wrong = wrong
+
+    def __getattr__(self, name):
+        return getattr(zk, name)
+
+    def zvec_poly_content(self, vec):
+        g, (u, v) = zk.zvec_poly_content(vec)
+        return g, self.wrong(u, v)
+
+
+@pytest.mark.parametrize("wrong", [lambda u, v: ([], []),
+                                   lambda u, v: (u, zk.zp_scale(v, 2))],
+                         ids=["zero", "doubled-v"])
+def test_wrong_cofactors_accept_no_mutant(monkeypatch, wrong):
+    """Right division forms every coefficient of each step, top included,
+    and answers False when the top does not cancel or the cofactor of the
+    remainder is zero.  So cofactors from a faulty strip -- zero, or v
+    doubled -- can only turn a True verdict into False: no mutant of the
+    lclm and symprod sets is accepted, and every call ends."""
+    sets = ([(verify_lclm, s) for s in _lclm_mutant_sets()]
+            + [(verify_symprod, s) for s in _symprod_mutant_sets()])
+    monkeypatch.setattr(ore, "zk", _WrongCofactors(wrong))
+    checked = 0
+    for verify, (inst, _, mutants) in sets:
+        for m in mutants:
+            assert not verify(inst, m)
+            checked += 1
+    assert checked >= 69
+    # Dx^2 + x = (Dx + 1)(Dx - 1) + x + 1 is no multiple of Dx - 1; with
+    # zero cofactors the remainder used to vanish, and the answer was True
+    assert not is_right_multiple(OrePoly([X, 0, 1]), OrePoly([-1, 1]))
 
 
 def _rand_ratfun(rng, deg):

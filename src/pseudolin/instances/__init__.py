@@ -4,7 +4,6 @@ Hermite reduction, differential resolvents, LCLM and symmetric product."""
 from pseudolin.instances.algebraic import (AlgebraicInstance,
                                            algebraic_bound_report,
                                            bound_algebraic, build_algebraic,
-                                           cockle_iterates,
                                            empirical_curve_algebraic,
                                            resolvent, verify_resolvent)
 from pseudolin.instances.closures import (ClosureInstance, bound_lclm,
@@ -26,7 +25,7 @@ __all__ = [
     "algebraic_bound_report", "bound_algebraic", "bound_hermite",
     "bound_lclm", "bound_symprod", "build_algebraic", "build_hermite",
     "build_lclm", "build_symprod", "certificate_fraction",
-    "certificate_matches", "closure_bound_report", "cockle_iterates",
+    "certificate_matches", "closure_bound_report",
     "empirical_curve_algebraic", "genericity_check", "hermite_bound_report",
     "hermite_reduce", "lclm", "operator_degree", "resolvent", "symprod",
     "symprod_conjecture_curve", "telescoper", "verify_lclm",

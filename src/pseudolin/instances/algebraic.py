@@ -13,36 +13,36 @@ M is the Sylvester matrix and det M = res_y(P, P_y) up to sign.  As for
 the telescoper, the map comes in cleared form from the one elimination of
 [M | Y] in ``relations.Realisation``.
 
-The verifier does not use T.  It differentiates the root modulo P over
-one known denominator (Bostan, Chyzak, Lecerf, Salvy and Schost, ISSAC
-2007): with l = lc_y(P), the substitution y = z/l makes
-P~ = l^(dy-1) P(z/l) monic in z, and the Bezout identity
-sigma P~ + tau P~_z = w gives z' = S/w with S = -P~_x tau mod P~.  The
-i-th derivative of y is then C_i / (l^(i+1) w^i) with C_i in Q[x][z] of
-z-degree below dy, each step one exact division by P~, no gcd and no
-pseudo-division (``_cockle_z``).
+The verifier builds its own map from the derivative of the root
+(Bostan, Chyzak, Lecerf, Salvy and Schost, ISSAC 2007).  With
+l = lc_y(P), z = l y is a root of P~ = l^(dy-1) P(z/l), monic in z, and
+the Bezout identity sigma P~ + tau P~_z = w gives z' = S/w with
+S = -P~_x tau mod P~.  So on the basis z^j / l, where y has polynomial
+coordinates, column j of T is (j/w) (z^(j-1) S mod P~) - (l'/l) e_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pseudolin.bipoly import BiPoly, squarefree_y
-from pseudolin.linalg import PolyMatrix
+from pseudolin.bipoly import BiPoly
+from pseudolin.linalg import PolyMatrix, RatMatrix
 from pseudolin.ore import GEN_DX, OrePoly, normalize_primitive
 from pseudolin.poly import Poly
 from pseudolin.ratfun import RatFun
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
-                                 realisation_bound_report, solve_min_relation)
+                                 SingularRealisation,
+                                 realisation_bound_report, solve_min_relation,
+                                 verify_relation)
 
-from pseudolin.instances.hermite import (_bezout_cleared, _divmod_monic,
-                                         _monic_transform, _scale_y,
-                                         genericity_check)
+from pseudolin.instances.hermite import (_checked_bezout, _divmod_monic,
+                                         _dx_relation, _monic_transform,
+                                         _yshift, genericity_check)
 
 
 @dataclass(frozen=True)
 class AlgebraicInstance:
-    """A square-free bivariate P with the Cockle map and its realisation."""
+    """A square-free bivariate P with its resolvent map and realisation."""
 
     P: BiPoly
     dx: int
@@ -59,8 +59,6 @@ def build_algebraic(P: BiPoly) -> AlgebraicInstance:
     dx = P.degree_x
     if dy < 1:
         raise ValueError("P must involve y")
-    if not squarefree_y(P):
-        raise ValueError("P must be square-free with respect to y")
 
     Py = P.deriv("y")
     Px = P.deriv("x")
@@ -82,7 +80,10 @@ def build_algebraic(P: BiPoly) -> AlgebraicInstance:
     X = PolyMatrix(dy, m, [Poly.one() if c == (dy - 1) + i else Poly()
                            for i in range(dy) for c in range(m)])
     W = PolyMatrix.zeros(dy, dy)
-    real = Realisation(W, X, M, Y)
+    try:
+        real = Realisation(W, X, M, Y)
+    except SingularRealisation:
+        raise ValueError("P must be square-free with respect to y") from None
     if real.delta_degree > (2 * dy - 1) * dx:
         raise AssertionError("det M exceeds the (2dy-1)dx degree bound")
     return AlgebraicInstance(P, dx, dy, real.map, real)
@@ -105,78 +106,41 @@ def resolvent(inst: AlgebraicInstance) -> OrePoly:
     return OrePoly([RatFun(e) for e in rel.eta], GEN_DX)
 
 
-def _cockle_z(P: BiPoly, count: int):
-    """The numerators C_0, ..., C_(count-1) of the Cockle recursion in
-    z = l y, l = lc_y(P), with the data (l, l w, pw) that maps them back.
-
-    With P~ = l^(dy-1) P(z/l) monic in z, sigma P~ + tau P~_z = w and
-    S = -P~_x tau mod P~, a root z = l y of P~ has z' = S/w modulo P~,
-    and the k-th derivative of y is C_k / (l^(k+1) w^k):
-
-        C_0 = z mod P~,
-        C_(k+1) = l (w dC_k/dx + (dC_k/dz S mod P~))
-                  - C_k ((k+1) l' w + k l w').
-
-    Every reduction is an exact division by the monic P~, and no
-    fraction is ever reduced.  pw[j] = l^j for j <= dy.
-    """
-    qt, pw = _monic_transform(P)
-    _, tau, w = _bezout_cleared(qt)
-    lc = P.lc_y
-    _, S = _divmod_monic(-(qt.deriv("x") * tau), qt)
-    lw = lc * w
-    dlw, dlc_w = lw.derivative(), lc.derivative() * w
-    _, C = _divmod_monic(BiPoly.y(), qt)
-    out = [C]
-    for k in range(count - 1):
-        _, CS = _divmod_monic(C.deriv("y") * S, qt)
-        C = C.deriv("x") * lw + CS * lc - C * (dlc_w + dlw * k)
-        out.append(C)
-    return out, lc, lw, pw
-
-
-def cockle_iterates(inst: AlgebraicInstance, count: int):
-    """Pairs (C_i, d_i) in Q[x][y] with D_i = C_i/d_i = the i-th
-    derivative of y modulo P, for i < count: D_0 = y mod P and
-    D_(i+1) = D_i' - dD_i/dy * P_x / P_y mod P.
-
-    Runs the fraction-free recursion of ``_cockle_z`` in z = l y and maps
-    each C_i back through z = l y, so d_i = l^(i+1) w^i with w the
-    Bezout denominator of (P~, P~_z).  Independent of the matrix T used
-    by the solver.
-    """
-    cs, d, lw, pw = _cockle_z(inst.P, count)
-    out = []
-    for C in cs:
-        out.append((BiPoly(_scale_y(C.ycoeffs, pw)), d))
-        d = d * lw
-    return out
+def _resolvent_map(P: BiPoly):
+    """(T, a) with d/dx on Q(x)[y]/(P) as theta = d/dx + T in the basis
+    z^j / l and a the coordinates of the root y = z / l (module
+    docstring), or None when the Bezout identity of P~ fails to check.
+    a is z mod P~: e_1 when dy >= 2, but not for dy = 1."""
+    dy, lc = P.degree_y, P.lc_y
+    qt, _ = _monic_transform(P)
+    bez = _checked_bezout(qt)
+    if bez is None:
+        return None
+    _, tau, w, _ = bez
+    _, R = _divmod_monic(-(qt.deriv("x") * tau), qt)
+    lw, dlw = lc * w, lc.derivative() * w
+    cols = []
+    for j in range(dy):
+        if j > 1:                     # R = z^(j-1) S mod P~
+            _, R = _divmod_monic(_yshift(R, 1), qt)
+        cols.append(R * (lc * j) - _yshift(BiPoly((dlw,)), j))
+    _, z = _divmod_monic(BiPoly.y(), qt)
+    return (RatMatrix(dy, dy, [RatFun(cols[j].ycoeff(i), lw)
+                               for i in range(dy) for j in range(dy)]),
+            [z.ycoeff(i) for i in range(dy)])
 
 
 def verify_resolvent(inst: AlgebraicInstance, L: OrePoly) -> bool:
-    """Check sum eta_i D_i = 0 in Q(x)[y]/(P) for the i-th derivatives
-    D_i = C_i/(l^(i+1) w^i) of the root y, in z = l y (``_cockle_z``).
-
-    Over the common denominator l^(rho+1) w^rho the check is
-    sum eta_i (l w)^(rho-i) C_i = 0, formed by Horner in l w.  Each C_i
-    has z-degree below deg_y P, so the sum vanishes modulo P~ iff it is
-    the zero polynomial: the check is exact, and past the one Bezout
-    identity it takes no gcd and no pseudo-division.  It shares no code
-    with the solver (no matrix T, realisation, ``solve_min_relation`` or
-    ``linalg``).
+    """Check sum eta_i y^(i) = 0 in Q(x)[y]/(P) for the root y: theta^i(a)
+    holds the coordinates of y^(i), so ``verify_relation`` on the map of
+    ``_resolvent_map`` decides it exactly.  The Bezout identity behind S
+    is checked by products.  It shares no code with the solver (no
+    instance map, realisation or ``solve_min_relation``).
     """
-    if L.is_zero() or L.generator != GEN_DX:
-        return False
-    if not all(c.is_poly() for c in L.coeffs):
-        return False
-    cs, _, lw, _ = _cockle_z(inst.P, L.order + 1)
-    acc = BiPoly.zero()
-    for i, C in enumerate(cs):
-        acc = acc * lw
-        c = L.coeff(i)
-        if not c.is_zero():
-            acc = acc + C * c.num
-    return acc.is_zero()
+    rel = _dx_relation(L)
+    Ta = None if rel is None else _resolvent_map(inst.P)
+    return Ta is not None and verify_relation(
+        PseudoLinearMap(Ta[0]), Ta[1], rel)
 
 
 def bound_algebraic(r: int, dx: int, dy: int) -> int:

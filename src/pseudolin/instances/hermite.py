@@ -14,16 +14,17 @@ T is realised as X M^-1 Y where M is the 2d_y x 2d_y matrix of the map
 projection onto the last d_y coordinates; det M has degree at most
 2 d_x d_y and equals lc_y(q) res_y(q, q_y) up to sign.  The build
 assembles only (W, X, M, Y): one fraction-free elimination of [M | Y] in
-``relations.Realisation`` gives det M and the map in cleared form.
+``relations.Realisation`` gives det M, nonzero iff q is square-free in y,
+and the map in cleared form.
 
-``hermite_reduce`` is the exact Hermite reduction behind the verifier
-and the certificate.  It runs on the q-adic digits of the numerator
-modulo q~(z) = l^(d_y - 1) q(z/l), l = lc_y(q), which is monic in
-z = l y: every division by q~ is exact, each level's numerator stays
-below y-degree 2 d_y and no power of l accumulates.  The Bezout cofactors
-of (q~, q~_z) come from the fraction-free pseudo-remainder sequence
-``bipoly_ext_prs``.  Certificates are lists of (numerator, denominator, j)
-terms meaning sum num/(den * q^j).
+``hermite_reduce`` is the exact Hermite reduction behind the certificate;
+its k = 2 step gives the verifier a T of its own.  It runs on the q-adic
+digits of the numerator modulo q~(z) = l^(d_y - 1) q(z/l), l = lc_y(q),
+which is monic in z = l y: every division by q~ is exact, each level's
+numerator stays below y-degree 2 d_y and no power of l accumulates.  The
+Bezout cofactors of (q~, q~_z) come from the fraction-free
+pseudo-remainder sequence ``bipoly_ext_prs``.  Certificates are lists of
+(numerator, denominator, j) terms meaning sum num/(den * q^j).
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pseudolin.bipoly import (BiPoly, bipoly_coprime, bipoly_ext_prs,
-                              squarefree_y)
-from pseudolin.linalg import PolyMatrix
+from pseudolin.bipoly import BiPoly, bipoly_coprime, bipoly_ext_prs
+from pseudolin.linalg import PolyMatrix, RatMatrix
 from pseudolin.ore import GEN_DX, OrePoly
 from pseudolin.poly import Poly, poly_gcd, poly_lcm, zclear, zvec_content
 from pseudolin.ratfun import RatFun
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
+                                 SingularRealisation,
                                  realisation_bound_report, solve_min_relation,
-                                 vector_degree)
+                                 vector_degree, verify_relation)
 
 
 def _bezout_cleared(q: BiPoly):
@@ -150,6 +151,17 @@ def _reduce_terms(terms, den: Poly, q: BiPoly, want_certificate: bool):
             cert.append(_unscale(t, den * c, pw, lc,
                                  E - 1 - (dy - 1) * j) + (j,))
     return r_num, r_den, cert
+
+
+def _checked_bezout(qt: BiPoly):
+    """``_bezout_cleared(qt)`` and qt_z, or None unless the products give
+    sigma qt + tau qt_z = w != 0: that identity alone makes qt square-free
+    and the reduction exact, whatever gcd found the cofactors."""
+    sigma, tau, w = _bezout_cleared(qt)
+    qtz = qt.deriv("y")
+    if w.is_zero() or sigma * qt + tau * qtz != BiPoly((w,)):
+        return None
+    return sigma, tau, w, qtz
 
 
 def _monic_transform(q: BiPoly, top: int = 0):
@@ -270,10 +282,6 @@ def build_hermite(p: BiPoly, q: BiPoly) -> HermiteInstance:
         raise ValueError("deg_y p must be smaller than deg_y q")
     if not p.degree_x <= dx:
         raise ValueError("deg_x p must not exceed deg_x q")
-    if not squarefree_y(q):
-        raise ValueError("q must be square-free with respect to y")
-    if not bipoly_coprime(p, q):
-        raise ValueError("p and q must be coprime")
 
     qy = q.deriv("y")
     qx = q.deriv("x")
@@ -294,7 +302,12 @@ def build_hermite(p: BiPoly, q: BiPoly) -> HermiteInstance:
     X = PolyMatrix(dy, rows, [Poly.one() if c == dy + i else Poly()
                               for i in range(dy) for c in range(rows)])
     W = PolyMatrix.zeros(dy, dy)
-    real = Realisation(W, X, M, Y)
+    try:
+        real = Realisation(W, X, M, Y)
+    except SingularRealisation:
+        raise ValueError("q must be square-free with respect to y") from None
+    if not bipoly_coprime(p, q):
+        raise ValueError("p and q must be coprime")
     if real.delta_degree > 2 * dx * dy:
         raise AssertionError("det M exceeds the 2*dx*dy degree bound")
     a = tuple(p.ycoeff(j) for j in range(dy))
@@ -329,56 +342,74 @@ def _applied_terms(inst: HermiteInstance, L: OrePoly):
 
         L(f) = sum eta_i f_i / q^(i+1)  with  d^i f/dx^i = f_i / q^(i+1),
 
-    or None when a coefficient of L is not a polynomial."""
-    terms = []
-    for i, (fi, power) in enumerate(_x_derivative_numerators(inst, L.order)):
-        c = L.coeff(i)
-        if not c.is_poly():
-            return None
-        terms.append((c.num, fi, power))
-    return terms
+    for L with polynomial coefficients eta_i."""
+    return [(L.coeff(i).num, fi, power) for i, (fi, power)
+            in enumerate(_x_derivative_numerators(inst, L.order))]
 
 
 def _applied_numerator(inst: HermiteInstance, L: OrePoly):
     """The numerator N = sum eta_i f_i q^(rho - i) of L(f) = N / q^(rho+1),
-    rho = order of L (see ``_applied_terms``); None when a coefficient of
-    L is not a polynomial."""
-    terms = _applied_terms(inst, L)
-    if terms is None:
-        return None
+    rho = order of L (see ``_applied_terms``)."""
     num = BiPoly.zero()
-    for c, fi, _ in terms:
+    for c, fi, _ in _applied_terms(inst, L):
         # Horner in q: term i ends up multiplied by q^(rho - i)
         num = num * inst.q + fi * c
     return num
 
 
+def _dx_relation(L: OrePoly):
+    """The coefficients of L as a ``Relation``, or None unless L is a
+    nonzero operator in Dx with polynomial coefficients."""
+    if (L.is_zero() or L.generator != GEN_DX
+            or not all(c.is_poly() for c in L.coeffs)):
+        return None
+    return Relation(L.order, tuple(c.num for c in L.coeffs))
+
+
+def _telescoping_map(q: BiPoly):
+    """The matrix of T: a |-> herm(-q_x a / q^2) on the basis 1, ...,
+    y^(dy-1), or None when the Bezout identity of q~ fails to check.
+
+    Column j is herm(N/q^2), N = -y^j q_x.  With t = 2 dy - 1, N/q^2 at
+    y = z/l is N~/(l q~^2), N~ = l^t N(z/l) = hi q~ + lo, and one cascade
+    step of ``hermite_reduce`` (k = 2) leaves a/(w q~), so the remainder
+    is a(l y)/(w l^dy).  The columns share q~ and the Bezout identity."""
+    dy, t = q.degree_y, 2 * q.degree_y - 1
+    qt, pw = _monic_transform(q, t)
+    bez = _checked_bezout(qt)
+    if bez is None:
+        return None
+    sigma, tau, w, qtz = bez
+    qx, cols = -q.deriv("x"), []
+    for j in range(dy):
+        hi, lo = _divmod_monic(
+            BiPoly(_scale_y(_yshift(qx, j).ycoeffs, pw, t)), qt)
+        v, u = _divmod_monic(lo * tau, qt)
+        cols.append(hi * w + lo * sigma + v * qtz + u.deriv("y"))
+    return RatMatrix(dy, dy, [RatFun(cols[j].ycoeff(i), w * pw[dy - i])
+                              for i in range(dy) for j in range(dy)])
+
+
 def verify_telescoper(inst: HermiteInstance, L: OrePoly) -> bool:
-    """Check herm(L(f)) = 0 with a single Hermite reduction of
-    L(f) = sum eta_i f_i / q^(i+1) (see ``_applied_terms``).
-
-    The check is exact: for q square-free in y, the remainder r of
-    g = d/dy(h) + r/q with deg_y r < deg_y q is unique, and r = 0 exactly
-    when g is the y-derivative of a rational function.
-
-    It shares no code with the solver: the x-derivatives of f are
-    recomputed from p and q, never from the matrix T, the realisation or
-    ``solve_min_relation``.
+    """Check herm(L(f)) = 0 as the relation of L's coefficients for
+    (d/dx + T, p), with T from ``_telescoping_map`` and the relation
+    decided by ``verify_relation``.  Since herm(d/dx g) =
+    herm(d/dx herm(g)), herm(L(f)) = sum eta_i theta^i(p), and for q
+    square-free in y it is 0 exactly when L(f) is a y-derivative.  It
+    shares no code with the solver: T comes from q alone, with its Bezout
+    identity checked by products, never from the instance's map.
     """
-    if L.is_zero() or L.generator != GEN_DX:
-        return False
-    terms = _applied_terms(inst, L)
-    if terms is None:
-        return False
-    rb, _, _ = _reduce_terms(terms, Poly.one(), inst.q, False)
-    return rb.is_zero()
+    rel = _dx_relation(L)
+    T = None if rel is None else _telescoping_map(inst.q)
+    return T is not None and verify_relation(
+        PseudoLinearMap(T), [inst.p.ycoeff(j) for j in range(inst.dy)], rel)
 
 
 def certificate_matches(inst: HermiteInstance, L: OrePoly, cert) -> bool:
     """Exact check of L(f) = d/dy(h) for a telescoper certificate."""
-    lhs = _applied_numerator(inst, L)
-    if lhs is None:
+    if _dx_relation(L) is None:
         return False
+    lhs = _applied_numerator(inst, L)
     H, D, J = certificate_fraction(cert, inst.q)
     q = inst.q
     qy = q.deriv("y")

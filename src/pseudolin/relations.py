@@ -140,6 +140,10 @@ class Relation:
         return max(self.degrees())
 
 
+class SingularRealisation(ValueError):
+    """M of a realisation (W, X, M, Y) is singular."""
+
+
 @dataclass(frozen=True)
 class Realisation:
     """Quadruple (W, X, M, Y) with T = W + X M^-1 Y and Delta = det M.
@@ -172,7 +176,7 @@ class Realisation:
                               for i in range(m)])
         D, Z = _bareiss(rows, m)
         if not D:
-            raise ValueError("singular M in realisation")
+            raise SingularRealisation("singular M in realisation")
         object.__setattr__(self, "delta", Poly.from_z(D, scale))
         s, xw = zclear(self.X.entries + self.W.entries)
         X, W = xw[:n * m], xw[n * m:]

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from pseudolin import relations
 from pseudolin.bipoly import BiPoly, resultant_y
 from pseudolin.instances.algebraic import (algebraic_bound_report,
                                            bound_algebraic, build_algebraic,
-                                           cockle_iterates,
                                            empirical_curve_algebraic,
                                            resolvent, verify_resolvent)
 from pseudolin.ore import OrePoly
@@ -15,8 +15,7 @@ from pseudolin.poly import Poly
 from pseudolin.randgen import rand_algebraic_input
 from pseudolin.ratfun import RatFun
 
-from _oracle import (cockle_iterates_frac, ore_apply, realisation_map,
-                     verify_resolvent_frac)
+from _oracle import ore_apply, realisation_map, verify_resolvent_frac
 from test_hermite import _lc_with_square
 
 x = Poly.x()
@@ -36,13 +35,20 @@ def test_build_example():
     assert T == realisation_map(real.W, real.X, real.M, real.Y)
 
 
-def test_build_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+def test_build_rejects_bad_inputs(monkeypatch):
+    with pytest.raises(ValueError, match="^P must be square-free"):
         build_algebraic(BiPoly([one, Poly([-2]), one]))  # (y-1)^2
-    with pytest.raises(ValueError):
-        build_algebraic(BiPoly([x]))                     # no y
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^P must involve y"):
+        build_algebraic(BiPoly([x]))
+    with pytest.raises(ValueError, match="^P must be nonzero"):
         build_algebraic(BiPoly())
+
+    # only a singular M means "not square-free"
+    def broken(rows, m):
+        raise ValueError("inexact zpoly division")
+    monkeypatch.setattr(relations, "_bareiss", broken)
+    with pytest.raises(ValueError, match="^inexact zpoly division"):
+        build_algebraic(P_SQRT)
 
 
 def test_resolvent_examples():
@@ -65,17 +71,6 @@ def test_resolvent_examples():
 def test_resolvent_zero_root_degenerate():
     inst = build_algebraic(BiPoly([Poly(), x]))          # x*y
     assert resolvent(inst) == OrePoly([1])
-
-
-def test_cockle_iterates_match_roots():
-    inst = build_algebraic(P_SQRT)
-    ds = [[RatFun(c, d) for c in C.ycoeffs]
-          for C, d in cockle_iterates(inst, 3)]
-    # D_0 = y, D_1 = y/(2x) (since alpha' = 1/(2 alpha) = alpha/(2x))
-    assert ds[0] == [RatFun(0), RatFun(1)]
-    assert ds[1] == [RatFun(0), RatFun(1, 2 * x)]
-    # D_2 = D_1' - D_1_y * P_x/P_y = -y/(2x^2) + y/(4x^2) = -y/(4x^2)
-    assert ds[2] == [RatFun(0), RatFun(-1, 4 * x * x)]
 
 
 def test_genericity_gates_strict_properness():
@@ -123,9 +118,9 @@ def _coefficient_mutants(L):
 
 
 def test_verify_resolvent_matches_fraction_recursion():
-    """The recursion in z = lc_y(P) y over one fixed denominator gives the
-    same derivatives D_i as the reduced-fraction recursion on P, and
-    ``verify_resolvent`` the same verdict on L and on every mutant."""
+    """``verify_resolvent``, on its map in the basis z^j / lc_y(P), gives
+    the same verdict on L and on every mutant as the reduced-fraction
+    recursion on P."""
     rng = random.Random(72)
     cases = [BiPoly([Poly(), x]),                          # x*y
              BiPoly([Poly(), one]),                        # y
@@ -140,11 +135,6 @@ def test_verify_resolvent_matches_fraction_recursion():
     for P in cases:
         inst = build_algebraic(P)
         L = resolvent(inst)
-        got = [[RatFun(c, d) for c in C.ycoeffs]
-               for C, d in cockle_iterates(inst, L.order + 2)]
-        want = [[RatFun(c, d) for c in C.ycoeffs]
-                for C, d in cockle_iterates_frac(P, L.order + 2)]
-        assert got == want
         assert verify_resolvent(inst, L) and verify_resolvent_frac(P, L)
         for m in _coefficient_mutants(L):
             ok = verify_resolvent(inst, m)

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from pseudolin import relations
 from pseudolin.bipoly import BiPoly, resultant_y, squarefree_y
 from pseudolin.exprparse import parse
 from pseudolin.instances.hermite import (_bezout_cleared,
+                                         _telescoping_map,
                                          _x_derivative_numerators,
                                          bound_hermite,
                                          build_hermite,
@@ -168,13 +170,42 @@ def test_build_example_matrix():
     assert T == realisation_map(real.W, real.X, real.M, real.Y)
 
 
-def test_build_validates_inputs():
-    with pytest.raises(ValueError):
-        build_hermite(BiPoly([one, one, one]), Q_SHIFTED)  # deg_y p too big
-    with pytest.raises(ValueError):
-        build_hermite(P_ONE, BiPoly([one, Poly([-2]), one]))  # not sqfree
-    with pytest.raises(ValueError):
+def test_build_validates_inputs(monkeypatch):
+    with pytest.raises(ValueError, match="^deg_y p must be smaller"):
+        build_hermite(BiPoly([one, one, one]), Q_SHIFTED)
+    # a singular M is the square-free refusal, also for p = y - 1, which
+    # is not coprime to q = (y - 1)^2 either
+    sq = BiPoly([one, Poly([-2]), one])
+    for p in (P_ONE, BiPoly([-one, one])):
+        with pytest.raises(ValueError, match="^q must be square-free"):
+            build_hermite(p, sq)
+    with pytest.raises(ValueError, match="^q must be square-free"):
         build_hermite(BiPoly([Poly(), one]), BiPoly([Poly(), Poly(), one]))
+    with pytest.raises(ValueError, match="^p and q must be coprime"):
+        build_hermite(BiPoly([x, one]), BiPoly([Poly(), x, one]))
+
+    # any other error of the elimination passes through
+    def broken(rows, m):
+        raise ValueError("inexact zpoly division")
+    monkeypatch.setattr(relations, "_bareiss", broken)
+    with pytest.raises(ValueError, match="^inexact zpoly division"):
+        build_hermite(P_ONE, Q_SHIFTED)
+
+
+def test_verifier_map_is_the_instance_map():
+    """The verifier's T, from q~ and one checked Bezout identity, equals
+    the realisation's map exactly: dy = 1, generic and non-generic q, a
+    q free of x and lc_y(q) with a repeated factor."""
+    rng = random.Random(68)
+    qs = [Q_SHIFTED, BiPoly([Poly([-2]), Poly(), one])]     # y^2 - 2
+    for dx, dy in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3)):
+        for generic in (True, False):
+            qs.append(rand_hermite_input(rng, dx, dy, generic)[1])
+    qs += [_lc_with_square(rng, dx, dy)
+           for dx, dy in ((1, 1), (1, 2), (2, 2), (1, 3))]
+    assert sum(genericity_check(q) for q in qs) < len(qs) - 4
+    for q in qs:
+        assert _telescoping_map(q) == build_hermite(P_ONE, q).map.T
 
 
 def test_telescoper_examples():

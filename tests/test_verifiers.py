@@ -28,6 +28,8 @@ import pytest
 
 from pseudolin import _kernel as zk
 from pseudolin import ore
+from pseudolin.bipoly import BiPoly
+from pseudolin.instances import hermite
 from pseudolin.instances import (build_algebraic, build_hermite, build_lclm,
                                  build_symprod, lclm, resolvent, symprod,
                                  telescoper, verify_lclm, verify_resolvent,
@@ -223,6 +225,61 @@ def test_resolvent_mutants_with_scaled_coefficient_rejected():
             assert not verify_resolvent(inst, scaled_mutant(L, rng, unit))
             checked += 1
     assert checked >= 12
+
+
+def _bezout_mutant_sets():
+    """(verify, inst, L, mutants) for the telescopers and resolvents of the
+    mutant shapes (seed 28), with the three mutants and, where L has a
+    nonzero lower coefficient, one scaled by x."""
+    rng = random.Random(28)
+    sets = []
+    for dx, dy in TELESCOPER_MUTANT_SHAPES:
+        inst = build_hermite(*rand_hermite_input(rng, dx, dy, generic=True))
+        sets.append((verify_telescoper, inst, telescoper(inst)[0]))
+    for dx, dy in RESOLVENT_MUTANT_SHAPES:
+        inst = build_algebraic(rand_algebraic_input(rng, dx, dy,
+                                                    generic=True))
+        sets.append((verify_resolvent, inst, resolvent(inst)))
+    out = []
+    for verify, inst, L in sets:
+        mutants = operator_mutants(L)
+        if any(not L.coeff(j).is_zero() for j in range(L.order)):
+            mutants.append(scaled_mutant(L, rng, RatFun.x()))
+        out.append((verify, inst, L, mutants))
+    return out
+
+
+# (sigma, tau, w) -> faulty Bezout data of q~: the first three break
+# sigma q~ + tau q~_z = w, "zero" keeps it with w = 0, and the last two
+# are other true identities, which must give the same verdicts
+BEZOUT_FAULTS = {
+    "shifted-sigma": lambda q, s, t, w: (s + BiPoly.one(), t, w),
+    "shifted-tau": lambda q, s, t, w: (s, t + BiPoly.one(), w),
+    "doubled-w": lambda q, s, t, w: (s, t, w * 2),
+    "zero": lambda q, s, t, w: (BiPoly.zero(), BiPoly.zero(), Poly()),
+    "other-cofactors": lambda q, s, t, w: (s + q.deriv("y"), t - q, w),
+    "scaled-by-x": lambda q, s, t, w: (s * X, t * X, w * X),
+}
+
+
+@pytest.mark.parametrize("fault", list(BEZOUT_FAULTS))
+def test_faulty_bezout_data_accepts_no_mutant(monkeypatch, fault):
+    """The telescoper and resolvent verifiers check the Bezout identity
+    of q~ by products: with faulty cofactors from ``_bezout_cleared``
+    they answer False, and with other true cofactors they keep their
+    verdicts.  No mutant is accepted either way."""
+    sets = _bezout_mutant_sets()
+    cleared = hermite._bezout_cleared
+    monkeypatch.setattr(hermite, "_bezout_cleared",
+                        lambda q: BEZOUT_FAULTS[fault](q, *cleared(q)))
+    holds = fault in ("other-cofactors", "scaled-by-x")
+    checked = 0
+    for verify, inst, L, mutants in sets:
+        assert verify(inst, L) is holds
+        for m in mutants:
+            assert not verify(inst, m)
+            checked += 1
+    assert checked >= 45
 
 
 def _lclm_mutant_sets():

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from pseudolin.bipoly import BiPoly
-from pseudolin.linalg import PolyMatrix, RatMatrix
+from pseudolin.linalg import PolyMatrix
 from pseudolin.ore import GEN_DX, OrePoly, normalize_primitive
-from pseudolin.poly import Poly
+from pseudolin.poly import Poly, zclear
 from pseudolin.ratfun import RatFun
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  SingularRealisation,
@@ -107,10 +107,10 @@ def resolvent(inst: AlgebraicInstance) -> OrePoly:
 
 
 def _resolvent_map(P: BiPoly):
-    """(T, a) with d/dx on Q(x)[y]/(P) as theta = d/dx + T in the basis
-    z^j / l and a the coordinates of the root y = z / l (module
-    docstring), or None when the Bezout identity of P~ fails to check.
-    a is z mod P~: e_1 when dy >= 2, but not for dy = 1."""
+    """(theta, a) with d/dx on Q(x)[y]/(P) as theta = d/dx + T in the
+    basis z^j / l, a cleared pair over l w, and a the coordinates of the
+    root y = z / l (module docstring), or None when the Bezout identity
+    of P~ fails to check.  a is z mod P~: e_1 when dy >= 2, not dy = 1."""
     dy, lc = P.degree_y, P.lc_y
     qt, _ = _monic_transform(P)
     bez = _checked_bezout(qt)
@@ -118,15 +118,17 @@ def _resolvent_map(P: BiPoly):
         return None
     _, tau, w, _ = bez
     _, R = _divmod_monic(-(qt.deriv("x") * tau), qt)
-    lw, dlw = lc * w, lc.derivative() * w
+    dlw = lc.derivative() * w
     cols = []
     for j in range(dy):
         if j > 1:                     # R = z^(j-1) S mod P~
             _, R = _divmod_monic(_yshift(R, 1), qt)
         cols.append(R * (lc * j) - _yshift(BiPoly((dlw,)), j))
+    _, zs = zclear([lc * w] + [cols[j].ycoeff(i)
+                               for i in range(dy) for j in range(dy)])
     _, z = _divmod_monic(BiPoly.y(), qt)
-    return (RatMatrix(dy, dy, [RatFun(cols[j].ycoeff(i), lw)
-                               for i in range(dy) for j in range(dy)]),
+    return (PseudoLinearMap.from_cleared(
+                zs[0], [zs[1 + i * dy:1 + (i + 1) * dy] for i in range(dy)]),
             [z.ycoeff(i) for i in range(dy)])
 
 
@@ -134,13 +136,12 @@ def verify_resolvent(inst: AlgebraicInstance, L: OrePoly) -> bool:
     """Check sum eta_i y^(i) = 0 in Q(x)[y]/(P) for the root y: theta^i(a)
     holds the coordinates of y^(i), so ``verify_relation`` on the map of
     ``_resolvent_map`` decides it exactly.  The Bezout identity behind S
-    is checked by products.  It shares no code with the solver (no
-    instance map, realisation or ``solve_min_relation``).
+    is checked by products.  Past the map, built from P alone, it shares
+    with the solver only ``PseudoLinearMap.cleared`` and ring products.
     """
     rel = _dx_relation(L)
-    Ta = None if rel is None else _resolvent_map(inst.P)
-    return Ta is not None and verify_relation(
-        PseudoLinearMap(Ta[0]), Ta[1], rel)
+    got = None if rel is None else _resolvent_map(inst.P)
+    return got is not None and verify_relation(*got, rel)
 
 
 def bound_algebraic(r: int, dx: int, dy: int) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from pseudolin.bipoly import BiPoly, bipoly_coprime, bipoly_ext_prs
-from pseudolin.linalg import PolyMatrix, RatMatrix
+from pseudolin.linalg import PolyMatrix
 from pseudolin.ore import GEN_DX, OrePoly
 from pseudolin.poly import Poly, poly_gcd, poly_lcm, zclear, zvec_content
 from pseudolin.ratfun import RatFun
@@ -367,13 +367,14 @@ def _dx_relation(L: OrePoly):
 
 
 def _telescoping_map(q: BiPoly):
-    """The matrix of T: a |-> herm(-q_x a / q^2) on the basis 1, ...,
+    """The map of T: a |-> herm(-q_x a / q^2) on the basis 1, ...,
     y^(dy-1), or None when the Bezout identity of q~ fails to check.
 
     Column j is herm(N/q^2), N = -y^j q_x.  With t = 2 dy - 1, N/q^2 at
     y = z/l is N~/(l q~^2), N~ = l^t N(z/l) = hi q~ + lo, and one cascade
     step of ``hermite_reduce`` (k = 2) leaves a/(w q~), so the remainder
-    is a(l y)/(w l^dy).  The columns share q~ and the Bezout identity."""
+    is a(l y)/(w l^dy).  The columns share q~, the Bezout identity and
+    the denominator w l^dy, so the map is built as a cleared pair."""
     dy, t = q.degree_y, 2 * q.degree_y - 1
     qt, pw = _monic_transform(q, t)
     bez = _checked_bezout(qt)
@@ -386,23 +387,26 @@ def _telescoping_map(q: BiPoly):
             BiPoly(_scale_y(_yshift(qx, j).ycoeffs, pw, t)), qt)
         v, u = _divmod_monic(lo * tau, qt)
         cols.append(hi * w + lo * sigma + v * qtz + u.deriv("y"))
-    return RatMatrix(dy, dy, [RatFun(cols[j].ycoeff(i), w * pw[dy - i])
-                              for i in range(dy) for j in range(dy)])
+    _, zs = zclear([w * pw[dy]] + [cols[j].ycoeff(i) * pw[i]
+                                   for i in range(dy) for j in range(dy)])
+    return PseudoLinearMap.from_cleared(
+        zs[0], [zs[1 + i * dy:1 + (i + 1) * dy] for i in range(dy)])
 
 
 def verify_telescoper(inst: HermiteInstance, L: OrePoly) -> bool:
     """Check herm(L(f)) = 0 as the relation of L's coefficients for
-    (d/dx + T, p), with T from ``_telescoping_map`` and the relation
+    (d/dx + T, p), with the map of ``_telescoping_map`` and the relation
     decided by ``verify_relation``.  Since herm(d/dx g) =
     herm(d/dx herm(g)), herm(L(f)) = sum eta_i theta^i(p), and for q
-    square-free in y it is 0 exactly when L(f) is a y-derivative.  It
-    shares no code with the solver: T comes from q alone, with its Bezout
-    identity checked by products, never from the instance's map.
+    square-free in y it is 0 exactly when L(f) is a y-derivative.  The
+    map comes from q alone, with its Bezout identity checked by products,
+    never from the instance's map; past that, it shares with the solver
+    only ``PseudoLinearMap.cleared`` and the kernel's ring products.
     """
     rel = _dx_relation(L)
-    T = None if rel is None else _telescoping_map(inst.q)
-    return T is not None and verify_relation(
-        PseudoLinearMap(T), [inst.p.ycoeff(j) for j in range(inst.dy)], rel)
+    pmap = None if rel is None else _telescoping_map(inst.q)
+    return pmap is not None and verify_relation(
+        pmap, [inst.p.ycoeff(j) for j in range(inst.dy)], rel)
 
 
 def certificate_matches(inst: HermiteInstance, L: OrePoly, cert) -> bool:

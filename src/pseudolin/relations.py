@@ -7,7 +7,7 @@ iterates a, theta(a), theta^2(a), ...  where theta(v) = v' + T v.
 The solver runs on the cleared pair (den, N = den*T) in Z[x], never on T.
 A map made from a realisation T = W + X M^-1 Y carries that pair from the
 realisation's single fraction-free elimination of [M | Y]; a map made from
-T is cleared when it is solved (``ratfun.zclear_ratfuns``).  The rational
+T is cleared when it is read (``PseudoLinearMap.cleared``).  The rational
 iterates are never formed, here or in ``krylov_matrix``: with a cleared
 to b_0 = sa*a by one integer scale sa, the iterates satisfy
 
@@ -56,17 +56,17 @@ from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, _bareiss,
                               _zrows, det_denominator)
 from pseudolin.poly import NEG_INF, Poly, poly_divides, zclear, zvec_content
-from pseudolin.ratfun import RatFun, common_denominator, zclear_ratfuns
+from pseudolin.ratfun import RatFun, zclear_ratfuns
 
 
 class PseudoLinearMap:
     """theta = d/dx + T for a square T over Q(x).
 
     A map is made either from T or, by ``from_cleared``, from a cleared
-    pair (den, N) with T = N/den, which is how a realisation hands over its
-    map.  Each form is derived from the other only when it is read:
-    ``cleared()`` clears a map made from T on every call, and T of a map
-    made from the pair is built on first access.
+    pair (den, N) with T = N/den.  ``cleared()`` is the one Z[x] form of a
+    map, which every reader takes.  Each form is derived from the other
+    only when it is read: ``cleared()`` clears a map made from T on every
+    call, and T of a map made from the pair is built on first access.
     """
 
     __slots__ = ("_T", "_cleared")
@@ -80,7 +80,8 @@ class PseudoLinearMap:
     @classmethod
     def from_cleared(cls, den_z, N_z) -> PseudoLinearMap:
         """The map T = N/den for integer zpolys den != 0 and N (n rows of n
-        entries), given as ``cleared()`` returns them."""
+        entries): any such pair, with a common content or a negative lead
+        too; ``cleared()`` returns it as given."""
         pmap = object.__new__(cls)
         object.__setattr__(pmap, "_T", None)
         object.__setattr__(pmap, "_cleared", (den_z, N_z))
@@ -104,10 +105,9 @@ class PseudoLinearMap:
         return self._T
 
     def cleared(self):
-        """Integer-cleared (den, N = den*T) pair driving the b_i recurrence:
-        den has a positive leading coefficient and (den, N) no common
-        content in Z[x], so den is the least common denominator of T up to
-        an integer.  For a map made from T this clears T on each call."""
+        """The integer pair (den, N = den*T), N as n rows: as given to
+        ``from_cleared``, or T cleared on each call by ``zclear_ratfuns``,
+        which gives den a positive lead and (den, N) no common content."""
         if self._cleared is not None:
             return self._cleared
         n = self.n
@@ -201,11 +201,13 @@ class Realisation:
 
 
 def trivial_realisation(pmap: PseudoLinearMap) -> Realisation:
-    """T = (den*T)(den*I)^(-1) for den the monic lcm of the denominators;
-    its Delta is den^n."""
+    """T = (den*T)(den*I)^(-1) for den the cleared denominator of T made
+    monic (``cleared()``); its Delta is den^n."""
     n = pmap.n
-    den = common_denominator(pmap.T.entries)
-    X = PolyMatrix(n, n, [(e * den).num for e in pmap.T.entries])
+    den_z, N_z = pmap.cleared()
+    lead = den_z[-1]
+    den = Poly.from_z(den_z, lead)
+    X = PolyMatrix(n, n, [Poly.from_z(z, lead) for row in N_z for z in row])
     W = PolyMatrix.zeros(n, n)
     M = PolyMatrix(n, n, [den if i == j else Poly()
                           for i in range(n) for j in range(n)])
@@ -359,9 +361,8 @@ def verify_relation(pmap: PseudoLinearMap, a, rel: Relation) -> bool:
     """Check sum eta_i theta^i(a) = 0 exactly, in Z[x] over one fixed
     denominator.
 
-    With den the monic common denominator of T, one joint scale s makes
-    D = s*den and N = s*den*T integer.  Starting from c_0 = a cleared to
-    integers, the recurrence
+    With (D, N) = ``pmap.cleared()`` and c_0 = a cleared to integers, the
+    recurrence
 
         c_{i+1} = D c_i' - i D' c_i + N c_i
 
@@ -371,23 +372,16 @@ def verify_relation(pmap: PseudoLinearMap, a, rel: Relation) -> bool:
     factor sa * se * D^rho.  Each step is one matrix product, and so is the
     sum; all are exact ring operations in Z[x], so the check is exact.
 
-    It shares with the solver only the kernel's ring products,
-    ``zmat_mul`` and ``zp_mul``: it clears T itself, with
-    ``common_denominator`` and ``poly.zclear``, instead of calling
-    ``PseudoLinearMap.cleared`` or ``ratfun.zclear_ratfuns``, never calls
-    ``_iterate_step``, and does no elimination (no ``GaussTracker`` or
-    ``linalg``) and no content strip.
+    Past ``cleared()`` it shares with the solver only ``zmat_mul`` and
+    ``zp_mul``: no ``_iterate_step``, elimination or content strip.  Its
+    independence is in the map, which the other verifiers build themselves.
     """
     n = pmap.n
     a = [c if isinstance(c, Poly) else Poly.const(c) for c in a]
     if len(a) != n:
         raise ValueError("vector dimension mismatch")
-    entries = pmap.T.entries
-    den = common_denominator(entries)
-    _, cleared = zclear([den] + [e.num * den.exact_div(e.den)
-                                 for e in entries])
-    D, Dp = cleared[0], zk.zp_deriv(cleared[0])
-    N = [cleared[1 + j * n:1 + (j + 1) * n] for j in range(n)]
+    D, N = pmap.cleared()
+    Dp = zk.zp_deriv(D)
     C, Dpow = [zclear(a)[1]], [[1]]
     for i in range(1, rel.rho + 1):
         # c <- [N - (i - 1) D' I | D I] [c; c']

@@ -1,16 +1,17 @@
-"""No unused imports and no dead private names in the package.
+"""No unused imports and no dead private names in the package or the
+tests.
 
-An ``ast`` scan of every module under ``src/pseudolin``: a name bound by
-an import must be read somewhere in the module (as a name, including the
-base of an attribute access) or be listed in the module's ``__all__``.
-``_kernel/__init__.py`` is exempt, since it imports the core's kernels
-only to re-export them.
+An ``ast`` scan of every module under ``src/pseudolin`` and of every
+module in ``tests``: a name bound by an import must be read somewhere in
+the module (as a name, including the base of an attribute access) or be
+listed in the module's ``__all__``.  ``_kernel/__init__.py`` is exempt,
+since it imports the core's kernels only to re-export them.
 
 A private name (one leading underscore) bound at module level must be
-referenced somewhere in the package outside the statement that binds it:
-read as a name, as an attribute or imported by name.  A helper that lost
-its last caller fails the scan instead of living on beside the code that
-replaced it.
+referenced somewhere in its tree -- the package, or the tests -- outside
+the statement that binds it: read as a name, as an attribute or imported
+by name.  A helper that lost its last caller fails the scan instead of
+living on beside the code that replaced it.
 """
 
 import ast
@@ -22,6 +23,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pseudolin"
 EXEMPT = {Path("_kernel", "__init__.py")}
 ALL_MODULES = sorted(p.relative_to(PACKAGE) for p in PACKAGE.rglob("*.py"))
 MODULES = [m for m in ALL_MODULES if m not in EXEMPT]
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -47,9 +50,11 @@ def unused_imports(source: str) -> list:
                   if name not in used and name not in exported)
 
 
-@pytest.mark.parametrize("module", MODULES, ids=str)
-def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+@pytest.mark.parametrize(
+    "path", [PACKAGE / m for m in MODULES] + TEST_MODULES,
+    ids=[str(m) for m in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
 
 
 def test_the_scan_finds_an_unused_import():
@@ -103,6 +108,8 @@ def dead_private_names(sources: dict) -> list:
 def test_no_dead_private_names():
     sources = {str(m): (PACKAGE / m).read_text() for m in ALL_MODULES}
     assert dead_private_names(sources) == []
+    tests = {f"tests/{p.name}": p.read_text() for p in TEST_MODULES}
+    assert dead_private_names(tests) == []
 
 
 def test_the_scan_finds_a_dead_private_name():

@@ -25,6 +25,7 @@ from pseudolin.randgen import (rand_map, rand_operator,
                                rand_strictly_proper_map, rand_vector)
 from _oracle import (oracle_min_relation, solve_min_relation_plain,
                      theta_apply, theta_iterates)
+from test_verifiers import POLY_UNITS, relation_mutants, scaled_relation
 
 x = Poly.x()
 one = Poly.one()
@@ -389,6 +390,37 @@ def test_verify_relation():
     assert not verify_relation(M_1OVERX, [one], broken)
     too_short = Relation(0, (one,))
     assert not verify_relation(M_1OVERX, [one], too_short)
+
+
+def test_from_cleared_takes_any_pair():
+    """``from_cleared`` takes any pair (den, N) with N/den = T: scaled by a
+    nonconstant g with a negative lead, the pair of a relation_mix-shaped
+    map gives the same relation and the same verdicts, on the relation and
+    on its mutants, and ``cleared()`` returns it as given."""
+    rng = random.Random(90)
+    mutants = 0
+    for k in range(30):
+        n = 1 + k % 3
+        pmap = rand_map(rng, n, num_deg=2, den_deg=2)
+        a = rand_vector(rng, n, 2)
+        g = ([rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+             + [-rng.randint(1, 3)])
+        den_z, N_z = pmap.cleared()
+        pair = (zk.zp_mul(g, den_z),
+                [[zk.zp_mul(g, z) for z in row] for row in N_z])
+        scaled = PseudoLinearMap.from_cleared(*pair)
+        assert all(u is v for u, v in zip(scaled.cleared(), pair))
+        assert scaled.T == pmap.T
+        rel = solve_min_relation(pmap, a)
+        assert solve_min_relation(scaled, a) == rel
+        rels = [rel] + relation_mutants(rel)
+        if any(not e.is_zero() for e in rel.eta[:-1]):
+            rels.append(scaled_relation(rel, rng, rng.choice(POLY_UNITS)))
+        verdicts = [verify_relation(pmap, a, r) for r in rels]
+        assert verdicts == [verify_relation(scaled, a, r) for r in rels]
+        assert verdicts[0] and not any(verdicts[1:])
+        mutants += len(rels) - 1
+    assert mutants >= 80
 
 
 def test_minimality_via_rank():

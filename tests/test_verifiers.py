@@ -27,6 +27,7 @@ from fractions import Fraction
 import pytest
 
 from pseudolin import _kernel as zk
+from pseudolin._kernel import _zkernel_py as kernel
 from pseudolin import ore
 from pseudolin.bipoly import BiPoly
 from pseudolin.instances import hermite
@@ -400,6 +401,59 @@ def test_wrong_cofactors_accept_no_mutant(monkeypatch, wrong):
     # Dx^2 + x = (Dx + 1)(Dx - 1) + x + 1 is no multiple of Dx - 1; with
     # zero cofactors the remainder used to vanish, and the answer was True
     assert not is_right_multiple(OrePoly([X, 0, 1]), OrePoly([-1, 1]))
+
+
+def _divisor_fault(g, q, t):
+    """A proper divisor d of the content g of t, g/x when x divides g and
+    1 otherwise, with the quotients t/d, which multiply back."""
+    if g == [1]:
+        return g, q
+    if g[0] == 0:
+        return g[1:], [[0] + z if z else [] for z in q]
+    return [1], t
+
+
+def _wrong_fault(g, q, t):
+    """The wrong content (x + 1) g with the quotients t/g, which do not
+    multiply back; zero entries stay zero."""
+    return zk.zp_mul(g, [1, 1]), q
+
+
+@pytest.mark.parametrize("fault", [_divisor_fault, _wrong_fault],
+                         ids=["proper-divisor", "wrong-g"])
+def test_faulty_strip_accepts_no_mutant(monkeypatch, fault):
+    """With the solver's outputs computed first, a faulty content strip
+    (``_strip_packed``) cannot make a verifier accept a mutant: the
+    telescoper and resolvent verdicts rest on a Bezout identity checked by
+    products and on ``verify_relation``, which strips nothing, and right
+    division checks every step.  Every call answers False or raises."""
+    sets = ([(verify, inst, mutants)
+             for verify, inst, _, mutants in _bezout_mutant_sets()]
+            + [(verify_lclm, inst, mutants)
+               for inst, _, mutants in _lclm_mutant_sets()]
+            + [(verify_symprod, inst, mutants)
+               for inst, _, mutants in _symprod_mutant_sets()])
+    strip, calls = kernel._strip_packed, []
+
+    def faulty(vals, nb, vec):
+        calls.append(None)
+        got = strip(vals, nb, vec)
+        if got is None:
+            return None
+        t = vec if vec is not None else [kernel._digits(v, nb) if v else []
+                                         for v in vals]
+        return fault(*got, t)
+
+    monkeypatch.setattr(kernel, "_strip_packed", faulty)
+    checked = 0
+    for verify, inst, mutants in sets:
+        for m in mutants:
+            try:
+                assert verify(inst, m) is False
+            except (ValueError, ArithmeticError):
+                pass
+            checked += 1
+    assert checked >= 120 and calls
 
 
 def _rand_ratfun(rng, deg):

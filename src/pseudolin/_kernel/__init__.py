@@ -8,11 +8,12 @@ and the content strip of a vector runs on packed values too.  ``BACKEND``
 names the core for reports.
 """
 
-from pseudolin._kernel._zkernel_py import (zmat_mul, zp_add, zp_content,
-                                           zp_deriv, zp_divexact, zp_gcd,
-                                           zp_mul, zp_neg, zp_primitive,
-                                           zp_pseudorem, zp_scale, zp_sub,
-                                           zp_trim, zvec_cross_content,
+from pseudolin._kernel._zkernel_py import (zmat_mul, zmat_vec_content,
+                                           zp_add, zp_content, zp_deriv,
+                                           zp_divexact, zp_gcd, zp_mul,
+                                           zp_neg, zp_primitive, zp_pseudorem,
+                                           zp_scale, zp_sub, zp_trim,
+                                           zvec_cross_content,
                                            zvec_poly_content)
 
 BACKEND = "python"

@@ -17,16 +17,26 @@ There is one GCDHEU, ``_strip_packed``: the content of a whole vector
 from the integer gcd of its values at one point, certified by one integer
 division per entry, whose quotients are the stripped entries.
 ``zvec_poly_content`` packs a vector, ``zvec_cross_content`` forms
-lead*v - head*w from packed operands, so that elimination never unpacks a
-vector before it is stripped, and ``zp_gcd`` is the two-entry case.
-``_strip`` widens the point when the certificate fails, and falls back to
-the primitive PRS after the last point.
+lead*v - head*w and ``zmat_vec_content`` a matrix-vector product from
+packed operands, so that elimination and the solver's iterates are never
+unpacked before they are stripped, and ``zp_gcd`` is the two-entry case.
+``_strip`` widens the point when the certificate fails (``_wider_nb``),
+and falls back to the primitive PRS after the last point.
+
+Every point is 2^(8*nb) for a byte width nb, and a width of at most 8
+bytes is rounded up to 1, 2, 4 or 8 (``_width``).  At those widths a
+coefficient list is converted to and from one integer by a single
+``struct.pack``/``struct.unpack`` of two's-complement fields and one XOR
+with the bias pattern 2^(8*nb-1) per field (``_pack``, ``_unpack``); a
+wider digit goes through ``int.to_bytes``/``int.from_bytes`` on its own,
+with the same XOR, so no bias is added or subtracted per digit.
 
 All functions treat their arguments as read-only and return fresh lists,
 except that a content strip that finds no content returns the vector it
 was given.
 """
 
+import struct
 from math import gcd
 
 
@@ -71,21 +81,60 @@ def zp_scale(a, k):
 _KRONECKER_MIN_LEN = 8
 
 
+def _width(nb):
+    """The byte width the kernel packs at for a least width nb: nb rounded
+    up to 1, 2, 4 or 8 when it is at most 8, so that ``_pack`` and
+    ``_unpack`` convert with one ``struct`` call; nb itself above 8."""
+    return nb if nb > 8 else 1 << (nb - 1).bit_length()
+
+
+# struct codes of the widths that ``_width`` gives up to 8 bytes
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _bias(n, nb):
+    """The pattern top = sum_i 2^(k-1) * 2^(k*i), i < n, for k = 8*nb."""
+    return int.from_bytes((b"\x00" * (nb - 1) + b"\x80") * n, "little")
+
+
 def _pack(a, nb):
-    """a(2^(8*nb)) as one int; needs |a_i| < 2^(8*nb - 1)."""
-    bias = 1 << ((nb << 3) - 1)
-    raw = b"".join([(c + bias).to_bytes(nb, "little") for c in a])
-    top = (b"\x00" * (nb - 1) + b"\x80") * len(a)
-    return int.from_bytes(raw, "little") - int.from_bytes(top, "little")
+    """a(2^(8*nb)) as one int; needs -2^(8*nb-1) <= a_i < 2^(8*nb-1).
+
+    Each a_i is written as its k-bit two's-complement field, k = 8*nb:
+    one ``struct.pack`` at 1, 2, 4 or 8 bytes, one ``to_bytes`` per
+    coefficient at other widths.  Read as an int, the fields sum to
+    sum_i (a_i mod 2^k) 2^(k*i).  For -2^(k-1) <= c < 2^(k-1), the field
+    of c XOR'd with 2^(k-1) is c + 2^(k-1): for c >= 0 the field is c,
+    whose top bit is clear and is set; for c < 0 it is c + 2^k, whose top
+    bit is set and is cleared.  The fields stay in [0, 2^k) and XOR acts
+    on each field alone, so XOR with top (``_bias``) gives
+    sum_i (a_i + 2^(k-1)) 2^(k*i) = a(2^k) + top, and subtracting top
+    leaves a(2^k)."""
+    n = len(a)
+    code = _STRUCT_CODES.get(nb)
+    if code:
+        raw = struct.pack(f"<{n}{code}", *a)
+    else:
+        raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in a])
+    top = _bias(n, nb)
+    return (int.from_bytes(raw, "little") ^ top) - top
 
 
 def _unpack(v, n, nb):
     """The n balanced base-2^(8*nb) digits of v, each in [-2^(8*nb-1),
-    2^(8*nb-1)); v must have such an n-digit expansion."""
-    bias = 1 << ((nb << 3) - 1)
-    top = (b"\x00" * (nb - 1) + b"\x80") * n
-    raw = (v + int.from_bytes(top, "little")).to_bytes(n * nb, "little")
-    return [int.from_bytes(raw[i:i + nb], "little") - bias
+    2^(8*nb-1)); v must have such an n-digit expansion.
+
+    ``_pack`` run backwards: v + top has the fields d_i + 2^(k-1) in
+    [0, 2^k), and XOR with top turns each into the k-bit two's-complement
+    field of d_i, read back by one ``struct.unpack`` at 1, 2, 4 or 8 bytes
+    and by a signed ``from_bytes`` per digit at other widths."""
+    top = _bias(n, nb)
+    raw = ((v + top) ^ top).to_bytes(n * nb, "little")
+    code = _STRUCT_CODES.get(nb)
+    if code:
+        return list(struct.unpack(f"<{n}{code}", raw))
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i:i + nb], "little", signed=True)
             for i in range(0, n * nb, nb)]
 
 
@@ -103,7 +152,7 @@ def zp_mul(a, b):
         # every product coefficient is below min(la, lb)*|a|*|b| in size
         bits = (_maxabs(a).bit_length() + _maxabs(b).bit_length()
                 + min(la, lb).bit_length() + 1)
-        nb = (bits + 7) >> 3
+        nb = _width((bits + 7) >> 3)
         return _unpack(_pack(a, nb) * _pack(b, nb), la + lb - 1, nb)
     out = [0] * (la + lb - 1)
     for i, ca in enumerate(a):
@@ -154,7 +203,8 @@ def zmat_mul(A, B):
                + max(map(_maxabs, brow)).bit_length() + m.bit_length()
                for col, brow, m in ks)
     widest = max(_maxabs(e) for row in A + B for e in row if e)
-    nb = (max(bits + len(B).bit_length(), widest.bit_length()) + 8) >> 3
+    nb = _width((max(bits + len(B).bit_length(), widest.bit_length()) + 8)
+                >> 3)
     PB = [[_pack(b, nb) if b else 0 for b in row] for row in B]
     PA = [[(_pack(a, nb), PB[k]) for k, a in enumerate(row) if a]
           for row in A]
@@ -297,7 +347,13 @@ def _strip_nb(bits):
     """Byte width nb of the strip's point xi = 2^(8*nb) for entries whose
     coefficients are below 2^bits: xi >= 2^(bits + 1 + _STRIP_ROOM), so
     xi >= 2|t| + 2 for every entry t."""
-    return (bits + _STRIP_ROOM + 8) >> 3
+    return _width((bits + _STRIP_ROOM + 8) >> 3)
+
+
+def _wider_nb(nb):
+    """Byte width of the strip's next point after 2^(8*nb): wider by half
+    and a byte, rounded by ``_width``."""
+    return _width(nb + 1 + nb // 2)
 
 
 def _digits(v, nb):
@@ -385,12 +441,13 @@ def _single_content(vec):
 
 def _strip(vals, nb, vec):
     """The content strip of ``_strip_packed`` at up to _STRIP_POINTS
-    points, each wider by half than the one before, then ``_strip_chain``.
+    points, each wider than the one before (``_wider_nb``), then
+    ``_strip_chain``.
     Only the first point's values are given; when vec is None, t is
     unpacked from them after a failure, exactly, as xi >= 2|t_j| + 2."""
     for attempt in range(_STRIP_POINTS):
         if attempt:
-            nb += 1 + nb // 2
+            nb = _wider_nb(nb)
             vals = [_pack(z, nb) if z else 0 for z in vec]
         got = _strip_packed(vals, nb, vec)
         if got is not None:
@@ -465,4 +522,31 @@ def zvec_cross_content(lead, v, head, w):
         if b:
             t -= hv * _pack(b, nb)
         vals.append(t)
+    return _strip(vals, nb, None)
+
+
+def zmat_vec_content(A, v):
+    """(g, t/g) as ``zvec_poly_content`` gives them, for the product
+    t = A v of a matrix of zpolys A, a list of rows, and a zpoly vector v.
+
+    As in ``zvec_cross_content``, t is formed at one point only, sized for
+    the strip: each entry of A and v that meets a nonzero partner is
+    packed once, each t_i is one sum of integer products, and ``_strip``
+    takes the content from the values, so t is unpacked once and never
+    packed again.  The coefficients of A_ik v_k are below
+    min(len A_ik, len v_k) |A_ik| |v_k|, as ``zp_mul`` bounds them, and
+    t_i sums at most one such product per live k.
+    """
+    ks, bits = [], 0
+    for k, z in enumerate(v):
+        col = [row[k] for row in A if row[k]]
+        if z and col:
+            ks.append(k)
+            bits = max(bits, max(map(_maxabs, col)).bit_length()
+                       + _maxabs(z).bit_length()
+                       + min(max(map(len, col)), len(z)).bit_length())
+    nb = _strip_nb(bits + len(ks).bit_length())
+    pv = {k: _pack(v[k], nb) for k in ks}
+    vals = [sum(_pack(row[k], nb) * pv[k] for k in ks if row[k])
+            for row in A]
     return _strip(vals, nb, None)

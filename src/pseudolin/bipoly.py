@@ -245,10 +245,14 @@ def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     rational in the leading y-coefficient.  gcd(0, 0) = 0.
 
     The gcd of the x-contents times the primitive part of the last
-    remainder of ``bipoly_ext_prs``."""
+    remainder of the primitive pseudo-remainder sequence: the sequence of
+    ``bipoly_ext_prs`` without its cofactors.  Over Q(x) each remainder is
+    a multiple of the one ``bipoly_ext_prs`` reaches, so the last ones
+    have the same primitive part."""
     cont = poly_gcd(a.content_x(), b.content_x())
-    r, _, _ = bipoly_ext_prs(a, b)
-    r, = _primitive(r)
+    while not b.is_zero():
+        a, (b,) = b, _primitive(bipoly_pseudo_divmod(a, b)[1])
+    r, = _primitive(a)
     return _normalize_bipoly(r * cont)
 
 

@@ -20,7 +20,9 @@ and G_i the content gathered so far, and with q_i = den*G_i'/G_i
 
     b_{i+1}/G_i = den*x_i' + N*x_i + (q_i - i*den')*x_i,
 
-whose content g gives x_{i+1} and G_{i+1} = G_i*g.  q_i is a polynomial
+whose content g gives x_{i+1} and G_{i+1} = G_i*g; the step is formed
+at the content strip's own Kronecker point and stripped there, so it is
+unpacked once (``_iterate_content``).  q_i is a polynomial
 when every irreducible factor of G_i divides den, which holds whenever
 the contents are products of den's factors (as on lclm maps), and then
 q_{i+1} = q_i + den*g'/g is one exact division.  When den*g'/g is not a
@@ -55,7 +57,8 @@ from dataclasses import dataclass, field
 from pseudolin import _kernel as zk
 from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, _bareiss,
                               _zrows, det_denominator)
-from pseudolin.poly import NEG_INF, Poly, poly_divides, zclear, zvec_content
+from pseudolin.poly import (NEG_INF, Poly, poly_divides, zclear, zvec_content,
+                            zvec_int_content)
 from pseudolin.ratfun import RatFun, zclear_ratfuns
 
 
@@ -240,17 +243,32 @@ def bound_direct(rho: int, d_a: int, d: int, D: int, i: int):
 # -- iterate clearing and elimination ---------------------------------------------
 
 
+def _iterate_operands(den_z, N_z, b, c):
+    """[N + c*I | den*I] and [b; b'], whose product is den*b' + N*b + c*b."""
+    n = len(b)
+    A = [row[:j] + [zk.zp_add(row[j], c)] + row[j + 1:]
+         + [[]] * j + [den_z] + [[]] * (n - 1 - j)
+         for j, row in enumerate(N_z)]
+    return A, b + [zk.zp_deriv(z) for z in b]
+
+
 def _iterate_step(den_z, N_z, b, c):
     """den*b' + N*b + c*b on an integer polynomial vector b, for a zpoly c.
 
     With c = -i*den' this is the plain step b_{i+1} from b_i.  It is one
     matrix product ``zmat_mul``: [N + c*I | den*I] times [b; b']."""
-    n = len(b)
-    A = [row[:j] + [zk.zp_add(row[j], c)] + row[j + 1:]
-         + [[]] * j + [den_z] + [[]] * (n - 1 - j)
-         for j, row in enumerate(N_z)]
-    return [t for t, in zk.zmat_mul(A, [[z] for z in b]
-                                    + [[zk.zp_deriv(z)] for z in b])]
+    A, v = _iterate_operands(den_z, N_z, b, c)
+    return [t for t, in zk.zmat_mul(A, [[z] for z in v])]
+
+
+def _iterate_content(den_z, N_z, x, c):
+    """zvec_content(_iterate_step(den_z, N_z, x, c)), with the step formed
+    at the strip's own point (``zmat_vec_content``), so that its values
+    are stripped before they are unpacked; the integer content is taken
+    afterwards, as ``GaussTracker.offer`` takes it."""
+    g, t = zk.zmat_vec_content(*_iterate_operands(den_z, N_z, x, c))
+    k, t = zvec_int_content(t)
+    return (zk.zp_scale(g, k) if k > 1 else g), t
 
 
 def _log_derivative(den_z, g):
@@ -312,7 +330,7 @@ def solve_min_relation(pmap: PseudoLinearMap, a) -> Relation:
             q = zk.zp_add(q, dq)
         # b_{i+1}/G = den*x' + N*x + (den*G'/G - i*den')*x
         c = zk.zp_sub(q, zk.zp_scale(denp_z, i))
-        g, x = zvec_content(_iterate_step(den_z, N_z, x, c))
+        g, x = _iterate_content(den_z, N_z, x, c)
         if g != [1]:
             G = zk.zp_mul(G, g)
         dpow = zk.zp_mul(dpow, den_z)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from pseudolin.bipoly import (BiPoly, _primitive, bipoly_coprime,
-                              bipoly_ext_prs, bipoly_gcd, bipoly_pseudo_divmod,
-                              format_bipoly, resultant_y, squarefree_y)
-from pseudolin.poly import Poly
+from pseudolin.bipoly import (BiPoly, _normalize_bipoly, _primitive,
+                              bipoly_coprime, bipoly_ext_prs, bipoly_gcd,
+                              bipoly_pseudo_divmod, format_bipoly,
+                              resultant_y, squarefree_y)
+from pseudolin.poly import Poly, poly_gcd
 from pseudolin.ratfun import RatFun
 from _oracle import bipoly_primitive_ref, content_x_ref, ratfun_y_ext_gcd
 from test_poly import rand_poly
@@ -149,6 +150,30 @@ def test_bipoly_gcd_and_coprime():
     got = bipoly_gcd(a, b)
     assert got == g
     assert not bipoly_coprime(a, b)
+
+
+def test_gcd_is_the_normalised_last_remainder_of_the_ext_prs():
+    """bipoly_gcd, whose remainder sequence carries no cofactors, is the
+    gcd of the x-contents times the primitive part of the last remainder
+    of ``bipoly_ext_prs``, normalised.  Every third pair shares a planted
+    factor, and some pairs also share a factor in x alone; zero operands
+    are included."""
+    rng = random.Random(50)
+    shared = {"y": 0, "x": 0}
+    for trial in range(90):
+        a, b = rand_pair(rng, trial, dx=2, dy=1 + trial % 3)
+        if trial % 5 == 0:
+            c = rand_poly(rng, 1)
+            a, b = a * c, b * c
+        if trial % 30 == 7:
+            a = BiPoly()
+        r, _, _ = bipoly_ext_prs(a, b)
+        cont = poly_gcd(a.content_x(), b.content_x())
+        want = _normalize_bipoly(_primitive(r)[0] * cont)
+        assert bipoly_gcd(a, b) == want, (a, b)
+        shared["y"] += want.degree_y > 0
+        shared["x"] += want.degree_x > 0
+    assert shared["y"] >= 20 and shared["x"] >= 20, shared
 
 
 def test_x_slice_and_format():

@@ -368,7 +368,7 @@ def test_values_divisible_at_every_point_reach_the_prs():
     nbs, nb = [], kernel._strip_nb(2)
     for _ in range(kernel._STRIP_POINTS):
         nbs.append(nb)
-        nb += 1 + nb // 2
+        nb = kernel._wider_nb(nb)
     m = lcm(*((1 << (8 * nb)) - 2 for nb in nbs), 2**61 - 1)
     b = [int(c) for c in reversed(bin(m)[2:])]    # b(2) = m, digits 0, 1
     cases = [([-2, 1], b, [1]),
@@ -382,3 +382,55 @@ def test_values_divisible_at_every_point_reach_the_prs():
                        or zk.zp_pseudorem(a, b))
             assert zk.zp_gcd(a, b) == want
         assert steps, (a, b)
+
+
+def _packing_cases(rng, nb):
+    """Coefficient lists for width nb: the extremes -(2^(8nb-1) - 1),
+    2^(8nb-1) - 1 and -2^(8nb-1), runs of zeros at both ends, and random
+    entries of every size up to the width."""
+    hi = 1 << (8 * nb - 1)
+    cases = [[hi - 1], [-hi], [-(hi - 1)], [0], [0, 0, 0],
+             [hi - 1, -(hi - 1), -hi, 0, hi - 1],
+             [0, 0, -hi, -1, 1, 0, 0], [0, 0, 0, hi - 1],
+             [-hi, 0, 0, 0], [-1] * 5, [-hi] * 4, [hi - 1] * 4]
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        a = [rng.randrange(-hi, hi) >> rng.randrange(8 * nb) for _ in range(n)]
+        zeros = [0] * rng.randint(0, 3)
+        cases.append(zeros + a + zeros[:rng.randint(0, 3)])
+    return cases
+
+
+def test_pack_matches_the_reference_sum():
+    """_pack(a, nb) is sum_i a_i 2^(8*nb*i) at every width from 1 to 24
+    bytes, both through ``struct`` (1, 2, 4, 8) and through bytes."""
+    from pseudolin._kernel import _zkernel_py as kernel
+    rng = random.Random(73)
+    for nb in range(1, 25):
+        for a in _packing_cases(rng, nb):
+            want = sum(c << (8 * nb * i) for i, c in enumerate(a))
+            assert kernel._pack(a, nb) == want, (nb, a)
+
+
+def test_unpack_inverts_the_reference_sum():
+    """_unpack(sum_i a_i 2^(8*nb*i), len a, nb) gives a back at every width
+    from 1 to 24 bytes, zeros at either end included."""
+    from pseudolin._kernel import _zkernel_py as kernel
+    rng = random.Random(74)
+    for nb in range(1, 25):
+        for a in _packing_cases(rng, nb):
+            v = sum(c << (8 * nb * i) for i, c in enumerate(a))
+            assert kernel._unpack(v, len(a), nb) == a, (nb, a)
+            assert kernel._digits(v, nb) == zk.zp_trim(list(a)), (nb, a)
+
+
+def test_widths_are_rounded_for_struct():
+    """Widths up to 8 bytes round up to 1, 2, 4 or 8; wider ones stay, and
+    the strip's points only grow."""
+    from pseudolin._kernel import _zkernel_py as kernel
+    assert [kernel._width(nb) for nb in range(1, 12)] == \
+        [1, 2, 4, 4, 8, 8, 8, 8, 9, 10, 11]
+    nb = kernel._strip_nb(0)
+    for _ in range(8):
+        assert kernel._wider_nb(nb) > nb
+        nb = kernel._wider_nb(nb)

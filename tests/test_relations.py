@@ -263,7 +263,7 @@ def test_first_point_failures_settle_at_the_next_point(monkeypatch):
             assert verify_relation(pmap, a, solve_min_relation(pmap, a))
     assert seen["strips"] >= 1500
     assert (seen["settled second"], seen["later"], seen["chain"]) \
-        == (7, 0, 0), seen
+        == (1, 0, 0), seen
     with monkeypatch.context() as m:
         seen = _count_strip_points(m)
         rng = random.Random(23)
@@ -274,7 +274,7 @@ def test_first_point_failures_settle_at_the_next_point(monkeypatch):
             assert verify_lclm(inst, lclm(inst))
     assert seen["strips"] >= 400
     assert (seen["settled second"], seen["later"], seen["chain"]) \
-        == (6, 0, 0), seen
+        == (3, 0, 0), seen
 
 
 def test_n1_assembly_takes_no_gcd_that_is_one(monkeypatch):
@@ -337,6 +337,34 @@ def test_solver_matches_plain_iteration(monkeypatch):
         rel = solve_min_relation(pmap, a)
         assert rel == solve_min_relation_plain(pmap, a)
     assert steps["divides"] >= 20 and steps["foreign"] >= 15, steps
+
+
+def test_fused_step_matches_the_step_and_its_strip(monkeypatch):
+    """Each step of the solver, formed at the strip's point
+    (``_iterate_content``), gives the (g, x) of the step's product and
+    its content strip, ``zvec_content(_iterate_step(...))``: on
+    relation_mix-shaped maps (n = 1, 2, 3) and on lclm maps."""
+    fused = relations._iterate_content
+    seen = {"steps": 0, "content": 0}
+
+    def spy(den_z, N_z, x, c):
+        got = fused(den_z, N_z, x, c)
+        assert got == zvec_content(_iterate_step(den_z, N_z, x, c))
+        seen["steps"] += 1
+        seen["content"] += got[0] != [1]
+        return got
+
+    monkeypatch.setattr(relations, "_iterate_content", spy)
+    rng = random.Random(27)
+    for k in range(30):
+        pmap = rand_map(rng, 1 + k % 3, num_deg=2, den_deg=2)
+        solve_min_relation(pmap, rand_vector(rng, 1 + k % 3, 2))
+    for _, pmap, a in _content_cases():
+        solve_min_relation(pmap, a)
+    inst = build_lclm([rand_operator(rng, 3, 3, regular_infinity=True)
+                       for _ in range(3)])
+    solve_min_relation(inst.map, list(inst.a))
+    assert seen["steps"] >= 80 and seen["content"] >= 30, seen
 
 
 def test_lclm_iterates_have_content():

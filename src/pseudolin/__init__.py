@@ -16,9 +16,9 @@ from pseudolin._kernel import BACKEND
 from pseudolin.bipoly import BiPoly, bipoly_gcd, resultant_y, squarefree_y
 from pseudolin.exprparse import (ParseError, SemanticError, format_operator,
                                  parse)
-from pseudolin.linalg import (PolyMatrix, RatMatrix, companion,
-                              det_denominator, det_fraction_free,
-                              det_rational, invert, kronecker, rank)
+from pseudolin.linalg import (PolyMatrix, RatMatrix, det_denominator,
+                              det_fraction_free, det_rational, invert,
+                              kronecker, rank)
 from pseudolin.ore import (GEN_DX, GEN_EULER, OrePoly, full_primitive,
                            infinity_not_irregular, normalize_primitive,
                            ore_mul, to_euler)
@@ -36,7 +36,7 @@ __all__ = [
     "BACKEND", "BiPoly", "BoundReport", "GEN_DX", "GEN_EULER", "NEG_INF",
     "OrePoly", "ParseError", "Poly", "PolyMatrix", "PseudoLinearMap", "RatFun",
     "RatMatrix", "Realisation", "Relation", "SemanticError", "bipoly_gcd",
-    "bound_direct", "bound_realisation", "common_denominator", "companion",
+    "bound_direct", "bound_realisation", "common_denominator",
     "det_denominator", "det_fraction_free", "det_rational", "format_operator",
     "full_primitive", "infinity_not_irregular", "invert", "kronecker",
     "krylov_denominator_check", "krylov_matrix", "normalize_primitive",

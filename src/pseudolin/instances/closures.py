@@ -24,7 +24,8 @@ elimination (``relations.Realisation``) gives the map in cleared form.
 
 Both results are checked exactly and without the solver: ``verify_lclm``
 by right division by every input, ``verify_symprod`` by the relation of
-L in the factors' tensor module, written in the Dx basis.
+L in the factors' tensor module, written in the Dx basis with its map
+built as a cleared pair in Z[x].
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from pseudolin.linalg import (PolyMatrix, block_diag, companion, hstack_poly,
-                              kronecker, kronecker_sum, vstack_poly)
+from pseudolin import _kernel as zk
+from pseudolin.linalg import (PolyMatrix, block_diag, hstack_poly, kronecker,
+                              vstack_poly)
 from pseudolin.ore import (GEN_DX, OrePoly, infinity_not_irregular,
-                           is_right_multiple, normalize_primitive, to_euler)
+                           is_right_multiple, to_euler)
 from pseudolin.poly import Poly
-from pseudolin.ratfun import RatFun, common_denominator
+from pseudolin.ratfun import RatFun, common_denominator, zclear_ratfuns
 from pseudolin.relations import (PseudoLinearMap, Realisation, Relation,
                                  realisation_bound_report, solve_min_relation,
                                  verify_relation)
@@ -108,8 +110,7 @@ def build_lclm(ops) -> ClosureInstance:
         mdiag.extend([x] * (r - 1) + [-(lead * x)])
     M = PolyMatrix(R, R, [mdiag[i] if i == j else Poly()
                           for i in range(R) for j in range(R)])
-    X = block_diag([_companion_poly(lower) for _, _, lower in blocks],
-                   Poly())
+    X = block_diag([_companion_poly(lower) for _, _, lower in blocks])
     real = Realisation(PolyMatrix.zeros(R, R), X, M, PolyMatrix.identity(R))
     d = max(operator_degree(L) for L in ops)
     if real.delta_degree > len(ops) * d + R:
@@ -173,7 +174,7 @@ def build_symprod(ops) -> ClosureInstance:
         mparts.append(kronecker(kronecker(PolyMatrix.identity(left), Mi),
                                 PolyMatrix.identity(right)))
     X = hstack_poly(xparts)
-    M = block_diag(mparts, Poly())
+    M = block_diag(mparts)
     Y = vstack_poly([PolyMatrix.identity(R)] * len(blocks))
     real = Realisation(PolyMatrix.zeros(R, R), X, M, Y)
     s = len(ops)
@@ -193,6 +194,36 @@ def symprod(inst: ClosureInstance) -> OrePoly:
     return OrePoly([RatFun(e) for e in rel.eta], GEN_DX)
 
 
+def _companion_sum(ops):
+    """(D, N) with N/D = sum_t I @ C_t @ I on the lexicographic
+    multi-index basis, for factors given as integer coefficient lists
+    [p_0, ..., p_r] and C_t the companion matrix of factor t: D is the
+    product of the leads l_t = p_r, and N = sum_t (D/l_t) I @ (l_t C_t) @ I,
+    l_t C_t with l_t on its subdiagonal and -p_i in its last column."""
+    orders = [len(p) - 1 for p in ops]
+    n = prod(orders)
+    D = [1]
+    for p in ops:
+        D = zk.zp_mul(D, p[-1])
+    N = [[[] for _ in range(n)] for _ in range(n)]
+    stride = n
+    for t, (r, p) in enumerate(zip(orders, ops)):
+        stride //= r
+        co = [1]
+        for q in ops[:t] + ops[t + 1:]:
+            co = zk.zp_mul(co, q[-1])
+        last = [zk.zp_mul(co, c) for c in p[:-1]]
+        for J in range(n):
+            j = J // stride % r
+            if j < r - 1:
+                N[J + stride][J] = zk.zp_add(N[J + stride][J], D)
+                continue
+            for i, c in enumerate(last):
+                row = J + (i - j) * stride
+                N[row][J] = zk.zp_sub(N[row][J], c)
+    return D, N
+
+
 def verify_symprod(inst: ClosureInstance, L: OrePoly) -> bool:
     """Exact check that L annihilates every product y_1 ... y_s of
     solutions of the factors.
@@ -200,28 +231,26 @@ def verify_symprod(inst: ClosureInstance, L: OrePoly) -> bool:
     In the tensor product of the factors' differential modules, with basis
     e_I = y_1^(i_1) ... y_s^(i_s) in lexicographic order, Dx acts as
     theta = d/dx + T with T = sum_t I @ C_t @ I and C_t the companion
-    matrix of the primitive form of factor t: column I of T holds the
-    coordinates of Dx(e_I).  So theta^k(e_0) holds the coordinates of
-    Dx^k(y_1 ... y_s), and L kills every product iff the relation with
-    L's coefficients holds for (theta, e_0), which ``verify_relation``
-    decides exactly.
+    matrix of factor t: column I of T holds the coordinates of Dx(e_I).
+    So theta^k(e_0) holds the coordinates of Dx^k(y_1 ... y_s), and L
+    kills every product iff the relation with L's coefficients holds for
+    (theta, e_0), which ``verify_relation`` decides exactly.  Neither T
+    nor the verdict changes when a factor or L is scaled in Q(x), so each
+    is taken as its coefficients cleared to Z[x].
 
-    It shares only ``linalg.kronecker`` with ``build_symprod``: T is built
-    in the Dx basis straight from the operators (no ``to_euler``, no 1/x
-    scaling, no realisation), and there is no elimination (no
-    ``solve_min_relation``).
-    """
+    It shares no code with ``build_symprod``: T is built by
+    ``_companion_sum`` as a cleared pair in the Dx basis straight from the
+    operators (no ``to_euler``, no 1/x scaling, no realisation, no
+    ``RatFun`` arithmetic), and there is no elimination (no
+    ``solve_min_relation``)."""
     if L.is_zero():
         return False
-    blocks = []
-    for Li in inst.operators:
-        P = normalize_primitive(Li)
-        blocks.append(companion(P.coeffs[:-1], P.coeffs[-1]))
-    T = kronecker_sum(blocks)
-    e0 = [Poly.one()] + [Poly()] * (T.rows - 1)
-    prim = normalize_primitive(L)
-    return verify_relation(PseudoLinearMap(T), e0, Relation(
-        prim.order, tuple(c.num for c in prim.coeffs)))
+    D, N = _companion_sum([zclear_ratfuns(Li.coeffs)[1]
+                           for Li in inst.operators])
+    return verify_relation(
+        PseudoLinearMap.from_cleared(D, N), [1] + [0] * (len(N) - 1),
+        Relation(L.order, tuple(Poly.from_z(z)
+                                for z in zclear_ratfuns(L.coeffs)[1])))
 
 
 def bound_symprod(r: int, r_list, d_list) -> int:

@@ -9,8 +9,8 @@ matrices [A | B] with A square and returns det-scaled solutions; it
 serves the determinant, inversion and the cleared map of a realisation
 (``relations.Realisation``).  Besides it: exact rank through the
 incremental ``GaussTracker``, determinantal denominators (the monic least
-common denominator of all minors up to a given order), Kronecker products
-and companion matrices.
+common denominator of all minors up to a given order) and Kronecker
+products.
 
 Contents in Z[x] come from one packed strip in the kernel: the entries'
 values at one power of two xi, their integer gcd h, and, when h is more
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
 
 from pseudolin import _kernel as zk
 from pseudolin.poly import (Poly, poly_lcm, zclear, zvec_content,
@@ -151,12 +150,11 @@ class RatMatrix(_Matrix):
         return all(e.is_strictly_proper() for e in self.entries)
 
 
-def block_diag(blocks, zero):
-    """Block-diagonal matrix of the blocks' own type; ``zero`` fills the
-    off-diagonal entries (``Poly()`` or ``RatFun.zero()``)."""
+def block_diag(blocks) -> PolyMatrix:
+    """Block-diagonal matrix of ``PolyMatrix`` blocks."""
     n = sum(b.rows for b in blocks)
     m = sum(b.cols for b in blocks)
-    entries = [zero] * (n * m)
+    entries = [Poly()] * (n * m)
     r0 = c0 = 0
     for b in blocks:
         for i in range(b.rows):
@@ -164,7 +162,7 @@ def block_diag(blocks, zero):
                 entries[(r0 + i) * m + (c0 + j)] = b.entry(i, j)
         r0 += b.rows
         c0 += b.cols
-    return type(blocks[0])(n, m, entries)
+    return PolyMatrix(n, m, entries)
 
 
 def hstack_poly(blocks) -> PolyMatrix:
@@ -439,33 +437,3 @@ def kronecker(A, B):
                     entries[(i * B.rows + p) * cols + (j * B.cols + q)] = \
                         a * B.entry(p, q)
     return type(A)(rows, cols, entries)
-
-
-def kronecker_sum(blocks) -> RatMatrix:
-    """sum_t I @ B_t @ I for square ``RatMatrix`` blocks B_1, ..., B_s: the
-    map that acts as B_t on slot t of the lexicographic multi-index basis
-    of dimension prod dim B_t."""
-    dims = [B.rows for B in blocks]
-    n = prod(dims)
-    out = RatMatrix.zeros(n, n)
-    for t, B in enumerate(blocks):
-        left = RatMatrix.identity(prod(dims[:t]))
-        right = RatMatrix.identity(prod(dims[t + 1:]))
-        out = out.add(kronecker(kronecker(left, B), right))
-    return out
-
-
-def companion(coeffs, lead) -> RatMatrix:
-    """Companion matrix with subdiagonal ones and last column -coeffs/lead."""
-    lead = RatMatrix._convert(lead)
-    if lead.is_zero():
-        raise ValueError("zero leading coefficient")
-    r = len(coeffs)
-    if r < 1:
-        raise ValueError("empty coefficient list")
-    entries = [RatFun.zero()] * (r * r)
-    for j in range(r - 1):
-        entries[(j + 1) * r + j] = RatFun.one()
-    for i in range(r):
-        entries[i * r + (r - 1)] = -(RatMatrix._convert(coeffs[i]) / lead)
-    return RatMatrix(r, r, entries)

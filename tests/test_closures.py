@@ -5,19 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from pseudolin.instances.closures import (bound_lclm, bound_symprod,
-                                          build_lclm, build_symprod,
+from pseudolin.instances.closures import (_companion_sum, bound_lclm,
+                                          bound_symprod, build_lclm,
+                                          build_symprod,
                                           closure_bound_report, lclm,
                                           operator_degree, symprod,
                                           symprod_conjecture_curve,
                                           verify_lclm, verify_symprod)
-from pseudolin.linalg import (RatMatrix, block_diag, companion,
-                              det_fraction_free, kronecker_sum)
+from pseudolin.linalg import RatMatrix, det_fraction_free
 from pseudolin.ore import (OrePoly, infinity_not_irregular,
                            normalize_primitive, to_euler)
 from pseudolin.poly import Poly
 from pseudolin.randgen import rand_operator
-from pseudolin.ratfun import RatFun
+from pseudolin.ratfun import RatFun, zclear_ratfuns
+from pseudolin.relations import PseudoLinearMap
 from test_ratfun import rand_ratfun
 
 from _oracle import right_divide
@@ -29,28 +30,40 @@ D1 = OrePoly([-1, 1])                                # Dx - 1
 CAUCHY = OrePoly([2, RatFun(-2 * x), RatFun(x * x)])
 
 
-def _euler_companions(ops):
-    """The companion matrix of each operator's Euler form."""
-    blocks = []
-    for L in ops:
-        E = to_euler(L)
-        blocks.append(companion([c.num for c in E.coeffs[:-1]],
-                                E.coeffs[-1].num))
-    return blocks
+def _euler_companion(E):
+    """The companion matrix of an Euler form, built with RatFun entries:
+    subdiagonal ones and last column -c_i/lead."""
+    r = E.order
+    lead = E.coeffs[-1]
+    entries = [RatFun.zero()] * (r * r)
+    for j in range(r - 1):
+        entries[(j + 1) * r + j] = RatFun.one()
+    for i in range(r):
+        entries[i * r + (r - 1)] = -(E.coeffs[i] / lead)
+    return RatMatrix(r, r, entries)
 
 
-def _over_x(R):
-    return RatMatrix(R.rows, R.cols, [e / RatFun(x) for e in R.entries])
-
-
-def _reference_T(inst):
-    """T assembled from companion blocks, independently of the
-    realisation: 1/x diag(D_i) for the LCLM, 1/x sum_i I @ D_i @ I for
-    the symmetric product."""
-    blocks = _euler_companions(inst.operators)
-    if inst.kind == "lclm":
-        return _over_x(block_diag(blocks, RatFun.zero()))
-    return _over_x(kronecker_sum(blocks))
+def _assert_reference_T(inst):
+    """T against a construction independent of the realisation.  For the
+    LCLM, T = 1/x diag(C_i): each diagonal block is 1/x times the RatFun
+    companion matrix of an Euler form, every other block is zero.  For the
+    symmetric product, T = 1/x sum_i I @ C_i @ I, built by the verifier's
+    ``_companion_sum`` on the Euler forms with its denominator times x."""
+    T = inst.map.T
+    eulers = [to_euler(L) for L in inst.operators]
+    if inst.kind == "symprod":
+        D, N = _companion_sum([zclear_ratfuns(E.coeffs)[1] for E in eulers])
+        assert T == PseudoLinearMap.from_cleared([0] + D, N).T
+        return
+    o = 0
+    for E in eulers:
+        C, r = _euler_companion(E), E.order
+        for i in range(T.rows):
+            for j in range(o, o + r):
+                want = (C.entry(i - o, j - o) / RatFun(x) if o <= i < o + r
+                        else RatFun.zero())
+                assert T.entry(i, j) == want
+        o += r
 
 
 def test_build_lclm_example():
@@ -61,21 +74,32 @@ def test_build_lclm_example():
     assert T.entry(0, 1).is_zero() and T.entry(1, 0).is_zero()
     assert list(inst.a) == [Poly.one(), Poly.one()]
     assert inst.realisation.delta in (x * x, -(x * x))
-    assert T == _reference_T(inst)
+    _assert_reference_T(inst)
     assert T.is_strictly_proper()
 
 
 def test_closure_maps_match_companion_reference():
     """The map a build takes from its realisation is the T of the
-    companion, block_diag and kronecker_sum construction."""
+    companion-matrix construction."""
     rng = random.Random(84)
     for _ in range(8):
         for build in (build_lclm, build_symprod):
             ops = [rand_operator(rng, rng.randint(1, 2), rng.randint(1, 2),
                                  regular_infinity=rng.random() < 0.5)
                    for _ in range(rng.choice((2, 2, 3)))]
-            inst = build(ops)
-            assert inst.map.T == _reference_T(inst)
+            _assert_reference_T(build(ops))
+
+
+def test_companion_sum_layout():
+    """N/D = C_1 @ I + I @ C_2 on the basis (0, 0), (0, 1), (1, 0),
+    (1, 1) for Dx^2 + 2 Dx + 3 and x Dx^2 + 1: D = 1 * x, slot 1 (stride
+    2) holds x [[0, -3], [1, -2]] and slot 2 (stride 1) [[0, -1], [x, 0]]."""
+    D, N = _companion_sum([[[3], [2], [1]], [[1], [], [0, 1]]])
+    assert D == [0, 1]
+    assert N == [[[], [-1], [0, -3], []],
+                 [[0, 1], [], [], [0, -3]],
+                 [[0, 1], [], [0, -2], [-1]],
+                 [[], [0, 1], [0, 1], [0, -2]]]
 
 
 def test_degree_reads_match_the_primitive_form():
@@ -160,7 +184,7 @@ def test_build_symprod_example():
     assert inst.map.T.entry(0, 0) == RatFun(3, x)
     assert list(inst.a) == [Poly.one()]
     assert inst.realisation.delta in (x * x, -(x * x))
-    assert inst.map.T == _reference_T(inst)
+    _assert_reference_T(inst)
     # det M_i = -x^(r_i) q_(i, r_i) blockwise
     M = inst.realisation.M
     blk1 = det_fraction_free(

@@ -12,9 +12,16 @@ referenced somewhere in its tree -- the package, or the tests -- outside
 the statement that binds it: read as a name, as an attribute or imported
 by name.  A helper that lost its last caller fails the scan instead of
 living on beside the code that replaced it.
+
+A public function or class defined at module level in the package must
+be read the same way by another statement of the package, where the
+re-exporting imports of the top-level ``__init__.py`` do not count,
+unless the benchmark (``perfbench/*.py``) names it or ``pseudolin.__all__``
+lists it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -25,6 +32,18 @@ ALL_MODULES = sorted(p.relative_to(PACKAGE) for p in PACKAGE.rglob("*.py"))
 MODULES = [m for m in ALL_MODULES if m not in EXEMPT]
 TESTS = Path(__file__).resolve().parent
 TEST_MODULES = sorted(TESTS.glob("*.py"))
+PERFBENCH = TESTS.parent / "perfbench"
+
+
+def _exported(tree) -> set:
+    """The names listed in a module's ``__all__``."""
+    out = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            out |= {elt.value for elt in node.value.elts}
+    return out
 
 
 def unused_imports(source: str) -> list:
@@ -40,12 +59,7 @@ def unused_imports(source: str) -> list:
             for alias in node.names:
                 imported.setdefault(alias.asname or alias.name, node.lineno)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            exported |= {elt.value for elt in node.value.elts}
+    exported = _exported(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used and name not in exported)
 
@@ -91,18 +105,48 @@ def _references(node) -> set:
     return out
 
 
-def dead_private_names(sources: dict) -> list:
-    """Module-level private names of the modules in sources (name ->
-    source text) that no statement other than their own binding reads."""
+def _unread(sources: dict, bindings, reads) -> list:
+    """The names that bindings(stmt) gives for the module-level statements
+    of the modules in sources (name -> source text) and that no other
+    statement reads, with reads(module, stmt) the names a statement
+    reads."""
     bound, refs = [], []
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            names = _private_bindings(stmt)
-            bound += [(module, name, stmt.lineno, id(stmt)) for name in names]
-            refs.append((id(stmt), _references(stmt)))
+            bound += [(module, name, stmt.lineno, id(stmt))
+                      for name in bindings(stmt)]
+            refs.append((id(stmt), reads(module, stmt)))
     return sorted(f"{module}: {name} (line {line})"
                   for module, name, line, key in bound
                   if not any(name in r for k, r in refs if k != key))
+
+
+def dead_private_names(sources: dict) -> list:
+    """Module-level private names of the modules in sources (name ->
+    source text) that no statement other than their own binding reads."""
+    return _unread(sources, _private_bindings,
+                   lambda module, stmt: _references(stmt))
+
+
+def dead_public_names(sources: dict, exempt: set) -> list:
+    """Public module-level functions and classes of the modules in sources
+    (path relative to the package -> source text), not in exempt, that no
+    other statement reads; the top-level ``__init__.py`` importing a name
+    to re-export it does not read it."""
+    def definitions(stmt):
+        if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and not stmt.name.startswith("_")
+                and stmt.name not in exempt):
+            return [stmt.name]
+        return []
+
+    def reads(module, stmt):
+        if module == "__init__.py" and isinstance(stmt, ast.ImportFrom):
+            return set()
+        return _references(stmt)
+
+    return _unread(sources, definitions, reads)
 
 
 def test_no_dead_private_names():
@@ -123,3 +167,30 @@ def test_the_scan_finds_a_dead_private_name():
     assert dead_private_names(sources) == [
         "a.py: _LIMIT (line 2)", "a.py: _Unused (line 7)",
         "a.py: _recursive (line 3)"]
+
+
+def test_no_dead_public_names():
+    sources = {str(m): (PACKAGE / m).read_text() for m in ALL_MODULES}
+    exempt = _exported(ast.parse((PACKAGE / "__init__.py").read_text()))
+    for path in PERFBENCH.glob("*.py"):
+        exempt |= set(re.findall(r"\w+", path.read_text()))
+    assert dead_public_names(sources, exempt) == []
+
+
+def test_the_scan_finds_a_dead_public_name():
+    sources = {
+        "__init__.py": ("from pkg.a import listed, reexported\n"
+                        "__all__ = ['listed']\n"),
+        "a.py": ("def used():\n    pass\n"
+                 "def reexported():\n    pass\n"
+                 "def listed():\n    pass\n"
+                 "class Dead:\n    pass\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "def _private():\n    pass\n"
+                 "def subexported():\n    pass\n"),
+        "b.py": "from pkg.a import used\n",
+        "sub/__init__.py": "from pkg.a import subexported\n",
+    }
+    assert dead_public_names(sources, {"listed"}) == [
+        "a.py: Dead (line 7)", "a.py: recursive (line 9)",
+        "a.py: reexported (line 3)"]

@@ -8,10 +8,10 @@ import pytest
 
 from pseudolin import _kernel as zk
 from pseudolin._kernel import _zkernel_py as kernel
-from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix, companion,
+from pseudolin.linalg import (GaussTracker, PolyMatrix, RatMatrix,
                               det_denominator, det_fraction_free,
-                              det_rational, invert, kronecker, kronecker_sum,
-                              rank, zvec_content)
+                              det_rational, invert, kronecker, rank,
+                              zvec_content)
 from pseudolin.poly import Poly, poly_divides, poly_gcd, zvec_int_content
 from pseudolin.ratfun import RatFun
 from _oracle import GaussTrackerRef, zp_gcd_ref, zvec_content_ref
@@ -153,30 +153,6 @@ def test_kronecker_keeps_the_operand_type():
     assert kronecker(A, B) == RatMatrix.from_rows([[1, 0], [0, 2 * x]])
     assert kronecker(PolyMatrix.identity(1), PolyMatrix.identity(2)) \
         == PolyMatrix.identity(2)
-
-
-def test_kronecker_sum_example():
-    # A @ I + I @ B for A = [[a]] and B = [[0, b], [1, 0]]
-    a, b = RatFun(1, x), RatFun(x)
-    A = RatMatrix.from_rows([[a]])
-    B = RatMatrix.from_rows([[0, b], [1, 0]])
-    assert kronecker_sum([A, B]) == RatMatrix.from_rows([[a, b], [1, a]])
-    C = RatMatrix.from_rows([[1, 2], [3, 4]])
-    assert kronecker_sum([C, C]) == RatMatrix.from_rows(
-        [[2, 2, 2, 0], [3, 5, 0, 2], [3, 0, 5, 2], [0, 3, 3, 8]])
-
-
-def test_companion_examples():
-    C = companion([RatFun(-1)], RatFun(1))
-    assert C == RatMatrix(1, 1, [RatFun(1)])
-    C = companion([RatFun(0), RatFun(-1)], RatFun(1))
-    assert C == RatMatrix.from_rows([[0, 0], [1, 1]])
-    C = companion([RatFun(2), RatFun(-2 * x)], RatFun(x * x))
-    assert C.entry(0, 1) == RatFun(-2, x * x)
-    assert C.entry(1, 1) == RatFun(2, x)
-    assert C.entry(1, 0) == RatFun(1)
-    with pytest.raises(ValueError):
-        companion([RatFun(1)], RatFun(0))
 
 
 def test_invert_roundtrip():

@@ -426,7 +426,9 @@ def test_faulty_strip_accepts_no_mutant(monkeypatch, fault):
     (``_strip_packed``) cannot make a verifier accept a mutant: the
     telescoper and resolvent verdicts rest on a Bezout identity checked by
     products and on ``verify_relation``, which strips nothing, and right
-    division checks every step.  Every call answers False or raises."""
+    division checks every step.  Every call answers False or raises, and
+    every symprod call answers False: its map is a cleared pair formed by
+    products alone."""
     sets = ([(verify, inst, mutants)
              for verify, inst, _, mutants in _bezout_mutant_sets()]
             + [(verify_lclm, inst, mutants)
@@ -451,7 +453,7 @@ def test_faulty_strip_accepts_no_mutant(monkeypatch, fault):
             try:
                 assert verify(inst, m) is False
             except (ValueError, ArithmeticError):
-                pass
+                assert verify is not verify_symprod
             checked += 1
     assert checked >= 120 and calls
 
